@@ -11,13 +11,12 @@ a fixed summation order so results are reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .curve import Curve, CurvePoint
 from .divpoly import DivisionPolynomials
-from .field import PreconditionError, ResourceBudgetError
+from .field import PreconditionError, ResourceBudgetError, primes_upto
 
 
 @dataclass
@@ -45,16 +44,24 @@ class BoundReport:
         return self.lhs <= slack * self.rhs_total
 
 
-def _primes_upto(n: int) -> list[int]:
-    return [q for q in range(2, n + 1) if all(q % r for r in range(2, q))]
-
-
-def _check_subgroup_order_coprime(t: int, N: int) -> None:
-    for q in _primes_upto(N):
+def check_coprime_to_factorial(t: int, N: int) -> None:
+    """The hypothesis gcd(N!, t) = 1 on a subgroup order t; the error
+    names the smallest prime q <= N dividing t."""
+    for q in primes_upto(N):
         if t % q == 0:
             raise PreconditionError(
                 f"gcd(N!, t) != 1: prime {q} <= N = {N} divides t = {t}"
             )
+
+
+def prefix_products(N: int, k: int, lo: int = 1) -> list[tuple[int, ...]]:
+    """The partial-product vector (n_1, n_1 n_2, ..., n_1...n_k) of every
+    index tuple (n_1..n_k) in [lo, N]^k, in itertools.product order."""
+    walk = [()]
+    for _ in range(k):
+        walk = [w + (w[-1] * n if w else n,)
+                for w in walk for n in range(lo, N + 1)]
+    return walk
 
 
 def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
@@ -167,12 +174,10 @@ def _t_sum(curve: Curve, c: tuple[int, ...], R: CurvePoint, N: int) -> complex:
     xs = x_multiples(curve, R, N**k)
     c = tuple(v % p for v in c)
     total = 0j
-    for tup in itertools.product(range(1, N + 1), repeat=k):
-        prod = 1
+    for prods in prefix_products(N, k):
         arg = 0
         for j in range(k):
-            prod *= tup[j]
-            arg += c[j] * xs[prod - 1]
+            arg += c[j] * xs[prods[j] - 1]
         total += F.psi(arg)
     return total
 
@@ -196,7 +201,7 @@ def sum_V(
     t = len(H)
     if t < 1:
         raise PreconditionError("H must be nonempty")
-    _check_subgroup_order_coprime(t, N)
+    check_coprime_to_factorial(t, N)
     k = len(c)
     total = 0.0
     for R in H:
@@ -224,14 +229,7 @@ def v_sum_expanded(
     F = curve.field
     c = tuple(v % p for v in c)
     tables = [x_multiples(curve, R, N**k) for R in H]
-    args = []
-    for tup in itertools.product(range(1, N + 1), repeat=k):
-        prods = []
-        prod = 1
-        for j in range(k):
-            prod *= tup[j]
-            prods.append(prod)
-        args.append(prods)
+    args = prefix_products(N, k)
     total = 0j
     for m_prods in args:
         for n_prods in args:
@@ -301,18 +299,14 @@ def count_product_collisions(
         return 0
     if k * (N - 1) ** (2 * k) > budget:
         raise ResourceBudgetError("collision enumeration exceeds budget")
-    prods = []
-    for tup in itertools.product(range(2, N + 1), repeat=k):
-        v = []
-        prod = 1
-        for x in tup:
-            prod *= x
-            v.append(prod)
-        prods.append(v)
+    prods = prefix_products(N, k, lo=2)
     count = 0
     for mv in prods:
         for nv in prods:
             if any(mv[j] == nv[j] for j in support):
                 count += 1
-    assert count <= k * N ** (2 * k - 1)
+    bound = k * N ** (2 * k - 1)
+    if count > bound:
+        raise RuntimeError(f"{count} collisions exceed the proved bound "
+                           f"k*N^(2k-1) = {bound}")
     return count

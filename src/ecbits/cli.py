@@ -1,5 +1,6 @@
-"""Command-line harness: curve search, lemma/theorem verification
-suites, character-sum sweeps with bound reports, and bit extraction.
+"""Command-line harness: option parsing, experiment cells and report
+records around the library's verification suites, character-sum sweeps
+and bit extraction.
 
 Subcommands: verify, sums, extract, find-curve, report.  Configuration
 comes from a flat key=value file plus command-line flag overrides; the
@@ -16,31 +17,34 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 
+# x_multiples and group_structure are unused here; the benchmark's
+# per-layer tracer (bench/spans.py) looks them up, like the other
+# library names below, as attributes of this module.
 from .charsum import (
     BoundReport,
+    check_coprime_to_factorial,
     count_product_collisions,
     subgroup_sum,
     sum_U,
     sum_V,
-    x_multiples,
+    x_multiples,  # noqa: F401
 )
 from .curve import (
     Curve,
-    CurvePoint,
-    GroupStructure,
-    factorize,
-    group_structure,
+    ExhaustionError,
+    find_curve,
+    group_structure,  # noqa: F401
+    subgroup_generator,
     subgroup_of_order,
+    subgroup_order_for_policy,
 )
 from .divpoly import DivisionPolynomials
-from .extract import bitstream, delta, pack_bits
-from .field import PreconditionError, ResourceBudgetError, field, is_prime
+from .extract import bitstream, delta, pack_bits, sampled_deviation
+from .field import PreconditionError, ResourceBudgetError, field
 from .poly import rational_square_test
 
 SCHEMA_VERSION = 1
@@ -55,194 +59,60 @@ class ConfigError(ValueError):
     """Bad or missing configuration."""
 
 
-class ExhaustionError(RuntimeError):
-    """A curve search ran out of candidates."""
-
-
 # -- report records -----------------------------------------------------
 
 
-@dataclass
-class ReportRecord:
-    """One experiment cell: re-runnable from the recorded inputs alone."""
-
-    experiment: str
-    inputs: dict
-    lhs: float
-    bound_terms: list
-    ratio: float
-    exact: bool
-    wall_ms: float
-    schema: int = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return {k: d[k] for k in (
-            "schema", "experiment", "inputs", "lhs", "bound_terms", "ratio",
-            "exact", "wall_ms",
-        )}
-
-
-def _record(experiment: str, inputs: dict, lhs: float, report: BoundReport,
-            exact: bool, wall_ms: float) -> ReportRecord:
-    return ReportRecord(
-        experiment=experiment,
-        inputs=inputs,
-        lhs=float(lhs),
-        bound_terms=[{"name": n, "value": v} for n, v in report.rhs_terms],
-        ratio=report.ratio,
-        exact=exact,
-        wall_ms=wall_ms,
-    )
-
-
-def write_records(records: list[ReportRecord], out_prefix: str) -> None:
+def write_records(records: list[dict], out_prefix: str) -> None:
     with open(out_prefix + ".json", "w") as fh:
-        json.dump([r.to_dict() for r in records], fh, indent=2)
+        json.dump(records, fh, indent=2)
     with open(out_prefix + ".csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["schema", "experiment", "inputs", "lhs", "rhs_total",
                     "ratio", "exact", "wall_ms"])
         for r in records:
             w.writerow([
-                r.schema, r.experiment, json.dumps(r.inputs, sort_keys=True),
-                r.lhs, sum(b["value"] for b in r.bound_terms), r.ratio,
-                int(r.exact), round(r.wall_ms, 3),
+                r["schema"], r["experiment"],
+                json.dumps(r["inputs"], sort_keys=True), r["lhs"],
+                sum(b["value"] for b in r["bound_terms"]), r["ratio"],
+                int(r["exact"]), round(r["wall_ms"], 3),
             ])
 
 
-# -- curve search --------------------------------------------------------
+# -- curves from options ---------------------------------------------------
 
 
-def _primes(n_max: int) -> list[int]:
-    sieve = bytearray([1]) * (n_max + 1)
-    sieve[:2] = b"\x00\x00"
-    for q in range(2, int(n_max**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
-    return [i for i, v in enumerate(sieve) if v]
-
-
-def coprime_part(n: int, N: int) -> int:
-    """Largest divisor of n with no prime factor <= N."""
-    t = n
-    for q in _primes(N):
-        while t % q == 0:
-            t //= q
-    return t
-
-
-def subgroup_order_for_policy(n: int, N: int, policy: str) -> int:
-    """Order of the subgroup chosen by the search policy.
-
-    "largest": the full part of n coprime to N! (always a unique
-    subgroup).  "prime": the largest prime factor of n exceeding N.
-    """
-    if policy == "largest":
-        return coprime_part(n, N)
-    if policy == "prime":
-        cands = [q for q in factorize(n) if q > N]
-        return max(cands) if cands else 1
-    raise ConfigError(f"unknown t-policy {policy!r}")
-
-
-@dataclass
-class FoundCurve:
-    curve: Curve
-    order: int
-    factors: dict
-    t: int
-    structure: GroupStructure | None
-    rejected: dict
-
-
-def find_curve(
-    p_values: list[int],
-    big_n: int,
-    t_policy: str = "largest",
-    structure_budget: int = 50_000,
-) -> FoundCurve:
-    """First admissible curve in deterministic scan order: ascending p,
-    then a, then b, both coefficients starting at 1.
-
-    Admissible: nonsingular, ordinary, b != 0 (and a != 0 by scan
-    policy), with a unique subgroup of order t >= sqrt(p) whose order is
-    coprime to big_n factorial.
-    """
-    rejected = {"singular": 0, "supersingular": 0, "subgroup_small": 0,
-                "subgroup_ambiguous": 0}
-    for p in p_values:
-        if p <= 3 or not is_prime(p):
-            continue
-        F = field(p)
-        for a in range(1, p):
-            for b in range(1, p):
-                if (4 * a * a * a + 27 * b * b) % p == 0:
-                    rejected["singular"] += 1
-                    continue
-                C = Curve(F, a, b)
-                n = C.order()
-                if n == p + 1:
-                    rejected["supersingular"] += 1
-                    continue
-                t = subgroup_order_for_policy(n, big_n, t_policy)
-                if t * t < p:
-                    rejected["subgroup_small"] += 1
-                    continue
-                if t_policy == "prime" and not _prime_subgroup_unique(C, n, t):
-                    rejected["subgroup_ambiguous"] += 1
-                    continue
-                structure = None
-                if n <= structure_budget:
-                    structure = group_structure(C, structure_budget)
-                return FoundCurve(C, n, factorize(n), t, structure, rejected)
-    raise ExhaustionError(
-        f"no admissible curve for p in {p_values}, N = {big_n}; rejected: {rejected}"
-    )
-
-
-def _prime_subgroup_unique(C: Curve, n: int, ell: int) -> bool:
-    # rank 2 at ell needs both ell^2 | n and ell | p - 1
-    if n % (ell * ell) or (C.p - 1) % ell:
-        return True
+def _curve_from_inputs(inputs: dict) -> Curve:
+    """The curve named by p, a, b in options or a report record; an
+    unusable one is a configuration error."""
     try:
-        subgroup_of_order(C, ell)
-        return True
-    except (PreconditionError, ResourceBudgetError):
-        return False
+        return Curve(field(inputs["p"]), inputs["a"], inputs["b"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
-    """A point of exact order t, found by scaling scanned points by #E/t."""
-    n = C.order()
-    if n % t:
-        raise ConfigError(f"t = {t} does not divide #E = {n}")
-    m = n // t
-    t_factors = factorize(t) if t > 1 else {}
-    tries = 0
-    for u in range(C.p):
-        for P in C.points_by_x(u):
-            G = C.mul(m, P)
-            if not G.is_infinity:
-                o = t
-                for q in t_factors:
-                    while o % q == 0 and C.mul(o // q, G).is_infinity:
-                        o //= q
-                if o == t:
-                    return G
-            tries += 1
-            if tries >= max_tries:
-                raise PreconditionError(
-                    f"no point of order {t} within {max_tries} candidates"
-                )
-    raise PreconditionError(f"no point of order {t} on {C}")
+def _flag_curve(args) -> Curve:
+    """The curve given by --p/--a/--b."""
+    if args.a is None or args.b is None:
+        raise ConfigError("--p needs --a and --b as well")
+    return _curve_from_inputs(vars(args))
 
 
-def sample_subgroup_points(
-    C: Curve, gen: CurvePoint, t: int, count: int, seed: int
-) -> list[CurvePoint]:
-    rng = random.Random(seed)
-    return [C.mul(rng.randrange(1, t), gen) for _ in range(count)]
+def _p_range(args) -> range:
+    if args.p_min is None or args.p_max is None:
+        raise ConfigError("need --p or both --p-min and --p-max")
+    if args.p_max < args.p_min:
+        raise ConfigError("empty prime range")
+    return range(args.p_min, args.p_max + 1)
+
+
+def _curve_and_t(args) -> tuple[Curve, int]:
+    """The --p/--a/--b curve with its --t-policy subgroup order, or the
+    first admissible curve with p in --p-min..--p-max."""
+    if args.p is None:
+        fc = find_curve(_p_range(args), args.big_n, args.t_policy)
+        return fc.curve, fc.t
+    C = _flag_curve(args)
+    return C, subgroup_order_for_policy(C.order(), args.big_n, args.t_policy)
 
 
 # -- verify suite --------------------------------------------------------
@@ -313,14 +183,11 @@ def run_lemma_suite(
 # -- sums experiments ----------------------------------------------------
 
 
-def _curve_from_inputs(inputs: dict) -> Curve:
-    return Curve(field(inputs["p"]), inputs["a"], inputs["b"])
-
-
 def run_sum_cell(cell: dict) -> dict:
-    """Evaluate one experiment cell described by plain data (picklable so
-    a worker pool can run cells in parallel; merge order is the
-    submission order, which keeps reports deterministic)."""
+    """Evaluate one experiment cell described by plain data into its
+    report record (both picklable so a worker pool can run cells in
+    parallel; merge order is the submission order, which keeps reports
+    deterministic)."""
     start = time.perf_counter()
     kind = cell["experiment"]
     if kind == "u":
@@ -349,8 +216,16 @@ def run_sum_cell(cell: dict) -> dict:
     else:
         raise ConfigError(f"unknown experiment {kind!r}")
     wall_ms = (time.perf_counter() - start) * 1000
-    inputs = {k: v for k, v in cell.items() if k != "experiment"}
-    return _record(kind, inputs, lhs, report, exact, wall_ms).to_dict()
+    return {
+        "schema": SCHEMA_VERSION,
+        "experiment": kind,
+        "inputs": {k: v for k, v in cell.items() if k != "experiment"},
+        "lhs": float(lhs),
+        "bound_terms": [{"name": n, "value": v} for n, v in report.rhs_terms],
+        "ratio": report.ratio,
+        "exact": exact,
+        "wall_ms": wall_ms,
+    }
 
 
 def build_sum_cells(args) -> list[dict]:
@@ -358,38 +233,26 @@ def build_sum_cells(args) -> list[dict]:
     if not experiments:
         raise ConfigError("no experiments requested")
     cells = []
-    need_curve = {"u", "v", "lemma5"} & set(experiments)
-    fc = None
-    if need_curve:
-        if args.p is not None:
-            if args.a is None or args.b is None:
-                raise ConfigError("--p needs --a and --b as well")
-            C = Curve(field(args.p), args.a, args.b)
-            t = subgroup_order_for_policy(C.order(), args.big_n, args.t_policy)
-            fc = FoundCurve(C, C.order(), factorize(C.order()), t, None, {})
-        else:
-            fc = find_curve(_primes_between(args.p_min, args.p_max), args.big_n,
-                            args.t_policy)
+    if {"u", "v", "lemma5"} & set(experiments):
+        C, t = _curve_and_t(args)
+        curve = {"p": C.p, "a": C.a, "b": C.b}
     c_vec = _parse_c(args.c) if args.c is not None else None
     if c_vec is not None and not any(c_vec):
         raise ConfigError("coefficient vector c must be nonzero")
     for kind in experiments:
         if kind == "u":
-            base = {"experiment": "u", "p": fc.curve.p, "a": fc.curve.a,
-                    "b": fc.curve.b}
+            base = {"experiment": "u", **curve}
             cells += [dict(base, N=N) for N in range(2, args.big_n + 1)]
         elif kind == "v":
-            base = {"experiment": "v", "p": fc.curve.p, "a": fc.curve.a,
-                    "b": fc.curve.b, "t": fc.t}
+            base = {"experiment": "v", **curve, "t": t}
             for k in (1, 2):
                 vec = c_vec if c_vec is not None and len(c_vec) == k else (1,) * k
                 for N in range(2, min(args.big_n, 6) + 1):
                     cells.append(dict(base, N=N, k=k, c=list(vec)))
         elif kind == "lemma5":
-            base = {"experiment": "lemma5", "p": fc.curve.p, "a": fc.curve.a,
-                    "b": fc.curve.b, "t": fc.t}
+            base = {"experiment": "lemma5", **curve, "t": t}
             for d in _increasing_tuples(args.d_max, args.s_max):
-                if math.gcd(fc.t, math.prod(d)) != 1:
+                if math.gcd(t, math.prod(d)) != 1:
                     continue
                 vec = c_vec if c_vec is not None and len(c_vec) == len(d) \
                     else (1,) * len(d)
@@ -434,23 +297,23 @@ def run_sums(args) -> int:
     else:
         outcomes = [_cell_or_budget_error(cell) for cell in cells]
     skipped = [o for o in outcomes if "budget_error" in o]
-    recs = [ReportRecord(**{**o, "schema": SCHEMA_VERSION})
-            for o in outcomes if "budget_error" not in o]
+    recs = [o for o in outcomes if "budget_error" not in o]
     if args.out:
         write_records(recs, args.out)
         if skipped:
             # partial run: keep the completed records, flag the rest
             with open(args.out + ".json", "w") as fh:
                 json.dump({"incomplete": True, "skipped": skipped,
-                           "records": [r.to_dict() for r in recs]}, fh, indent=2)
+                           "records": recs}, fh, indent=2)
     slacks = {"u": args.slack_u, "v": args.slack_v, "lemma5": args.slack_l5,
               "collisions": 1.0}
     for r in recs:
-        print(f"{r.experiment}: inputs={r.inputs} lhs={r.lhs:.6g} "
-              f"ratio={r.ratio:.4g} exact={r.exact}")
-        if r.ratio > slacks.get(r.experiment, float("inf")):
-            print(f"WARN {r.experiment} ratio {r.ratio:.4g} exceeds slack "
-                  f"{slacks[r.experiment]}", file=sys.stderr)
+        kind, ratio = r["experiment"], r["ratio"]
+        print(f"{kind}: inputs={r['inputs']} lhs={r['lhs']:.6g} "
+              f"ratio={ratio:.4g} exact={r['exact']}")
+        if ratio > slacks.get(kind, float("inf")):
+            print(f"WARN {kind} ratio {ratio:.4g} exceeds slack "
+                  f"{slacks[kind]}", file=sys.stderr)
     for o in skipped:
         print(f"skipped {o['cell']}: {o['budget_error']}", file=sys.stderr)
     return EXIT_BUDGET if skipped else EXIT_OK
@@ -462,20 +325,10 @@ def run_sums(args) -> int:
 def run_extract(args) -> int:
     if args.out is None:
         raise ConfigError("--out is required for extract")
-    if args.p is not None and args.a is not None and args.b is not None:
-        C = Curve(field(args.p), args.a, args.b)
-        fc = FoundCurve(C, C.order(), factorize(C.order()),
-                        subgroup_order_for_policy(C.order(), args.big_n,
-                                                  args.t_policy), None, {})
-    else:
-        fc = find_curve(_primes_between(args.p_min, args.p_max), args.big_n,
-                        args.t_policy)
-    C, t = fc.curve, fc.t
+    C, t = _curve_and_t(args)
     if t < 2:
         raise ConfigError(f"subgroup policy produced trivial t = {t}")
-    for q in range(2, args.big_n + 1):
-        if t % q == 0 and all(q % r for r in range(2, q)):
-            raise PreconditionError(f"gcd(N!, t) != 1 at prime {q}")
+    check_coprime_to_factorial(t, args.big_n)
     if C.p <= args.k:
         raise PreconditionError(f"need p > k, got p = {C.p}, k = {args.k}")
     gen = subgroup_generator(C, t)
@@ -515,54 +368,13 @@ def run_extract(args) -> int:
     return EXIT_OK
 
 
-def sampled_deviation(C: Curve, gen, t: int, k: int, ell: int, N: int,
-                      samples: int, seed: int) -> dict:
-    """Average worst-pattern deviation over sampled subgroup points (the
-    exhaustive Delta is out of reach for large t)."""
-    if k != 1:
-        raise ConfigError("sampled deviation sweeps support k = 1")
-    pts = sample_subgroup_points(C, gen, t, samples, seed)
-    mask = (1 << ell) - 1
-    expected = N / (1 << ell)
-    devs = []
-    for R in pts:
-        xs = x_multiples(C, R, N)
-        counts = [0] * (1 << ell)
-        for x in xs:
-            counts[x & mask] += 1
-        devs.append(max(abs(c - expected) for c in counts) / N)
-    return {
-        "samples": samples,
-        "seed": seed,
-        "mean_rel_deviation": sum(devs) / len(devs),
-        "max_rel_deviation": max(devs),
-    }
-
-
-def deviation_trend(primes: list[int], N: int = 32, ells: tuple[int, ...] = (1, 2),
-                    samples: int = 100, seed: int = 0) -> list[dict]:
-    """Mean sampled deviation per prime, for the monotone-trend report."""
-    rows = []
-    for p in primes:
-        fc = find_curve([p], N, "prime", structure_budget=0)
-        C, t = fc.curve, fc.t
-        gen = subgroup_generator(C, t)
-        row = {"p": C.p, "a": C.a, "b": C.b, "t": t}
-        for ell in ells:
-            row[f"mean_dev_ell{ell}"] = sampled_deviation(
-                C, gen, t, 1, ell, N, samples, seed
-            )["mean_rel_deviation"]
-        rows.append(row)
-    return rows
-
-
 # -- verify command ------------------------------------------------------
 
 
 def default_verify_curves() -> list[Curve]:
     curves = []
     for start in (7, 11, 13):
-        fc = find_curve(_primes_between(start, start + 30), 4, "largest")
+        fc = find_curve(range(start, start + 31), 4, "largest")
         curves.append(fc.curve)
     return curves
 
@@ -575,9 +387,7 @@ def run_verify(args) -> int:
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
     if args.p is not None:
-        if args.a is None or args.b is None:
-            raise ConfigError("--p needs --a and --b as well")
-        curves = [Curve(field(args.p), args.a, args.b)]
+        curves = [_flag_curve(args)]
     else:
         curves = default_verify_curves()
     records = run_lemma_suite(curves, args.n_max, checks)
@@ -597,11 +407,8 @@ def run_verify(args) -> int:
 
 
 def run_find_curve(args) -> int:
-    if args.p is not None:
-        primes = [args.p]
-    else:
-        primes = _primes_between(args.p_min, args.p_max)
-    fc = find_curve(primes, args.big_n, args.t_policy)
+    p_values = [args.p] if args.p is not None else _p_range(args)
+    fc = find_curve(p_values, args.big_n, args.t_policy)
     out = {
         "p": fc.curve.p, "a": fc.curve.a, "b": fc.curve.b,
         "order": fc.order, "factors": {str(k): v for k, v in fc.factors.items()},
@@ -622,40 +429,40 @@ def run_find_curve(args) -> int:
 # -- report command ------------------------------------------------------
 
 
+def _report_records(path: str) -> list[tuple[dict, dict, float, bool]]:
+    """(record, cell to re-run, recorded lhs, exact flag) for every record
+    of a sums report."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report {path}: {exc}") from exc
+    if isinstance(data, dict):
+        data = data.get("records", [data])
+    try:
+        return [(rec, dict(rec["inputs"], experiment=rec["experiment"]),
+                 float(rec["lhs"]), bool(rec["exact"])) for rec in data]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} holds no sums report records: {exc!r}") from exc
+
+
 def run_report(args) -> int:
     if args.infile is None:
         raise ConfigError("--in is required for report")
-    with open(args.infile) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "records" in data:
-        data = data["records"]
-    if isinstance(data, dict):
-        data = [data]
     failures = 0
-    for rec in data:
-        cell = dict(rec["inputs"], experiment=rec["experiment"])
-        redo = run_sum_cell(cell)
-        if rec["exact"]:
-            ok = redo["lhs"] == rec["lhs"]
+    for rec, cell, lhs, exact in _report_records(args.infile):
+        redo = run_sum_cell(cell)["lhs"]
+        if exact:
+            ok = redo == lhs
         else:
-            scale = max(1.0, abs(rec["lhs"]))
-            ok = abs(redo["lhs"] - rec["lhs"]) <= 1e-6 * scale
+            ok = abs(redo - lhs) <= 1e-6 * max(1.0, abs(lhs))
         failures += not ok
         print(f"{'OK  ' if ok else 'FAIL'} {rec['experiment']} "
-              f"inputs={rec['inputs']} lhs={rec['lhs']:.6g} "
-              f"recomputed={redo['lhs']:.6g}")
+              f"inputs={rec['inputs']} lhs={lhs:.6g} recomputed={redo:.6g}")
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
 # -- option plumbing -----------------------------------------------------
-
-
-def _primes_between(lo: int, hi: int) -> list[int]:
-    if lo is None or hi is None:
-        raise ConfigError("need --p or both --p-min and --p-max")
-    if hi < lo:
-        raise ConfigError("empty prime range")
-    return [p for p in range(max(lo, 5), hi + 1) if is_prime(p)]
 
 
 def _parse_c(text: str) -> tuple[int, ...]:
@@ -667,78 +474,67 @@ def _parse_c(text: str) -> tuple[int, ...]:
 
 def load_config(path: str) -> dict:
     cfg = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"bad config line {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"bad config line {line!r}")
+        key, _, value = line.partition("=")
+        cfg[key.strip().replace("-", "_")] = value.strip()
     return cfg
 
 
-_OPTION_TYPES = {
-    "p": int, "a": int, "b": int, "p_min": int, "p_max": int, "n_max": int,
-    "k": int, "ell": int, "big_n": int, "jobs": int, "seed": int,
-    "samples": int, "delta_budget": int, "d_max": int, "s_max": int,
-    "slack_u": float, "slack_v": float, "slack_l5": float, "slack_delta": float,
-    "t_policy": str, "out": str, "checks": str, "experiments": str, "c": str,
-    "infile": str,
-}
-
-_DEFAULTS = {
-    "n_max": 10, "k": 1, "ell": 1, "big_n": 4, "jobs": os.cpu_count() or 1,
-    "seed": 0,
-    "samples": 100, "delta_budget": 2048, "d_max": 8, "s_max": 3,
-    "slack_u": 10.0, "slack_v": 10.0, "slack_l5": 10.0, "slack_delta": 1.0,
-    "t_policy": "largest", "checks": ",".join(VERIFY_CHECKS),
-    "experiments": "u,v,lemma5,collisions",
+# Every option but --config, in --help order: name (the argparse dest and
+# the config-file key), type, default, and optional extra argparse
+# keywords ("flag" overrides the flag "--" + name with dashes).  A flag
+# beats the config file, which beats the default.
+_OPTIONS = {
+    "p": (int, None),
+    "a": (int, None),
+    "b": (int, None),
+    "p_min": (int, None),
+    "p_max": (int, None),
+    "n_max": (int, 10),
+    "k": (int, 1),
+    "ell": (int, 1),
+    "big_n": (int, 4),
+    "t_policy": (str, "largest", {"choices": ("largest", "prime")}),
+    "slack_u": (float, 10.0),
+    "slack_v": (float, 10.0),
+    "slack_l5": (float, 10.0),
+    "slack_delta": (float, 1.0),
+    "out": (str, None),
+    "jobs": (int, os.cpu_count() or 1),
+    "seed": (int, 0),
+    "samples": (int, 100),
+    "delta_budget": (int, 2048),
+    "d_max": (int, 8),
+    "s_max": (int, 3),
+    "c": (str, None, {"help": "comma-separated coefficient vector"}),
+    "checks": (str, ",".join(VERIFY_CHECKS)),
+    "experiments": (str, "u,v,lemma5,collisions"),
+    "infile": (str, None, {"flag": "--in"}),
 }
 
 
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     cfg = load_config(args.config) if args.config else {}
-    for key, typ in _OPTION_TYPES.items():
-        if getattr(args, key, None) is None:
+    for key, (typ, default, *_) in _OPTIONS.items():
+        if getattr(args, key) is None:
             if key in cfg:
                 try:
                     setattr(args, key, typ(cfg[key]))
                 except ValueError as exc:
                     raise ConfigError(f"bad config value for {key}") from exc
-            elif key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
+            else:
+                setattr(args, key, default)
     return args
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat key=value config file")
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--b", type=int)
-    sp.add_argument("--p-min", dest="p_min", type=int)
-    sp.add_argument("--p-max", dest="p_max", type=int)
-    sp.add_argument("--n-max", dest="n_max", type=int)
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--big-n", dest="big_n", type=int)
-    sp.add_argument("--t-policy", dest="t_policy", choices=("largest", "prime"))
-    sp.add_argument("--slack-u", dest="slack_u", type=float)
-    sp.add_argument("--slack-v", dest="slack_v", type=float)
-    sp.add_argument("--slack-l5", dest="slack_l5", type=float)
-    sp.add_argument("--slack-delta", dest="slack_delta", type=float)
-    sp.add_argument("--out")
-    sp.add_argument("--jobs", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--samples", type=int)
-    sp.add_argument("--delta-budget", dest="delta_budget", type=int)
-    sp.add_argument("--d-max", dest="d_max", type=int)
-    sp.add_argument("--s-max", dest="s_max", type=int)
-    sp.add_argument("--c", help="comma-separated coefficient vector")
-    sp.add_argument("--checks")
-    sp.add_argument("--experiments")
-    sp.add_argument("--in", dest="infile")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -749,7 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "sums", "extract", "find-curve", "report"):
-        _add_common(sub.add_parser(name))
+        sp = sub.add_parser(name)
+        sp.add_argument("--config", help="flat key=value config file")
+        for key, (typ, _, *extra) in _OPTIONS.items():
+            kwargs = dict(extra[0]) if extra else {}
+            flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
+            sp.add_argument(flag, dest=key, type=typ, **kwargs)
     return parser
 
 

@@ -1,6 +1,7 @@
 """Short Weierstrass curves y^2 = x^3 + a*x + b over F_p, with point
 arithmetic optionally in F_p^2, point counting through the quadratic
-character weight, and desk-scale group-structure utilities.
+character weight, desk-scale group-structure utilities, and the search
+for curves with a large subgroup of order coprime to N!.
 
 The point at infinity is the neutral element; everywhere a sum needs an
 x-coordinate for it, the formal convention x(O) = 0 applies.
@@ -8,9 +9,20 @@ x-coordinate for it, the formal convention x(O) = 0 applies.
 
 from __future__ import annotations
 
+import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .field import Fp2, PreconditionError, PrimeField, ResourceBudgetError
+from .field import (
+    MAX_MODULUS,
+    Fp2,
+    PreconditionError,
+    PrimeField,
+    ResourceBudgetError,
+    field,
+    is_prime,
+    primes_upto,
+)
 
 
 class CurvePoint:
@@ -361,3 +373,133 @@ def rational_division_points(
 def sqrt_in_base_or_ext(field: PrimeField, u: int) -> Fp2:
     """A square root of u, in F_p when chi(u) >= 0 and in F_p^2 otherwise."""
     return Fp2(field, u).sqrt()
+
+
+# -- curve search ------------------------------------------------------------
+
+
+class ExhaustionError(RuntimeError):
+    """A curve search ran out of candidates."""
+
+
+def coprime_part(n: int, N: int) -> int:
+    """Largest divisor of n with no prime factor <= N."""
+    t = n
+    for q in primes_upto(N):
+        while t % q == 0:
+            t //= q
+    return t
+
+
+def subgroup_order_for_policy(n: int, N: int, policy: str) -> int:
+    """Order of the subgroup chosen by the search policy.
+
+    "largest": the full part of n coprime to N! (always a unique
+    subgroup).  "prime": the largest prime factor of n exceeding N.
+    """
+    if policy == "largest":
+        return coprime_part(n, N)
+    if policy == "prime":
+        cands = [q for q in factorize(n) if q > N]
+        return max(cands) if cands else 1
+    raise PreconditionError(f"unknown t-policy {policy!r}")
+
+
+@dataclass
+class FoundCurve:
+    curve: Curve
+    order: int
+    factors: dict
+    t: int
+    structure: GroupStructure | None
+    rejected: dict
+
+
+def find_curve(
+    p_values: Iterable[int],
+    big_n: int,
+    t_policy: str = "largest",
+    structure_budget: int = 50_000,
+) -> FoundCurve:
+    """First admissible curve in deterministic scan order: ascending p
+    over the primes 3 < p < 2**31 among p_values, then a, then b, both
+    coefficients starting at 1.
+
+    Admissible: nonsingular, ordinary, b != 0 (and a != 0 by scan
+    policy), with a unique subgroup of order t >= sqrt(p) whose order is
+    coprime to big_n factorial.
+    """
+    primes = [p for p in p_values if 3 < p < MAX_MODULUS and is_prime(p)]
+    rejected = {"singular": 0, "supersingular": 0, "subgroup_small": 0,
+                "subgroup_ambiguous": 0}
+    for p in primes:
+        F = field(p)
+        for a in range(1, p):
+            for b in range(1, p):
+                if (4 * a * a * a + 27 * b * b) % p == 0:
+                    rejected["singular"] += 1
+                    continue
+                C = Curve(F, a, b)
+                n = C.order()
+                if n == p + 1:
+                    rejected["supersingular"] += 1
+                    continue
+                t = subgroup_order_for_policy(n, big_n, t_policy)
+                if t * t < p:
+                    rejected["subgroup_small"] += 1
+                    continue
+                if t_policy == "prime" and not _prime_subgroup_unique(C, n, t):
+                    rejected["subgroup_ambiguous"] += 1
+                    continue
+                structure = None
+                if n <= structure_budget:
+                    structure = group_structure(C, structure_budget)
+                return FoundCurve(C, n, factorize(n), t, structure, rejected)
+    raise ExhaustionError(
+        f"no admissible curve for p in {primes}, N = {big_n}; rejected: {rejected}"
+    )
+
+
+def _prime_subgroup_unique(C: Curve, n: int, ell: int) -> bool:
+    # rank 2 at ell needs both ell^2 | n and ell | p - 1
+    if n % (ell * ell) or (C.p - 1) % ell:
+        return True
+    try:
+        subgroup_of_order(C, ell)
+        return True
+    except (PreconditionError, ResourceBudgetError):
+        return False
+
+
+def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
+    """A point of exact order t, found by scaling scanned points by #E/t."""
+    n = C.order()
+    if n % t:
+        raise PreconditionError(f"t = {t} does not divide #E = {n}")
+    m = n // t
+    t_factors = factorize(t) if t > 1 else {}
+    tries = 0
+    for u in range(C.p):
+        for P in C.points_by_x(u):
+            G = C.mul(m, P)
+            if not G.is_infinity:
+                o = t
+                for q in t_factors:
+                    while o % q == 0 and C.mul(o // q, G).is_infinity:
+                        o //= q
+                if o == t:
+                    return G
+            tries += 1
+            if tries >= max_tries:
+                raise PreconditionError(
+                    f"no point of order {t} within {max_tries} candidates"
+                )
+    raise PreconditionError(f"no point of order {t} on {C}")
+
+
+def sample_subgroup_points(
+    C: Curve, gen: CurvePoint, t: int, count: int, seed: int
+) -> list[CurvePoint]:
+    """count seeded random multiples kG, 1 <= k < t, of a generator G."""
+    rng = random.Random(seed)
+    return [C.mul(rng.randrange(1, t), gen) for _ in range(count)]

@@ -1,7 +1,8 @@
 """Least-significant-bit extraction from x-coordinates of point
 multiples: the pattern-match counting function, its exact deviation
-statistic over a subgroup, bitstream generation, and a chi-square
-uniformity companion.
+statistic over a subgroup (and its sampled estimate for subgroups too
+large to enumerate), bitstream generation, and a chi-square uniformity
+companion.
 
 Bits are always least significant ones: for primes just below a power
 of two the most significant bits of random residues are biased, while
@@ -15,8 +16,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsum import _t_sum, x_multiples
-from .curve import Curve, CurvePoint
+from .charsum import (
+    _t_sum,
+    check_coprime_to_factorial,
+    prefix_products,
+    x_multiples,
+)
+from .curve import (
+    Curve,
+    CurvePoint,
+    find_curve,
+    sample_subgroup_points,
+    subgroup_generator,
+)
 from .field import PreconditionError, incomplete_geometric_sum
 
 
@@ -79,11 +91,9 @@ def count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> int:
     k, N = spec.k, spec.N
     xs = x_multiples(curve, R, N**k)
     count = 0
-    for tup in itertools.product(range(1, N + 1), repeat=k):
-        prod = 1
+    for prods in prefix_products(N, k):
         for j in range(k):
-            prod *= tup[j]
-            if xs[prod - 1] & mask != targets[j]:
+            if xs[prods[j] - 1] & mask != targets[j]:
                 break
         else:
             count += 1
@@ -170,11 +180,7 @@ def delta(
     t = len(set(H))
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
-    for q in range(2, N + 1):
-        if t % q == 0 and all(q % r for r in range(2, q)):
-            raise PreconditionError(
-                f"gcd(N!, t) != 1: prime {q} <= N = {N} divides t = {t}"
-            )
+    check_coprime_to_factorial(t, N)
     points = sorted(
         set(H), key=lambda P: (0,) if P.is_infinity else (1, P.x, P.y)
     )
@@ -183,15 +189,14 @@ def delta(
     per_point = []
     total = Fraction(0)
     total_wo_o = Fraction(0)
+    walk = prefix_products(N, k)
     for R in points:
         xs = x_multiples(curve, R, N**k)
         counts: dict[tuple[int, ...], int] = {}
-        for tup in itertools.product(range(1, N + 1), repeat=k):
-            prod = 1
+        for prods in walk:
             key = []
-            for j in range(k):
-                prod *= tup[j]
-                key.append(xs[prod - 1] & mask)
+            for m in prods:
+                key.append(xs[m - 1] & mask)
             key = tuple(key)
             counts[key] = counts.get(key, 0) + 1
         worst = max(
@@ -226,13 +231,53 @@ def bitstream(curve: Curve, R: CurvePoint, k: int, ell: int, N: int) -> str:
     if 1 << ell >= p:
         raise ValueError("2^ell must be smaller than p")
     xs = x_multiples(curve, R, N**k)
+    mask = (1 << ell) - 1
     out = []
-    for tup in itertools.product(range(1, N + 1), repeat=k):
-        prod = 1
-        for j in range(k):
-            prod *= tup[j]
-            out.append(format(xs[prod - 1] & ((1 << ell) - 1), f"0{ell}b"))
+    for prods in prefix_products(N, k):
+        for m in prods:
+            out.append(format(xs[m - 1] & mask, f"0{ell}b"))
     return "".join(out)
+
+
+def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
+                      N: int, samples: int, seed: int) -> dict:
+    """Average worst-pattern deviation over sampled subgroup points (the
+    exhaustive Delta is out of reach for large t)."""
+    if k != 1:
+        raise PreconditionError("sampled deviation sweeps support k = 1")
+    pts = sample_subgroup_points(C, gen, t, samples, seed)
+    mask = (1 << ell) - 1
+    expected = N / (1 << ell)
+    devs = []
+    for R in pts:
+        xs = x_multiples(C, R, N)
+        counts = [0] * (1 << ell)
+        for x in xs:
+            counts[x & mask] += 1
+        devs.append(max(abs(c - expected) for c in counts) / N)
+    return {
+        "samples": samples,
+        "seed": seed,
+        "mean_rel_deviation": sum(devs) / len(devs),
+        "max_rel_deviation": max(devs),
+    }
+
+
+def deviation_trend(primes: list[int], N: int = 32, ells: tuple[int, ...] = (1, 2),
+                    samples: int = 100, seed: int = 0) -> list[dict]:
+    """Mean sampled deviation per prime, for the monotone-trend report."""
+    rows = []
+    for p in primes:
+        fc = find_curve([p], N, "prime", structure_budget=0)
+        C, t = fc.curve, fc.t
+        gen = subgroup_generator(C, t)
+        row = {"p": C.p, "a": C.a, "b": C.b, "t": t}
+        for ell in ells:
+            row[f"mean_dev_ell{ell}"] = sampled_deviation(
+                C, gen, t, 1, ell, N, samples, seed
+            )["mean_rel_deviation"]
+        rows.append(row)
+    return rows
 
 
 def pack_bits(stream: str) -> bytes:

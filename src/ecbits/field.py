@@ -53,6 +53,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def primes_upto(n: int) -> list[int]:
+    """All primes q <= n, ascending (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\x00\x00"
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytearray(len(sieve[q * q :: q]))
+    return [i for i, v in enumerate(sieve) if v]
+
+
 class PrimeField:
     """The prime field F_p for an odd prime p < 2**31."""
 

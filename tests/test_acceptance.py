@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from ecbits import cli
 from ecbits.charsum import (
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
@@ -23,9 +22,9 @@ from ecbits.charsum import (
     sum_U,
     sum_V,
 )
-from ecbits.curve import Curve, CurvePoint, INFINITY, subgroup_of_order
+from ecbits.curve import Curve, CurvePoint, INFINITY, find_curve, subgroup_of_order
 from ecbits.divpoly import DivisionPolynomials
-from ecbits.extract import BitWindow, count_A, delta, fourier_count_A
+from ecbits.extract import BitWindow, count_A, delta, deviation_trend, fourier_count_A
 from ecbits.field import field
 from ecbits.poly import rational_square_test, squarefree_part
 
@@ -40,7 +39,7 @@ def report(criterion: int, detail: str) -> None:
 def admissible_curves():
     curves = []
     for start in (7, 11, 13):
-        fc = cli.find_curve(list(range(start, start + 30)), 4)
+        fc = find_curve(list(range(start, start + 30)), 4)
         curves.append(fc.curve)
     return curves
 
@@ -52,7 +51,7 @@ def divpolys(admissible_curves):
 
 @pytest.fixture(scope="module")
 def mid_curve():
-    fc = cli.find_curve(list(range(200, 500)), 8)
+    fc = find_curve(list(range(200, 500)), 8)
     assert 200 <= fc.curve.p <= 500
     return fc
 
@@ -115,7 +114,7 @@ def test_criterion_04_phi_psi_never_squares(divpolys):
 
 
 def test_criterion_05_pair_sum_proof_identity():
-    fc = cli.find_curve([13], 4)
+    fc = find_curve([13], 4)
     C = fc.curve
     assert C.order() == 13  # prime > 6: no low-order points
     dp = DivisionPolynomials(C)
@@ -200,7 +199,7 @@ def test_criterion_09_product_collision_cap():
 
 def test_criterion_10_fourier_identity_for_counts(admissible_curves):
     checked = 0
-    curves = list(admissible_curves) + [cli.find_curve([31], 4).curve]
+    curves = list(admissible_curves) + [find_curve([31], 4).curve]
     for C in curves:
         assert C.p <= 31
         pts = C.enumerate_points()
@@ -250,7 +249,7 @@ def test_criterion_11_orthogonality_and_geometric_sums():
 def test_criterion_12_uniformity_trend():
     start = time.perf_counter()
     primes = [1009, 10007, 100003, 1000003]
-    rows = cli.deviation_trend(primes, N=32, ells=(1, 2), samples=100, seed=0)
+    rows = deviation_trend(primes, N=32, ells=(1, 2), samples=100, seed=0)
     lines = []
     for row in rows:
         lines.append(f"p={row['p']} t={row['t']} "

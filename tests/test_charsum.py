@@ -1,12 +1,16 @@
 import cmath
+import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecbits.charsum import (
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
     count_product_collisions,
+    prefix_products,
     subgroup_sum,
     sum_S,
     sum_T,
@@ -222,6 +226,20 @@ def brute_collisions(N, k, c):
                     count += 1
                     break
     return count
+
+
+class TestPrefixProducts:
+    @given(st.integers(min_value=0, max_value=6),
+           st.integers(min_value=0, max_value=3), st.sampled_from((1, 2)))
+    def test_matches_product_definition(self, N, k, lo):
+        expected = []
+        for tup in itertools.product(range(lo, N + 1), repeat=k):
+            prods, prod = [], 1
+            for n in tup:
+                prod *= n
+                prods.append(prod)
+            expected.append(tuple(prods))
+        assert prefix_products(N, k, lo) == expected
 
 
 class TestProductCollisions:

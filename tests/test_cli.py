@@ -3,15 +3,24 @@ import json
 import pytest
 
 from ecbits import cli
-from ecbits.curve import Curve
+from ecbits.charsum import sum_V
+from ecbits.curve import (
+    Curve,
+    ExhaustionError,
+    coprime_part,
+    factorize,
+    find_curve,
+    subgroup_order_for_policy,
+)
 from ecbits.divpoly import DivisionPolynomials, ReducedPoly
-from ecbits.field import field
+from ecbits.extract import deviation_trend
+from ecbits.field import PreconditionError, field
 from ecbits.poly import Poly
 
 
 class TestFindCurve:
     def test_micro_example(self):
-        fc = cli.find_curve([7], 4)
+        fc = find_curve([7], 4)
         C = fc.curve
         assert (C.p, C.a, C.b) == (7, 1, 1)
         assert fc.t == 5
@@ -19,22 +28,22 @@ class TestFindCurve:
         assert fc.structure.d1 == 1 and fc.structure.d2 == 5
 
     def test_deterministic(self):
-        a = cli.find_curve([11, 13], 4)
-        b = cli.find_curve([11, 13], 4)
+        a = find_curve([11, 13], 4)
+        b = find_curve([11, 13], 4)
         assert (a.curve, a.t) == (b.curve, b.t)
 
     def test_supersingular_only_range_exhausts(self):
         # no prime in an empty list
-        with pytest.raises(cli.ExhaustionError):
-            cli.find_curve([], 4)
+        with pytest.raises(ExhaustionError):
+            find_curve([], 4)
 
     def test_exhaustion_reports_predicate_counts(self):
         # demand an impossibly large subgroup via a huge N
-        with pytest.raises(cli.ExhaustionError, match="rejected"):
-            cli.find_curve([7], 30)
+        with pytest.raises(ExhaustionError, match="rejected"):
+            find_curve([7], 30)
 
     def test_admissibility_predicates(self):
-        fc = cli.find_curve([11], 4)
+        fc = find_curve([11], 4)
         C = fc.curve
         assert C.b != 0 and C.is_ordinary()
         assert fc.t * fc.t >= C.p
@@ -42,9 +51,7 @@ class TestFindCurve:
             assert fc.t % q != 0
 
     def test_policy_prime(self):
-        fc = cli.find_curve([11], 4, t_policy="prime")
-        from ecbits.curve import factorize
-
+        fc = find_curve([11], 4, t_policy="prime")
         assert fc.t in factorize(fc.order)
 
     def test_cli_command(self, capsys):
@@ -56,18 +63,18 @@ class TestFindCurve:
 
 class TestCoprimePolicy:
     def test_coprime_part(self):
-        assert cli.coprime_part(720, 4) == 5
-        assert cli.coprime_part(14, 4) == 7
-        assert cli.coprime_part(64, 4) == 1
+        assert coprime_part(720, 4) == 5
+        assert coprime_part(14, 4) == 7
+        assert coprime_part(64, 4) == 1
 
     def test_policy_values(self):
-        assert cli.subgroup_order_for_policy(14, 4, "largest") == 7
-        assert cli.subgroup_order_for_policy(5 * 49, 4, "largest") == 245
-        assert cli.subgroup_order_for_policy(5 * 49, 4, "prime") == 7
+        assert subgroup_order_for_policy(14, 4, "largest") == 7
+        assert subgroup_order_for_policy(5 * 49, 4, "largest") == 245
+        assert subgroup_order_for_policy(5 * 49, 4, "prime") == 7
 
     def test_unknown_policy(self):
-        with pytest.raises(cli.ConfigError):
-            cli.subgroup_order_for_policy(10, 2, "weird")
+        with pytest.raises(PreconditionError, match="unknown t-policy"):
+            subgroup_order_for_policy(10, 2, "weird")
 
 
 class TestVerifyCommand:
@@ -191,10 +198,18 @@ class TestExtractCommand:
         rc = cli.main(["extract", "--p", "7", "--a", "1", "--b", "1"])
         assert rc == 2
 
-    def test_gcd_hypothesis_violation_named(self, tmp_path):
-        rc = cli.main(["extract", "--p", "7", "--a", "1", "--b", "1",
-                       "--big-n", "5", "--out", str(tmp_path / "x")])
-        assert rc == 2  # 5 | t = 5 violates gcd(N!, t) = 1
+    def test_gcd_hypothesis_violation_named(self, tmp_path, capsys, monkeypatch,
+                                            micro_curve, micro_points):
+        argv = ["extract", "--p", "7", "--a", "1", "--b", "1", "--big-n", "5",
+                "--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2  # both policies strip 5 from #E = 5: t = 1
+        # an order that ignores the policy reaches the gcd(N!, t) check
+        monkeypatch.setattr(cli, "subgroup_order_for_policy", lambda n, N, policy: n)
+        capsys.readouterr()
+        assert cli.main(argv) == 2  # 5 | t = 5 violates gcd(N!, t) = 1
+        with pytest.raises(PreconditionError) as from_v:
+            sum_V(micro_curve, micro_points, (1,), 5)
+        assert capsys.readouterr().err == f"precondition violated: {from_v.value}\n"
 
     def test_sampled_deviation_path(self, tmp_path):
         rc = cli.main(["extract", "--p", "11", "--a", "1", "--b", "1",
@@ -256,6 +271,32 @@ class TestConfigFile:
         assert rc == 2
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "--in", "{tmp}/verify.json"], "'inputs'"),
+        (["report", "--in", "{tmp}/missing.json"], "No such file"),
+        (["report", "--in", "{tmp}/p8.json"], "not prime"),
+        (["verify", "--config", "{tmp}/missing.cfg"], "No such file"),
+        (["verify", "--p", "8", "--a", "1", "--b", "1"], "not prime"),
+        (["sums", "--p", "2147483659", "--a", "1", "--b", "1"],
+         "out of supported range"),
+        (["sums", "--p", "7", "--a", "0", "--b", "0"], "singular curve"),
+        (["extract", "--p", "7", "--out", "{tmp}/x"], "--p needs --a and --b as well"),
+    ])
+    def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
+        assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
+                         "--n-max", "2", "--out", str(tmp_path / "verify.json")]) == 0
+        capsys.readouterr()
+        # a sums record whose curve lives over F_8
+        (tmp_path / "p8.json").write_text(json.dumps([{
+            "experiment": "u", "inputs": {"p": 8, "a": 1, "b": 1, "N": 2},
+            "lhs": 0.0, "exact": True}]))
+        rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and message in err
+
+
 class TestBudgetExit:
     def test_sums_budget_exceeded_is_exit_3(self, tmp_path):
         # p large enough that #E^2 * N blows the sum_U work budget
@@ -306,7 +347,7 @@ class TestParallelDeterminism:
 
 class TestTrend:
     def test_small_trend_rows(self):
-        rows = cli.deviation_trend([1009, 2003], N=6, ells=(1,), samples=10,
+        rows = deviation_trend([1009, 2003], N=6, ells=(1,), samples=10,
                                    seed=0)
         assert len(rows) == 2
         assert all(0 <= r["mean_dev_ell1"] <= 1 for r in rows)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ecbits.charsum import sum_V
 from ecbits.curve import Curve, CurvePoint, INFINITY, subgroup_of_order
 from ecbits.extract import (
     BitWindow,
@@ -165,8 +166,11 @@ class TestDelta:
         assert a.per_point == b.per_point
 
     def test_gcd_precondition_named(self, micro_curve, micro_points):
-        with pytest.raises(PreconditionError, match="gcd"):
+        with pytest.raises(PreconditionError, match="gcd") as from_delta:
             delta(micro_curve, micro_points, 1, 1, 5)
+        with pytest.raises(PreconditionError) as from_v:
+            sum_V(micro_curve, micro_points, (1,), 5)
+        assert str(from_delta.value) == str(from_v.value)
 
     def test_p_greater_than_k_named(self, micro_curve, micro_points):
         with pytest.raises(PreconditionError, match="p > k"):

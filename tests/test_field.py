@@ -13,6 +13,7 @@ from ecbits.field import (
     incomplete_geometric_sum,
     is_prime,
     orthogonality_indicator,
+    primes_upto,
 )
 
 SMALL_PRIMES = [5, 7, 11, 13, 101]
@@ -22,6 +23,8 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(2, 32):
         assert is_prime(n) == (n in primes)
+    assert primes_upto(31) == sorted(primes)
+    assert primes_upto(1) == [] and primes_upto(2) == [2]
 
 
 def test_field_rejects_composites_and_large_moduli():
