@@ -450,8 +450,12 @@ def run_report(args) -> int:
     if args.infile is None:
         raise ConfigError("--in is required for report")
     failures = 0
-    for rec, cell, lhs, exact in _report_records(args.infile):
-        redo = run_sum_cell(cell)["lhs"]
+    for i, (rec, cell, lhs, exact) in enumerate(_report_records(args.infile)):
+        try:
+            redo = run_sum_cell(cell)["lhs"]
+        except (ConfigError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{args.infile} record {i} ({rec['experiment']} "
+                              f"inputs={rec['inputs']}): {exc!r}") from exc
         if exact:
             ok = redo == lhs
         else:

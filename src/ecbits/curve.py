@@ -477,18 +477,13 @@ def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
     if n % t:
         raise PreconditionError(f"t = {t} does not divide #E = {n}")
     m = n // t
-    t_factors = factorize(t) if t > 1 else {}
+    factors = factorize(n)
     tries = 0
     for u in range(C.p):
         for P in C.points_by_x(u):
             G = C.mul(m, P)
-            if not G.is_infinity:
-                o = t
-                for q in t_factors:
-                    while o % q == 0 and C.mul(o // q, G).is_infinity:
-                        o //= q
-                if o == t:
-                    return G
+            if not G.is_infinity and C.point_order(G, factors) == t:
+                return G
             tries += 1
             if tries >= max_tries:
                 raise PreconditionError(

@@ -11,6 +11,7 @@ the low bits are exactly balanced up to O(1/p).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,24 +81,49 @@ class BitWindow:
         return field.inv(1 << self.ell)
 
 
+@functools.lru_cache(maxsize=4)
+def _walk_columns(N: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Column j holds n_1...n_(j+1) - 1, the x_multiples index of the j-th
+    window, for every tuple of the prefix-product walk over [1,N]^k."""
+    walk = prefix_products(N, k)
+    return tuple(tuple(prods[j] - 1 for prods in walk) for j in range(k))
+
+
+def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
+                  N: int) -> list[int]:
+    """The k*ell-bit code of every index tuple (n_1..n_k) in [1,N]^k, in
+    itertools.product order: its j-th ell-bit field, most significant
+    first, holds the ell low bits of x((n_1...n_j) R)."""
+    if k < 1 or ell < 1:
+        raise PreconditionError(f"need k >= 1 and ell >= 1, got k = {k}, ell = {ell}")
+    if ell >= (curve.p - 1).bit_length():  # 2^ell >= p, without building 2^ell
+        raise PreconditionError(
+            f"2^ell must be smaller than p = {curve.p}, got ell = {ell}")
+    mask = (1 << ell) - 1
+    windows = [x & mask for x in x_multiples(curve, R, N**k)]
+    first, *rest = _walk_columns(N, k)
+    # k = 1 walks n_1 = 1..N in order, so its codes are the windows
+    codes = [windows[i] for i in first] if rest else windows
+    for column in rest:
+        codes = [c << ell | windows[i] for c, i in zip(codes, column)]
+    return codes
+
+
+def _worst_deviation(codes: list[int], k: int, ell: int, N: int) -> Fraction:
+    """max over all k*ell-bit patterns of |count - N^k / 2^(k*ell)|."""
+    size = 1 << (k * ell)
+    counts = [0] * size
+    for c in codes:
+        counts[c] += 1
+    # |count * size - N^k| peaks at the rarest or the commonest pattern
+    return Fraction(max(max(counts) * size - N**k, N**k - min(counts) * size), size)
+
+
 def count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> int:
     """How many index tuples (n_1..n_k) in [1,N]^k have, for every j, the
     ell low bits of x((n_1...n_j) R) equal to sigma_j."""
-    p = curve.p
-    if 1 << spec.ell >= p:
-        raise ValueError("2^ell must be smaller than p")
-    mask = (1 << spec.ell) - 1
-    targets = spec.sigma_bar
-    k, N = spec.k, spec.N
-    xs = x_multiples(curve, R, N**k)
-    count = 0
-    for prods in prefix_products(N, k):
-        for j in range(k):
-            if xs[prods[j] - 1] & mask != targets[j]:
-                break
-        else:
-            count += 1
-    return count
+    codes = _window_codes(curve, R, spec.k, spec.ell, spec.N)
+    return codes.count(int("".join(spec.sigma), 2))
 
 
 def fourier_count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> complex:
@@ -185,24 +211,11 @@ def delta(
         set(H), key=lambda P: (0,) if P.is_infinity else (1, P.x, P.y)
     )
     expected = Fraction(N**k, 1 << (k * ell))
-    mask = (1 << ell) - 1
     per_point = []
     total = Fraction(0)
     total_wo_o = Fraction(0)
-    walk = prefix_products(N, k)
     for R in points:
-        xs = x_multiples(curve, R, N**k)
-        counts: dict[tuple[int, ...], int] = {}
-        for prods in walk:
-            key = []
-            for m in prods:
-                key.append(xs[m - 1] & mask)
-            key = tuple(key)
-            counts[key] = counts.get(key, 0) + 1
-        worst = max(
-            abs(counts.get(sig, 0) - expected)
-            for sig in itertools.product(range(1 << ell), repeat=k)
-        )
+        worst = _worst_deviation(_window_codes(curve, R, k, ell, N), k, ell, N)
         per_point.append((repr(R), worst))
         total += worst
         if not R.is_infinity:
@@ -227,16 +240,8 @@ def bitstream(curve: Curve, R: CurvePoint, k: int, ell: int, N: int) -> str:
     low windows of each coordinate vector; length k*ell*N^k."""
     if R.is_infinity:
         raise ValueError("the infinity orbit is degenerate; pick R != O")
-    p = curve.p
-    if 1 << ell >= p:
-        raise ValueError("2^ell must be smaller than p")
-    xs = x_multiples(curve, R, N**k)
-    mask = (1 << ell) - 1
-    out = []
-    for prods in prefix_products(N, k):
-        for m in prods:
-            out.append(format(xs[m - 1] & mask, f"0{ell}b"))
-    return "".join(out)
+    codes = _window_codes(curve, R, k, ell, N)
+    return "".join(format(c, f"0{k * ell}b") for c in codes)
 
 
 def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
@@ -246,15 +251,8 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     if k != 1:
         raise PreconditionError("sampled deviation sweeps support k = 1")
     pts = sample_subgroup_points(C, gen, t, samples, seed)
-    mask = (1 << ell) - 1
-    expected = N / (1 << ell)
-    devs = []
-    for R in pts:
-        xs = x_multiples(C, R, N)
-        counts = [0] * (1 << ell)
-        for x in xs:
-            counts[x & mask] += 1
-        devs.append(max(abs(c - expected) for c in counts) / N)
+    devs = [float(_worst_deviation(_window_codes(C, R, k, ell, N), k, ell, N) / N)
+            for R in pts]
     return {
         "samples": samples,
         "seed": seed,

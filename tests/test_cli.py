@@ -282,6 +282,15 @@ class TestBadInput:
          "out of supported range"),
         (["sums", "--p", "7", "--a", "0", "--b", "0"], "singular curve"),
         (["extract", "--p", "7", "--out", "{tmp}/x"], "--p needs --a and --b as well"),
+        (["report", "--in", "{tmp}/pstr.json"], "record 0 (u inputs={'p': '7'"),
+        (["report", "--in", "{tmp}/no_n.json"], "record 0 (u inputs={'p': 7, 'a': 1, "
+                                                "'b': 1}): KeyError('N')"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--ell", "20",
+          "--out", "{tmp}/x"], "2^ell must be smaller than p = 1549, got ell = 20"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "0",
+          "--out", "{tmp}/x"], "need k >= 1 and ell >= 1, got k = 0"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--ell", "0",
+          "--out", "{tmp}/x"], "need k >= 1 and ell >= 1, got k = 1, ell = 0"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -291,6 +300,11 @@ class TestBadInput:
         (tmp_path / "p8.json").write_text(json.dumps([{
             "experiment": "u", "inputs": {"p": 8, "a": 1, "b": 1, "N": 2},
             "lhs": 0.0, "exact": True}]))
+        # sums records with a string p and with no N
+        for name, inputs in (("pstr", {"p": "7", "a": 1, "b": 1, "N": 2}),
+                             ("no_n", {"p": 7, "a": 1, "b": 1})):
+            (tmp_path / f"{name}.json").write_text(json.dumps([{
+                "experiment": "u", "inputs": inputs, "lhs": 0.0, "exact": True}]))
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2

@@ -11,6 +11,7 @@ from ecbits.curve import (
     group_structure,
     rational_division_points,
     sqrt_in_base_or_ext,
+    subgroup_generator,
     subgroup_of_order,
 )
 from ecbits.field import Fp2, PreconditionError, ResourceBudgetError, field
@@ -219,6 +220,22 @@ class TestSubgroup:
         for P in H:
             for Q in H:
                 assert C.add(P, Q) in hs
+
+    # cyclic groups only: the scan scales points by #E/t, which misses
+    # order t on E = Z/d1 x Z/d2 when gcd(t, d1) > 1
+    @pytest.mark.parametrize("p,a,b", [(11, 1, 1), (13, 2, 3), (23, 1, 1)])
+    def test_generator_has_exact_order(self, p, a, b):
+        C = Curve(field(p), a, b)
+        n = C.order()
+        for t in range(2, n + 1):
+            if n % t == 0:
+                G = subgroup_generator(C, t)
+                assert C.mul(t, G) == INFINITY
+                assert all(C.mul(t // q, G) != INFINITY for q in factorize(t))
+
+    def test_generator_of_trivial_subgroup_rejected(self, micro_curve):
+        with pytest.raises(PreconditionError):
+            subgroup_generator(micro_curve, 1)
 
 
 class TestDivisionPoints:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ecbits.charsum import sum_V
 from ecbits.curve import Curve, CurvePoint, INFINITY, subgroup_of_order
@@ -210,6 +212,53 @@ class TestBitstream:
         for sigma in ("00", "01", "10", "11"):
             spec = BitWindow(1, 2, 5, (sigma,))
             assert count_A(C, R, spec) == windows.count(sigma)
+
+
+_ORACLE_CURVE = Curve(field(11), 1, 1)  # order 14: points of order 2, 7, 14
+
+
+def _oracle_windows(C, R, k, ell, N):
+    """The k low-bit windows of every (n_1..n_k) in [1,N]^k, in
+    itertools.product order, from scalar multiplication alone."""
+    out = []
+    for ns in itertools.product(range(1, N + 1), repeat=k):
+        Qs = [C.mul(math.prod(ns[: j + 1]), R) for j in range(k)]
+        out.append(tuple(lsb_string(0 if Q.is_infinity else Q.x, ell, C.p)
+                         for Q in Qs))
+    return out
+
+
+class TestWindowOracle:
+    points = st.sampled_from(_ORACLE_CURVE.enumerate_points())
+    finite_points = points.filter(lambda P: not P.is_infinity)
+    shapes = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 5))
+
+    @given(finite_points, shapes)
+    def test_bitstream_matches_scalar_multiples(self, R, shape):
+        k, ell, N = shape
+        windows = _oracle_windows(_ORACLE_CURVE, R, k, ell, N)
+        assert bitstream(_ORACLE_CURVE, R, k, ell, N) == "".join(
+            "".join(w) for w in windows)
+
+    @given(points, shapes)
+    def test_delta_per_point_is_brute_force_worst_pattern(self, R, shape):
+        k, ell, N = shape
+        windows = _oracle_windows(_ORACLE_CURVE, R, k, ell, N)
+        expected = Fraction(N**k, 2 ** (k * ell))
+        patterns = itertools.product(
+            ["".join(b) for b in itertools.product("01", repeat=ell)], repeat=k)
+        worst = max(abs(windows.count(sigma) - expected) for sigma in patterns)
+        rep = delta(_ORACLE_CURVE, [R], k, ell, N)
+        assert rep.per_point == [(repr(R), worst)]
+
+    @given(points, shapes, st.data())
+    def test_count_A_matches_scalar_multiples(self, R, shape, data):
+        k, ell, N = shape
+        bits = st.text("01", min_size=ell, max_size=ell)
+        sigma = tuple(data.draw(bits) for _ in range(k))
+        windows = _oracle_windows(_ORACLE_CURVE, R, k, ell, N)
+        spec = BitWindow(k, ell, N, sigma)
+        assert count_A(_ORACLE_CURVE, R, spec) == windows.count(sigma)
 
 
 class TestPackBits:
