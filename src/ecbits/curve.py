@@ -306,11 +306,35 @@ def _span(curve: Curve, G1: CurvePoint, d1: int, G2: CurvePoint, d2: int) -> set
     return span
 
 
-def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[CurvePoint]:
-    """The unique order-t subgroup, as the kernel of multiplication by t.
+def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
+    """[O, G, 2G, ..., (o-1)G] for o = ord(G), by repeated addition."""
+    if not curve.contains(G):
+        raise ValueError(f"point {G} is not on {curve}")
+    pts = [INFINITY]
+    Q = G
+    while not Q.is_infinity:
+        pts.append(Q)
+        Q = curve._add(Q, G)
+    return pts
 
-    Accepts t only when that kernel has exactly t elements; ordering is
-    O first, then affine points by (x, y).
+
+def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:
+    """Whether E[t] is cyclic of order t, for t | n = #E, shown without
+    enumerating E: E = Z/d1 x Z/d2 with d1 | d2 and, by the Weil pairing,
+    d1 | p - 1, so when no prime ell | t has both ell^2 | n and
+    ell | p - 1, gcd(t, d1) = 1 and t | d2."""
+    return not any(n % (ell * ell) == 0 and (curve.p - 1) % ell == 0
+                   for ell in factorize(t))
+
+
+def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[CurvePoint]:
+    """The unique order-t subgroup, O first, then affine points by (x, y).
+
+    When E[t] is provably cyclic of order t (see _torsion_cyclic) it is
+    the orbit of a point of order t: t additions, and t must not exceed
+    budget.  Otherwise it is the kernel of multiplication by t, found by
+    multiplying every point of E (#E must not exceed budget), and t is
+    accepted only when that kernel has exactly t elements.
     """
     if t < 1:
         raise ValueError("subgroup order must be positive")
@@ -319,6 +343,11 @@ def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[Cur
         raise ValueError(f"t = {t} does not divide #E = {n}")
     if t == 1:
         return [INFINITY]
+    if _torsion_cyclic(curve, n, t):
+        if t > budget:
+            raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {budget}")
+        tail = orbit(curve, subgroup_generator(curve, t))[1:]
+        return [INFINITY] + sorted(tail, key=lambda P: (P.x, P.y))
     H = [P for P in curve.enumerate_points(budget) if curve.mul(t, P).is_infinity]
     if len(H) != t:
         raise PreconditionError(
@@ -461,8 +490,7 @@ def find_curve(
 
 
 def _prime_subgroup_unique(C: Curve, n: int, ell: int) -> bool:
-    # rank 2 at ell needs both ell^2 | n and ell | p - 1
-    if n % (ell * ell) or (C.p - 1) % ell:
+    if _torsion_cyclic(C, n, ell):
         return True
     try:
         subgroup_of_order(C, ell)
@@ -472,7 +500,10 @@ def _prime_subgroup_unique(C: Curve, n: int, ell: int) -> bool:
 
 
 def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
-    """A point of exact order t, found by scaling scanned points by #E/t."""
+    """A point of exact order t from the scanned points P: (#E/t)P when
+    that has order t, else (ord(P)/t)P when t | ord(P).  The second
+    candidate finds order t where the first cannot, on E = Z/d1 x Z/d2
+    with gcd(t, d1) > 1."""
     n = C.order()
     if n % t:
         raise PreconditionError(f"t = {t} does not divide #E = {n}")
@@ -484,6 +515,11 @@ def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
             G = C.mul(m, P)
             if not G.is_infinity and C.point_order(G, factors) == t:
                 return G
+            o = C.point_order(P, factors)
+            if o % t == 0:
+                G = C.mul(o // t, P)  # of order t, or O when t = 1
+                if not G.is_infinity:
+                    return G
             tries += 1
             if tries >= max_tries:
                 raise PreconditionError(

@@ -27,6 +27,7 @@ from .curve import (
     Curve,
     CurvePoint,
     find_curve,
+    orbit,
     sample_subgroup_points,
     subgroup_generator,
 )
@@ -89,24 +90,37 @@ def _walk_columns(N: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(prods[j] - 1 for prods in walk) for j in range(k))
 
 
-def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
-                  N: int) -> list[int]:
-    """The k*ell-bit code of every index tuple (n_1..n_k) in [1,N]^k, in
-    itertools.product order: its j-th ell-bit field, most significant
-    first, holds the ell low bits of x((n_1...n_j) R)."""
+def _check_window(p: int, k: int, ell: int, N: int) -> None:
+    """k windows of ell < log2(p) bits over the index range [1, N]."""
     if k < 1 or ell < 1:
         raise PreconditionError(f"need k >= 1 and ell >= 1, got k = {k}, ell = {ell}")
-    if ell >= (curve.p - 1).bit_length():  # 2^ell >= p, without building 2^ell
+    if ell >= (p - 1).bit_length():  # 2^ell >= p, without building 2^ell
         raise PreconditionError(
-            f"2^ell must be smaller than p = {curve.p}, got ell = {ell}")
+            f"2^ell must be smaller than p = {p}, got ell = {ell}")
+    if N < 1:
+        raise PreconditionError(f"need N >= 1, got N = {N}")
+
+
+def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
+    """The k*ell-bit code of every index tuple (n_1..n_k) in [1,N]^k, in
+    itertools.product order, from xs[m - 1] = x(mR), m = 1..N^k: its j-th
+    ell-bit field, most significant first, holds the ell low bits of
+    x((n_1...n_j) R)."""
     mask = (1 << ell) - 1
-    windows = [x & mask for x in x_multiples(curve, R, N**k)]
+    windows = [x & mask for x in xs]
     first, *rest = _walk_columns(N, k)
     # k = 1 walks n_1 = 1..N in order, so its codes are the windows
     codes = [windows[i] for i in first] if rest else windows
     for column in rest:
         codes = [c << ell | windows[i] for c, i in zip(codes, column)]
     return codes
+
+
+def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
+                  N: int) -> list[int]:
+    """_codes of R, read from a walk of its first N^k multiples."""
+    _check_window(curve.p, k, ell, N)
+    return _codes(x_multiples(curve, R, N**k), k, ell, N)
 
 
 def _worst_deviation(codes: list[int], k: int, ell: int, N: int) -> Fraction:
@@ -201,11 +215,16 @@ def delta(
     H is treated as a set (order never matters); the sum includes the
     point at infinity, whose degenerate all-zero orbit is also reported
     separately via total_excluding_infinity.
+
+    Cost: one walk of ord(R) additions per cyclic subgroup <R> met (at
+    most |H| each when H is a subgroup), then N^k table lookups per
+    point: for R' = jR in that orbit, x(mR') = x((mj mod ord(R)) R).
     """
     p = curve.p
     t = len(set(H))
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
+    _check_window(p, k, ell, N)
     check_coprime_to_factorial(t, N)
     points = sorted(
         set(H), key=lambda P: (0,) if P.is_infinity else (1, P.x, P.y)
@@ -214,8 +233,16 @@ def delta(
     per_point = []
     total = Fraction(0)
     total_wo_o = Fraction(0)
+    tables = {}  # jR -> (x table of the orbit of R, j)
     for R in points:
-        worst = _worst_deviation(_window_codes(curve, R, k, ell, N), k, ell, N)
+        if R not in tables:
+            orb = orbit(curve, R)
+            tx = [curve.x_formal(Q) for Q in orb]
+            tables.update((Q, (tx, j)) for j, Q in enumerate(orb))
+        tx, j = tables[R]
+        o = len(tx)
+        xs = [tx[m * j % o] for m in range(1, N**k + 1)]
+        worst = _worst_deviation(_codes(xs, k, ell, N), k, ell, N)
         per_point.append((repr(R), worst))
         total += worst
         if not R.is_infinity:
@@ -250,6 +277,8 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     exhaustive Delta is out of reach for large t)."""
     if k != 1:
         raise PreconditionError("sampled deviation sweeps support k = 1")
+    if samples < 1:
+        raise PreconditionError(f"need samples >= 1, got samples = {samples}")
     pts = sample_subgroup_points(C, gen, t, samples, seed)
     devs = [float(_worst_deviation(_window_codes(C, R, k, ell, N), k, ell, N) / N)
             for R in pts]

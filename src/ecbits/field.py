@@ -92,7 +92,7 @@ class PrimeField:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return pow(x, self.p - 2, self.p)
+        return pow(x, -1, self.p)
 
     def chi(self, u: int) -> int:
         """Quadratic character: +1 on nonzero squares, -1 on non-squares, 0 at 0.

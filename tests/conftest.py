@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from ecbits.curve import Curve
-from ecbits.field import field
+from ecbits.field import field, primes_upto
 
 settings.register_profile("reproducible", derandomize=True)
 settings.load_profile("reproducible")
@@ -17,3 +18,12 @@ def micro_curve():
 @pytest.fixture(scope="session")
 def micro_points(micro_curve):
     return micro_curve.enumerate_points()
+
+
+@st.composite
+def small_curves(draw):
+    """Nonsingular curves y^2 = x^3 + a*x + b over F_p, 3 < p < 60."""
+    p = draw(st.sampled_from([q for q in primes_upto(59) if q > 3]))
+    a = draw(st.integers(0, p - 1))
+    b = draw(st.integers(0, p - 1).filter(lambda b: (4 * a**3 + 27 * b * b) % p))
+    return Curve(field(p), a, b)

@@ -291,6 +291,11 @@ class TestBadInput:
           "--out", "{tmp}/x"], "need k >= 1 and ell >= 1, got k = 0"),
         (["extract", "--p", "1549", "--a", "1", "--b", "3", "--ell", "0",
           "--out", "{tmp}/x"], "need k >= 1 and ell >= 1, got k = 1, ell = 0"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--big-n", "0",
+          "--out", "{tmp}/x"], "need N >= 1, got N = 0"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--samples", "0",
+          "--delta-budget", "1", "--out", "{tmp}/x"],
+         "need samples >= 1, got samples = 0"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",

@@ -2,6 +2,9 @@ import itertools
 import math
 
 import pytest
+from conftest import small_curves
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ecbits.curve import (
     INFINITY,
@@ -9,6 +12,7 @@ from ecbits.curve import (
     CurvePoint,
     factorize,
     group_structure,
+    orbit,
     rational_division_points,
     sqrt_in_base_or_ext,
     subgroup_generator,
@@ -221,8 +225,6 @@ class TestSubgroup:
             for Q in H:
                 assert C.add(P, Q) in hs
 
-    # cyclic groups only: the scan scales points by #E/t, which misses
-    # order t on E = Z/d1 x Z/d2 when gcd(t, d1) > 1
     @pytest.mark.parametrize("p,a,b", [(11, 1, 1), (13, 2, 3), (23, 1, 1)])
     def test_generator_has_exact_order(self, p, a, b):
         C = Curve(field(p), a, b)
@@ -236,6 +238,60 @@ class TestSubgroup:
     def test_generator_of_trivial_subgroup_rejected(self, micro_curve):
         with pytest.raises(PreconditionError):
             subgroup_generator(micro_curve, 1)
+
+    def test_generator_on_non_cyclic_group(self):
+        C = Curve(field(7), 0, 6)  # E = Z/2 x Z/2: every (#E/2)P is O
+        G = subgroup_generator(C, 2)
+        assert G != INFINITY and C.mul(2, G) == INFINITY
+        with pytest.raises(PreconditionError):
+            subgroup_of_order(C, 2)
+
+
+# E = Z/2 x Z/2 over F_7, and E = Z/12 over F_7, where subgroup_of_order
+# walks an orbit for t = 3 and scans the kernel for t = 2, 4, 6, 12
+NON_CYCLIC = Curve(field(7), 0, 6)
+MIXED_PATHS = Curve(field(7), 3, 1)
+
+
+class TestOrbitProperties:
+    @given(small_curves(), st.integers(0, 200))
+    @example(NON_CYCLIC, 1)
+    def test_orbit_is_the_multiples(self, C, i):
+        pts = C.enumerate_points()
+        G = pts[i % len(pts)]
+        orb = orbit(C, G)
+        assert len(orb) == C.point_order(G)
+        assert orb == [C.mul(j, G) for j in range(len(orb))]
+
+    def test_orbit_rejects_point_off_curve(self, micro_curve):
+        with pytest.raises(ValueError):
+            orbit(micro_curve, CurvePoint(0, 0))
+
+    @given(small_curves())
+    @example(NON_CYCLIC)
+    @example(MIXED_PATHS)
+    def test_subgroup_is_the_kernel_of_t(self, C):
+        n = C.order()
+        pts = C.enumerate_points()
+        for t in (t for t in range(1, n + 1) if n % t == 0):
+            kernel = [P for P in pts if C.mul(t, P) == INFINITY]
+            if len(kernel) == t:
+                assert subgroup_of_order(C, t) == kernel
+            else:
+                with pytest.raises(PreconditionError):
+                    subgroup_of_order(C, t)
+
+    @given(small_curves())
+    @example(NON_CYCLIC)
+    def test_generator_found_whenever_order_occurs(self, C):
+        n = C.order()
+        orders = {C.point_order(P) for P in C.enumerate_points()}
+        for t in (t for t in range(2, n + 1) if n % t == 0):
+            if t in orders:
+                assert C.point_order(subgroup_generator(C, t)) == t
+            else:
+                with pytest.raises(PreconditionError):
+                    subgroup_generator(C, t)
 
 
 class TestDivisionPoints:

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import small_curves
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ecbits.charsum import sum_V
-from ecbits.curve import Curve, CurvePoint, INFINITY, subgroup_of_order
+from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, subgroup_of_order
 from ecbits.extract import (
     BitWindow,
     bitstream,
@@ -250,6 +251,26 @@ class TestWindowOracle:
         worst = max(abs(windows.count(sigma) - expected) for sigma in patterns)
         rep = delta(_ORACLE_CURVE, [R], k, ell, N)
         assert rep.per_point == [(repr(R), worst)]
+
+    @given(small_curves(), st.data())
+    def test_delta_per_point_on_any_point_set(self, C, data):
+        # H need not be a subgroup; N stays below every prime factor of |H|
+        H = data.draw(st.lists(st.sampled_from(C.enumerate_points()),
+                               min_size=1, max_size=8))
+        N = data.draw(st.integers(1, min([*factorize(len(set(H))), 5]) - 1))
+        k = data.draw(st.integers(1, 2))
+        ell = data.draw(st.integers(1, min(3, (C.p - 1).bit_length() - 1)))
+        expected = Fraction(N**k, 2 ** (k * ell))
+        patterns = list(itertools.product(
+            ["".join(b) for b in itertools.product("01", repeat=ell)], repeat=k))
+        affine = sorted((P for P in set(H) if not P.is_infinity),
+                        key=lambda P: (P.x, P.y))
+        want = []
+        for R in [INFINITY] * (INFINITY in H) + affine:
+            windows = _oracle_windows(C, R, k, ell, N)
+            want.append((repr(R), max(abs(windows.count(s) - expected)
+                                      for s in patterns)))
+        assert delta(C, H, k, ell, N).per_point == want
 
     @given(points, shapes, st.data())
     def test_count_A_matches_scalar_multiples(self, R, shape, data):
