@@ -2,7 +2,9 @@
 against the proved bounds.
 
 S sums the quadratic character of x(nP)x(nQ); U aggregates |S|^2 over
-all point pairs.  T is the multiplicative-product additive-character
+all point pairs.  x_multiples walks the multiples of one point; x_rows
+reads those of every point of a set from one orbit table per cyclic
+subgroup.  T is the multiplicative-product additive-character
 sum; V aggregates |T|^2 over a subgroup.  The subgroup exponential sum
 and the product-collision count back the two proof devices.  Every
 integer-valued quantity is computed exactly; complex accumulation uses
@@ -12,9 +14,10 @@ a fixed summation order so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 
-from .curve import Curve, CurvePoint
+from .curve import Curve, CurvePoint, orbit
 from .divpoly import DivisionPolynomials
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
@@ -74,6 +77,25 @@ def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
     return xs
 
 
+def x_rows(curve: Curve, points: Iterable[CurvePoint],
+           count: int) -> Iterator[list[int]]:
+    """x_multiples(curve, R, count) for each R of points, in order.
+
+    Cost: one walk of ord(R) additions per cyclic subgroup <R> met, then
+    count table lookups per point: for R' = jR in that orbit,
+    x(mR') = x((mj mod ord(R)) R).
+    """
+    tables = {}  # jR -> (x table of the orbit of R, j)
+    for R in points:
+        if R not in tables:
+            orb = orbit(curve, R)
+            tx = [curve.x_formal(Q) for Q in orb]
+            tables.update((Q, (tx, j)) for j, Q in enumerate(orb))
+        tx, j = tables[R]
+        o = len(tx)
+        yield [tx[m * j % o] for m in range(1, count + 1)]
+
+
 def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:
     """S(P, Q; N) = sum_{n<=N} chi(x(nP) * x(nQ)), an exact integer."""
     if N < 1:
@@ -88,7 +110,9 @@ def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:
 def sum_U(
     curve: Curve, N: int, budget: int = 50_000_000
 ) -> tuple[int, BoundReport]:
-    """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exhaustively.
+    """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exactly, through
+    the proof's rearrangement: expanding the square and swapping the sums
+    gives sum_{m,n<=N} |sum_P chi(x(mP)x(nP))|^2, N^2 #E lookups.
 
     Reported against the N^6 q + N q^2 bound.
     """
@@ -96,20 +120,14 @@ def sum_U(
         raise ValueError("N must be positive")
     q = curve.p
     ne = curve.order()
-    if ne * ne * N > budget:
-        raise ResourceBudgetError(f"#E^2 * N = {ne * ne * N} exceeds budget {budget}")
+    if ne * N * N > budget:
+        raise ResourceBudgetError(f"#E * N^2 = {ne * N * N} exceeds budget {budget}")
     chi = curve.field.chi_table()
-    pts = curve.enumerate_points()
-    rows = [x_multiples(curve, P, N) for P in pts]
-    total = 0
-    for i in range(ne):
-        xi = rows[i]
-        for j in range(i, ne):
-            xj = rows[j]
-            s = 0
-            for n in range(N):
-                s += chi[xi[n] * xj[n] % q]
-            total += s * s if i == j else 2 * s * s
+    pairs = [(m, n) for m in range(N) for n in range(N)]
+    inner = [0] * len(pairs)  # sum_P chi(x(mP)x(nP)) for each (m, n)
+    for xs in x_rows(curve, curve.enumerate_points(), N):
+        inner = [s + chi[xs[m] * xs[n] % q] for s, (m, n) in zip(inner, pairs)]
+    total = sum(s * s for s in inner)
     report = BoundReport(
         lhs=float(total),
         rhs_terms=[("N^6*q", float(N**6 * q)), ("N*q^2", float(N * q * q))],
@@ -118,32 +136,12 @@ def sum_U(
     return total, report
 
 
-def u_sum_rearranged(curve: Curve, N: int) -> int:
-    """U(N) through the proof's rearrangement: expand the square and swap
-    the summation order, giving sum_{m,n} |sum_P chi(x(mP)x(nP))|^2."""
-    q = curve.p
-    chi = curve.field.chi_table()
-    rows = [x_multiples(curve, P, N) for P in curve.enumerate_points()]
-    total = 0
-    for m in range(N):
-        for n in range(N):
-            inner = 0
-            for xs in rows:
-                inner += chi[xs[m] * xs[n] % q]
-            total += inner * inner
-    return total
-
-
 def chi_pair_sum_direct(curve: Curve, m: int, n: int) -> int:
     """sum over rational P of chi(x(mP) * x(nP))."""
     q = curve.p
     chi = curve.field.chi_table()
-    top = max(m, n)
-    total = 0
-    for P in curve.enumerate_points():
-        xs = x_multiples(curve, P, top)
-        total += chi[xs[m - 1] * xs[n - 1] % q]
-    return total
+    rows = x_rows(curve, curve.enumerate_points(), max(m, n))
+    return sum(chi[xs[m - 1] * xs[n - 1] % q] for xs in rows)
 
 
 def chi_pair_sum_phi_psi(divpolys: DivisionPolynomials, m: int, n: int) -> int:
@@ -228,7 +226,7 @@ def v_sum_expanded(
     p = curve.p
     F = curve.field
     c = tuple(v % p for v in c)
-    tables = [x_multiples(curve, R, N**k) for R in H]
+    tables = list(x_rows(curve, H, N**k))
     args = prefix_products(N, k)
     total = 0j
     for m_prods in args:
@@ -269,12 +267,8 @@ def subgroup_sum(
     F = curve.field
     D = d[-1]
     total = 0j
-    for Q in H:
-        if Q.is_infinity:
-            continue
-        xs = x_multiples(curve, Q, D)
-        arg = sum(c[i] * xs[d[i] - 1] for i in range(s))
-        total += F.psi(arg)
+    for xs in x_rows(curve, [Q for Q in H if not Q.is_infinity], D):
+        total += F.psi(sum(c[i] * xs[d[i] - 1] for i in range(s)))
     report = BoundReport(
         lhs=abs(total),
         rhs_terms=[("s*D^2*sqrt(p)", s * D * D * math.sqrt(p))],
@@ -292,6 +286,8 @@ def count_product_collisions(
     coefficient; the proof shows this is at most k N^(2k-1)."""
     if k < 1 or len(c) != k:
         raise ValueError("need a length-k coefficient tuple")
+    if N < 1:
+        raise ValueError("N must be positive")
     support = [j for j in range(k) if c[j]]
     if not support:
         raise PreconditionError("coefficient vector must be nonzero")

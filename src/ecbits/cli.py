@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -183,6 +184,13 @@ def run_lemma_suite(
 # -- sums experiments ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _subgroup(C: Curve, t: int) -> tuple:
+    """The order-t subgroup of C, built once per process for all the v and
+    lemma5 cells of a sweep."""
+    return tuple(subgroup_of_order(C, t))
+
+
 def run_sum_cell(cell: dict) -> dict:
     """Evaluate one experiment cell described by plain data into its
     report record (both picklable so a worker pool can run cells in
@@ -195,12 +203,12 @@ def run_sum_cell(cell: dict) -> dict:
         exact = True
     elif kind == "v":
         C = _curve_from_inputs(cell)
-        H = subgroup_of_order(C, cell["t"])
+        H = _subgroup(C, cell["t"])
         lhs, report = sum_V(C, H, tuple(cell["c"]), cell["N"])
         exact = False
     elif kind == "lemma5":
         C = _curve_from_inputs(cell)
-        H = subgroup_of_order(C, cell["t"])
+        H = _subgroup(C, cell["t"])
         value, report = subgroup_sum(C, H, tuple(cell["d"]), tuple(cell["c"]))
         lhs = abs(value)
         exact = False
@@ -442,7 +450,7 @@ def _report_records(path: str) -> list[tuple[dict, dict, float, bool]]:
     try:
         return [(rec, dict(rec["inputs"], experiment=rec["experiment"]),
                  float(rec["lhs"]), bool(rec["exact"])) for rec in data]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path} holds no sums report records: {exc!r}") from exc
 
 
@@ -453,7 +461,7 @@ def run_report(args) -> int:
     for i, (rec, cell, lhs, exact) in enumerate(_report_records(args.infile)):
         try:
             redo = run_sum_cell(cell)["lhs"]
-        except (ConfigError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{args.infile} record {i} ({rec['experiment']} "
                               f"inputs={rec['inputs']}): {exc!r}") from exc
         if exact:

@@ -280,24 +280,20 @@ def group_structure(curve: Curve, budget: int = 50_000) -> GroupStructure:
     gen2 = pts[orders.index(d2)]
     if d1 == 1:
         gen1 = INFINITY
-        if len(_span(curve, INFINITY, 1, gen2, d2)) != n:
+        if len(_span(curve, INFINITY, 1, gen2)) != n:
             raise RuntimeError("cyclic generator failed to regenerate the group")
         return GroupStructure(n, 1, d2, gen1, gen2)
     for Q, o in zip(pts, orders):
         if o != d1:
             continue
-        span = _span(curve, Q, d1, gen2, d2)
+        span = _span(curve, Q, d1, gen2)
         if len(span) == n:
             return GroupStructure(n, d1, d2, Q, gen2)
     raise RuntimeError("no independent generator pair found")  # unreachable
 
 
-def _span(curve: Curve, G1: CurvePoint, d1: int, G2: CurvePoint, d2: int) -> set:
-    row = []
-    R = INFINITY
-    for _ in range(d2):
-        row.append(R)
-        R = curve._add(R, G2)
+def _span(curve: Curve, G1: CurvePoint, d1: int, G2: CurvePoint) -> set:
+    row = orbit(curve, G2)
     span = set(row)
     shifted = row
     for _ in range(d1 - 1):

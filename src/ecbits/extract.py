@@ -22,12 +22,12 @@ from .charsum import (
     check_coprime_to_factorial,
     prefix_products,
     x_multiples,
+    x_rows,
 )
 from .curve import (
     Curve,
     CurvePoint,
     find_curve,
-    orbit,
     sample_subgroup_points,
     subgroup_generator,
 )
@@ -216,9 +216,9 @@ def delta(
     point at infinity, whose degenerate all-zero orbit is also reported
     separately via total_excluding_infinity.
 
-    Cost: one walk of ord(R) additions per cyclic subgroup <R> met (at
-    most |H| each when H is a subgroup), then N^k table lookups per
-    point: for R' = jR in that orbit, x(mR') = x((mj mod ord(R)) R).
+    Cost: that of x_rows, one walk of ord(R) additions per cyclic
+    subgroup <R> met (at most |H| each when H is a subgroup), then N^k
+    table lookups per point.
     """
     p = curve.p
     t = len(set(H))
@@ -233,15 +233,7 @@ def delta(
     per_point = []
     total = Fraction(0)
     total_wo_o = Fraction(0)
-    tables = {}  # jR -> (x table of the orbit of R, j)
-    for R in points:
-        if R not in tables:
-            orb = orbit(curve, R)
-            tx = [curve.x_formal(Q) for Q in orb]
-            tables.update((Q, (tx, j)) for j, Q in enumerate(orb))
-        tx, j = tables[R]
-        o = len(tx)
-        xs = [tx[m * j % o] for m in range(1, N**k + 1)]
+    for R, xs in zip(points, x_rows(curve, points, N**k)):
         worst = _worst_deviation(_codes(xs, k, ell, N), k, ell, N)
         per_point.append((repr(R), worst))
         total += worst

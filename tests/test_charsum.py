@@ -3,7 +3,8 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from conftest import small_curves
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecbits.charsum import (
@@ -16,9 +17,9 @@ from ecbits.charsum import (
     sum_T,
     sum_U,
     sum_V,
-    u_sum_rearranged,
     v_sum_expanded,
     x_multiples,
+    x_rows,
 )
 from ecbits.curve import Curve, CurvePoint, INFINITY, subgroup_of_order
 from ecbits.divpoly import DivisionPolynomials
@@ -58,6 +59,12 @@ class TestSumS:
                 assert abs(sum_S(micro_curve, P, Q, 6)) <= 6
 
 
+def u_by_definition(C, N):
+    """U(N) as its definition: sum over all pairs (P, Q) of S(P, Q; N)^2."""
+    pts = C.enumerate_points()
+    return sum(sum_S(C, P, Q, N) ** 2 for P in pts for Q in pts)
+
+
 class TestSumU:
     def test_micro_brute_force(self, micro_curve, micro_points):
         # 25-pair enumeration with the independent per-term oracle
@@ -73,13 +80,19 @@ class TestSumU:
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_rearranged_order_agrees_exactly(self, micro_curve, N):
         got, _ = sum_U(micro_curve, N)
-        assert got == u_sum_rearranged(micro_curve, N)
+        assert got == u_by_definition(micro_curve, N)
 
     def test_rearranged_on_larger_curve(self):
         C = Curve(field(11), 1, 1)
         for N in (2, 4):
             got, _ = sum_U(C, N)
-            assert got == u_sum_rearranged(C, N)
+            assert got == u_by_definition(C, N)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_curves(), st.integers(min_value=1, max_value=4))
+    def test_rearranged_equals_definition(self, C, N):
+        got, _ = sum_U(C, N)
+        assert got == u_by_definition(C, N)
 
     def test_diagonal_positivity(self, micro_curve, micro_points):
         got, _ = sum_U(micro_curve, 3)
@@ -94,6 +107,12 @@ class TestSumU:
     def test_budget(self, micro_curve):
         with pytest.raises(ResourceBudgetError):
             sum_U(micro_curve, 2, budget=10)
+
+    def test_budget_boundary(self, micro_curve):
+        # #E * N^2 = 5 * 2^2 = 20
+        with pytest.raises(ResourceBudgetError):
+            sum_U(micro_curve, 2, budget=19)
+        assert sum_U(micro_curve, 2, budget=20)[0] == 8
 
 
 class TestSumT:
@@ -205,6 +224,33 @@ class TestSubgroupSum:
     def test_last_coefficient_nonzero(self, micro_curve, micro_points):
         with pytest.raises(PreconditionError):
             subgroup_sum(micro_curve, micro_points, (1, 2), (1, 0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_curves(), st.sets(st.integers(1, 6), min_size=1, max_size=3),
+           st.data())
+    def test_matches_mul_oracle_on_every_subgroup(self, C, d, data):
+        d = tuple(sorted(d))
+        p = C.p
+        c = tuple(data.draw(st.integers(0, p - 1)) for _ in d[1:])
+        c += (data.draw(st.integers(1, p - 1)),)
+        for t in range(1, C.order() + 1):
+            if C.order() % t:
+                continue
+            try:
+                H = subgroup_of_order(C, t)
+            except PreconditionError:  # no unique subgroup of order t
+                continue
+            if math.gcd(t, math.prod(d)) != 1 or not C.is_ordinary():
+                with pytest.raises(PreconditionError):
+                    subgroup_sum(C, H, d, c)
+                continue
+            want = 0j
+            for Q in H:
+                if not Q.is_infinity:
+                    want += C.field.psi(sum(ci * C.x_formal(C.mul(di, Q))
+                                            for ci, di in zip(c, d)))
+            got, _ = subgroup_sum(C, H, d, c)
+            assert abs(got - want) < 1e-9
 
     def test_triangle_bound_various(self):
         C = Curve(field(11), 1, 1)
@@ -318,3 +364,15 @@ def test_x_multiples_matches_scalar_mul(micro_curve, micro_points):
         xs = x_multiples(micro_curve, P, 8)
         for n in range(1, 9):
             assert xs[n - 1] == micro_curve.x_formal(micro_curve.mul(n, P))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_curves(), st.data())
+def test_x_rows_matches_scalar_mul(C, data):
+    # any point set: O, repeats, points of different subgroups, and
+    # counts past the order of every point
+    pts = C.enumerate_points()
+    points = data.draw(st.lists(st.sampled_from(pts), max_size=8))
+    count = data.draw(st.integers(0, C.order() + 3))
+    want = [[C.x_formal(C.mul(m, R)) for m in range(1, count + 1)] for R in points]
+    assert list(x_rows(C, points, count)) == want

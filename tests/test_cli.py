@@ -1,6 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecbits import cli
 from ecbits.charsum import sum_V
@@ -14,7 +18,7 @@ from ecbits.curve import (
 )
 from ecbits.divpoly import DivisionPolynomials, ReducedPoly
 from ecbits.extract import deviation_trend
-from ecbits.field import PreconditionError, field
+from ecbits.field import PreconditionError, field, primes_upto
 from ecbits.poly import Poly
 
 
@@ -296,6 +300,14 @@ class TestBadInput:
         (["extract", "--p", "1549", "--a", "1", "--b", "3", "--samples", "0",
           "--delta-budget", "1", "--out", "{tmp}/x"],
          "need samples >= 1, got samples = 0"),
+        (["report", "--in", "{tmp}/v_t3.json"], "t = 3 does not divide #E = 5"),
+        (["report", "--in", "{tmp}/v_t0.json"], "subgroup order must be positive"),
+        (["report", "--in", "{tmp}/u_n0.json"], "N must be positive"),
+        (["report", "--in", "{tmp}/v_n-1.json"], "N must be positive"),
+        (["report", "--in", "{tmp}/collisions_k0.json"],
+         "need a length-k coefficient tuple"),
+        (["report", "--in", "{tmp}/collisions_n0.json"], "N must be positive"),
+        (["report", "--in", "{tmp}/lhs_huge.json"], "int too large to convert"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -305,22 +317,117 @@ class TestBadInput:
         (tmp_path / "p8.json").write_text(json.dumps([{
             "experiment": "u", "inputs": {"p": 8, "a": 1, "b": 1, "N": 2},
             "lhs": 0.0, "exact": True}]))
-        # sums records with a string p and with no N
-        for name, inputs in (("pstr", {"p": "7", "a": 1, "b": 1, "N": 2}),
-                             ("no_n", {"p": 7, "a": 1, "b": 1})):
+        # sums records with a string p, with no N, and ones the library
+        # rejects with a plain ValueError
+        curve = {"p": 7, "a": 1, "b": 1}  # #E = 5
+        for name, kind, inputs in (
+                ("pstr", "u", {"p": "7", "a": 1, "b": 1, "N": 2}),
+                ("no_n", "u", {"p": 7, "a": 1, "b": 1}),
+                ("v_t3", "v", dict(curve, t=3, N=2, k=1, c=[1])),
+                ("v_t0", "v", dict(curve, t=0, N=2, k=1, c=[1])),
+                ("u_n0", "u", dict(curve, N=0)),
+                ("v_n-1", "v", dict(curve, t=5, N=-1, k=1, c=[1])),
+                ("collisions_k0", "collisions", {"N": 2, "k": 0, "c": []}),
+                ("collisions_n0", "collisions", {"N": 0, "k": 1, "c": [1]})):
             (tmp_path / f"{name}.json").write_text(json.dumps([{
-                "experiment": "u", "inputs": inputs, "lhs": 0.0, "exact": True}]))
+                "experiment": kind, "inputs": inputs, "lhs": 0.0, "exact": True}]))
+        # an exact count beyond the float range
+        (tmp_path / "lhs_huge.json").write_text(json.dumps([{
+            "experiment": "u", "inputs": dict(curve, N=2), "lhs": 10**400,
+            "exact": True}]))
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and message in err
 
 
+# Small values for every flag: p < 200 including non-primes (verify scans
+# F_p^2, so it gets p < 32), N in -2..6, k and ell in -1..3.
+_FLAG_VALUES = {
+    "--n-max": st.integers(-1, 6),
+    "--k": st.integers(-1, 3),
+    "--ell": st.integers(-1, 3),
+    "--big-n": st.integers(-2, 6),
+    "--t-policy": st.sampled_from(["largest", "prime", "median"]),
+    "--slack-u": st.sampled_from(["0", "1.5", "x"]),
+    "--seed": st.integers(0, 3),
+    "--samples": st.integers(-1, 3),
+    "--delta-budget": st.integers(-1, 300),
+    "--d-max": st.integers(-1, 4),
+    "--s-max": st.integers(-1, 3),
+    "--c": st.sampled_from(["1", "0", "1,0", "0,1", "1,2,3", "x", ""]),
+    "--checks": st.sampled_from(["degrees", "xfg,squares", "squarefree", "", "nope"]),
+    "--experiments": st.sampled_from(["u", "v", "lemma5", "collisions",
+                                      "u,v,lemma5,collisions", "w", ""]),
+}
+_INT = st.integers(-2, 12)
+_ANY = st.one_of(_INT, st.none(), st.text(max_size=2), st.lists(_INT, max_size=3))
+
+
+_SMALL = st.one_of(_INT, _INT, _INT, _ANY)  # mostly well-typed
+_VECTOR = st.one_of(st.lists(_INT, max_size=3), _ANY)
+_RECORD = st.one_of(
+    st.fixed_dictionaries({
+        "experiment": st.sampled_from(["u", "v", "lemma5", "collisions", "w"]),
+        "inputs": st.fixed_dictionaries(
+            {"p": st.one_of(st.integers(-1, 199), _ANY), "a": _SMALL, "b": _SMALL},
+            optional={"N": _SMALL, "t": _SMALL, "k": _SMALL, "c": _VECTOR,
+                      "d": _VECTOR}),
+        "lhs": st.one_of(st.floats(), st.integers(), st.text(max_size=2)),
+        "exact": st.booleans(),
+    }),
+    st.dictionaries(st.sampled_from(["experiment", "inputs", "lhs", "exact"]), _ANY),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with a curve choice and a random subset of the other
+    flags, plus the report file contents for `report`."""
+    command = draw(st.sampled_from(["verify", "sums", "extract", "find-curve",
+                                    "report"]))
+    top = 31 if command == "verify" else 199
+    p = st.one_of(st.sampled_from([q for q in primes_upto(top) if q > 3]),
+                  st.integers(-1, top))
+    argv = [command]
+    curve = draw(st.sampled_from(["none", "p a b", "p", "range"]))
+    if curve.startswith("p"):
+        argv += ["--p", str(draw(p))]
+    if curve == "p a b":
+        argv += ["--a", str(draw(_INT)), "--b", str(draw(_INT))]
+    if curve == "range":
+        argv += ["--p-min", str(draw(p)), "--p-max", str(draw(p))]
+    for flag in draw(st.sets(st.sampled_from(sorted(_FLAG_VALUES)), max_size=5)):
+        argv += [flag, str(draw(_FLAG_VALUES[flag]))]
+    if command == "verify" and "--n-max" not in argv:
+        argv += ["--n-max", "3"]
+    report = draw(st.one_of(st.lists(_RECORD, min_size=1, max_size=3), _RECORD,
+                            _ANY, st.just({"records": "x"})))
+    return argv, report
+
+
+class TestMainProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(cli_argv())
+    def test_every_argv_exits_with_a_documented_code(self, drawn):
+        argv, report = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "report.json"), "w") as fh:
+                json.dump(report, fh)
+            argv = argv + ["--jobs", "1", "--out", os.path.join(tmp, "out"),
+                           "--in", os.path.join(tmp, "report.json")]
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects a malformed flag
+                rc = exc.code
+        assert rc in (0, 1, 2, 3)
+
+
 class TestBudgetExit:
     def test_sums_budget_exceeded_is_exit_3(self, tmp_path):
-        # p large enough that #E^2 * N blows the sum_U work budget
-        rc = cli.main(["sums", "--p", "7919", "--a", "1", "--b", "1",
-                       "--big-n", "8", "--experiments", "u",
+        # #E = 1,301,279 is over the point-enumeration budget of sum_U
+        rc = cli.main(["sums", "--p", "1300021", "--a", "1", "--b", "1",
+                       "--big-n", "2", "--experiments", "u",
                        "--out", str(tmp_path / "b")])
         assert rc == 3
         data = json.loads((tmp_path / "b.json").read_text())
