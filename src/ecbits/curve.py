@@ -1,6 +1,7 @@
 """Short Weierstrass curves y^2 = x^3 + a*x + b over F_p, with point
 arithmetic optionally in F_p^2, point counting through the quadratic
-character weight, desk-scale group-structure utilities, and the search
+character weight, desk-scale group-structure utilities (including an
+index table of E(F_p) or E(F_p^2) for division points), and the search
 for curves with a large subgroup of order coprime to N!.
 
 The point at infinity is the neutral element; everywhere a sum needs an
@@ -9,6 +10,8 @@ x-coordinate for it, the formal convention x(O) = 0 applies.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -245,8 +248,10 @@ class Curve:
             pts.extend(row)
         return pts
 
-    def point_order(self, P: CurvePoint, _factors=None) -> int:
-        n = self.order()
+    def point_order(self, P: CurvePoint, _factors=None, order: int | None = None) -> int:
+        """Order of P, dividing order (default #E(F_p); pass #E(F_p^2) for a
+        point with F_p^2 coordinates) whose factorization is _factors."""
+        n = self.order() if order is None else order
         factors = _factors if _factors is not None else factorize(n)
         o = n
         for q in factors:
@@ -278,28 +283,25 @@ def group_structure(curve: Curve, budget: int = 50_000) -> GroupStructure:
     d2 = max(orders)
     d1 = n // d2
     gen2 = pts[orders.index(d2)]
+    row = orbit(curve, gen2)
     if d1 == 1:
-        gen1 = INFINITY
-        if len(_span(curve, INFINITY, 1, gen2)) != n:
+        if len(row) != n:
             raise RuntimeError("cyclic generator failed to regenerate the group")
-        return GroupStructure(n, 1, d2, gen1, gen2)
+        return GroupStructure(n, 1, d2, INFINITY, gen2)
     for Q, o in zip(pts, orders):
         if o != d1:
             continue
-        span = _span(curve, Q, d1, gen2)
-        if len(span) == n:
+        if len({P for shifted in _rows(curve, Q, d1, row) for P in shifted}) == n:
             return GroupStructure(n, d1, d2, Q, gen2)
     raise RuntimeError("no independent generator pair found")  # unreachable
 
 
-def _span(curve: Curve, G1: CurvePoint, d1: int, G2: CurvePoint) -> set:
-    row = orbit(curve, G2)
-    span = set(row)
-    shifted = row
+def _rows(curve: Curve, G1: CurvePoint, d1: int, row: list) -> list[list]:
+    """[[i*G1 + P for P in row] for i < d1]: d1 - 1 shifts of one walked row."""
+    rows = [row]
     for _ in range(d1 - 1):
-        shifted = [curve._add(P, G1) for P in shifted]
-        span.update(shifted)
-    return span
+        rows.append([curve._add(P, G1) for P in rows[-1]])
+    return rows
 
 
 def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
@@ -352,47 +354,157 @@ def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[Cur
     return H
 
 
+def order_over(curve: Curve, ext: int) -> int:
+    """#E(F_p^ext) for ext in (1, 2); with a_p = p + 1 - #E(F_p),
+    #E(F_p^2) = p^2 + 1 - (a_p^2 - 2p)."""
+    if ext == 1:
+        return curve.order()
+    if ext != 2:
+        raise ValueError("ext must be 1 or 2")
+    p = curve.p
+    a_p = p + 1 - curve.order()
+    return p * p + 1 - (a_p * a_p - 2 * p)
+
+
+@dataclass(frozen=True, eq=False)
+class IndexTable:
+    """E(F_p^ext) as Z/d1 x Z/d2 with d1 | d2: rows[i][j] = i*G1 + j*G2,
+    and index maps every point back to its (i, j)."""
+
+    d1: int
+    d2: int
+    rows: list
+    index: dict
+
+
+TABLE_SAMPLES = 1000
+
+
+@functools.lru_cache(maxsize=8)
+def index_table(curve: Curve, ext: int = 1) -> IndexTable:
+    """Every point of E(F_p^ext) indexed as i*G1 + j*G2, with generators
+    G1, G2 of orders d1 | d2 found by sampling random points.
+
+    G2 is grown by merging sampled orders until it can be the exponent.
+    A sampled R whose multiples first meet <G2> at d1*R = j*G2 then gives
+    G1 = R - (j/d1)*G2.  The table costs one walk of <G2> and d1 - 1
+    shifted rows: #E(F_p^ext) additions.  It is certified by holding
+    exactly #E(F_p^ext) distinct points, and raises RuntimeError when
+    TABLE_SAMPLES samples run out first.
+    """
+    n = order_over(curve, ext)
+    q = curve.p**ext
+    factors = factorize(n)
+    rng = random.Random(f"{curve.p},{curve.a},{curve.b},{ext}")
+    G2, d2, row = INFINITY, 1, None
+    for _ in range(TABLE_SAMPLES):
+        d1 = n // d2
+        if d1 == 1:
+            G1 = INFINITY
+            break
+        R = _random_point(curve, ext, rng)
+        if R is None:
+            continue
+        # d1 | d2 and d1 | q - 1 hold once d2 is the exponent (Weil pairing)
+        if d2 % d1 or (q - 1) % d1:
+            G2, d2 = _merge(curve, G2, d2, R, curve.point_order(R, factors, n))
+            continue
+        if row is None:
+            row = orbit(curve, G2)
+            pos = {P: j for j, P in enumerate(row)}
+        S, k = R, 1
+        while S not in pos:  # stops at some k | d1, the order of E/<G2>
+            S, k = curve._add(S, R), k + 1
+        j = pos[S]
+        r = k * (d2 // math.gcd(j, d2))  # ord(R)
+        if d2 % r:
+            G2, d2 = _merge(curve, G2, d2, R, r)
+            row = None
+        elif k == d1:  # R generates E/<G2>; ord(R) | d2 forces d1 | j
+            G1 = curve._add(R, curve.neg(row[j // d1]))
+            break
+    else:
+        raise RuntimeError(f"no generators of E(F_p^{ext}) on {curve} "
+                           f"within {TABLE_SAMPLES} samples")
+    rows = _rows(curve, G1, d1, row or orbit(curve, G2))
+    index = {P: (i, j) for i, shifted in enumerate(rows) for j, P in enumerate(shifted)}
+    if len(index) != n:
+        raise RuntimeError(f"index table of E(F_p^{ext}) on {curve} holds "
+                           f"{len(index)} distinct points, not {n}")
+    return IndexTable(d1, d2, rows, index)
+
+
+def _random_point(curve: Curve, ext: int, rng: random.Random) -> CurvePoint | None:
+    """A point over F_p^ext with a uniform random x-coordinate and sign of y,
+    or None when that x has no point."""
+    p = curve.p
+    if ext == 1:
+        row = curve.points_by_x(rng.randrange(p))
+    else:
+        x = Fp2(curve.field, rng.randrange(p), rng.randrange(p))
+        y = curve.rhs(x).sqrt()
+        row = [] if y is None else [CurvePoint(x, y), CurvePoint(x, -y)]
+    return rng.choice(row) if row else None
+
+
+def _merge(curve: Curve, G: CurvePoint, m: int, R: CurvePoint, r: int):
+    """A point of order lcm(m, r) and that order, from G of order m and R
+    of order r: the sum of a multiple of each carrying the larger power
+    of every prime."""
+    fm, fr = factorize(m), factorize(r)
+    u = v = 1
+    for ell in fm.keys() | fr.keys():
+        if fm.get(ell, 0) >= fr.get(ell, 0):
+            u *= ell ** fm[ell]
+        else:
+            v *= ell ** fr[ell]
+    return curve._add(curve.mul(m // u, G), curve.mul(r // v, R)), u * v
+
+
+def _congruence(n: int, c: int, d: int) -> range:
+    """All x in [0, d) with n*x = c (mod d)."""
+    g = math.gcd(n, d)
+    if c % g:
+        return range(0)
+    step = d // g
+    return range(c // g * pow(n // g, -1, step) % step, d, step)
+
+
+def _point_key(P: CurvePoint) -> tuple:
+    """O first, then affine points by x, then y ((re, im) over F_p^2)."""
+    if P.is_infinity:
+        return ()
+    if isinstance(P.x, Fp2):
+        return (P.x.re, P.x.im, P.y.re, P.y.im)
+    return (P.x, P.y)
+
+
 def rational_division_points(
     curve: Curve, n: int, Q: CurvePoint, ext: int = 1, budget: int = 100_000
 ) -> list[CurvePoint]:
-    """All P with nP = Q and coordinates in F_p (ext=1) or F_p^2 (ext=2).
+    """All P with nP = Q and coordinates in F_p (ext=1) or F_p^2 (ext=2),
+    O first, then affine points by x, then y.
 
-    The n-division points of Q form a coset of the n-torsion.  Base-field
-    members come from the point enumeration; extension members from a
-    scan of candidate x-coordinates, lifted through the curve equation
-    and tested against nP = Q directly.
+    Read from index_table(curve, ext): with Q = i0*G1 + j0*G2, they are
+    the points i*G1 + j*G2 with n*i = i0 (mod d1) and n*j = j0 (mod d2),
+    so no point is multiplied.  The table is built once per curve and
+    ext, at #E(F_p^ext) additions, which must not exceed budget.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if ext not in (1, 2):
-        raise ValueError("ext must be 1 or 2")
-    p = curve.p
-    if p**ext > budget:
-        raise ResourceBudgetError(f"p^ext = {p**ext} exceeds budget {budget}")
+    size = order_over(curve, ext)
+    if size > budget:
+        raise ResourceBudgetError(f"#E(F_p^{ext}) = {size} exceeds budget {budget}")
     if not curve.contains(Q):
         raise ValueError(f"point {Q} is not on {curve}")
-
-    if ext == 1:
-        return [P for P in curve.enumerate_points(budget) if curve.mul(n, P) == Q]
-
-    F = curve.field
-    target = curve.embed(Q)
-    found = []
-    if target.is_infinity:
-        found.append(INFINITY)
-    for re in range(p):
-        for im in range(p):
-            x = Fp2(F, re, im)
-            y = curve.rhs(x).sqrt()
-            if y is None:
-                continue
-            cands = [CurvePoint(x, y)]
-            if not y.is_zero():
-                cands.append(CurvePoint(x, -y))
-            for P in cands:
-                if curve.mul(n, P) == target:
-                    found.append(P)
-    return found
+    T = index_table(curve, ext)
+    at = T.index.get(curve.embed(Q) if ext == 2 else Q)
+    if at is None:  # Q is not F_p-rational
+        return []
+    rows = T.rows
+    found = [rows[i][j] for i in _congruence(n, at[0], T.d1)
+             for j in _congruence(n, at[1], T.d2)]
+    return sorted(found, key=_point_key)
 
 
 def sqrt_in_base_or_ext(field: PrimeField, u: int) -> Fp2:

@@ -193,13 +193,6 @@ class DivisionPolynomials:
 
     # -- executable checks ------------------------------------------------
 
-    def verify_degrees(self, n_max: int) -> bool:
-        """deg f_n = n^2 and deg g_n <= n^2 - 1 for 1 <= n <= n_max."""
-        return all(
-            self.f(n).degree() == n * n and self.g(n).degree() <= n * n - 1
-            for n in range(1, n_max + 1)
-        )
-
     def verify_xfg(self, n: int) -> bool:
         """x(nP) = f_n(x)/g_n(x) against the group law, at every affine
         rational point; g_n(x) = 0 must mean nP = O."""

@@ -1,14 +1,24 @@
 """Dense univariate polynomials and rational functions over F_p.
 
 Coefficients are stored lowest degree first with no trailing zeros; the
-zero polynomial has an empty coefficient list.  Multiplication is
-schoolbook: degrees stay in the hundreds at desk scale, so nothing
-fancier is warranted and every operation is exact.
+zero polynomial has an empty coefficient list.  Every operation is exact.
+Products go through Kronecker substitution: each operand is packed into
+one integer, CPython multiplies the two, and the coefficients are read
+back from the product's bytes.  Division and the Euclidean remainder
+sequence cancel one row per quotient coefficient with a single list
+comprehension, and reduce mod p once per division.
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
+from sys import byteorder
+
 from .field import Fp2, PrimeField
+
+# array typecode of each item size in bytes (1, 2, 4, 8 on common platforms)
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class Poly:
@@ -89,12 +99,14 @@ class Poly:
         if not a or not b:
             return self._wrap([])
         p = self.field.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return self._wrap([v % p for v in out])
+        # a product coefficient is a sum of at most min(len) terms below p^2
+        bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
+        width = 1
+        while 8 * width < bits:
+            width *= 2
+        n = len(a) + len(b) - 1
+        data = (_pack(a, width) * _pack(b, width)).to_bytes(width * n, byteorder)
+        return self._wrap(_unpack(data, width))
 
     __rmul__ = __mul__
 
@@ -112,19 +124,9 @@ class Poly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         p = self.field.p
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return self._wrap([]), self._wrap(rem)
-        quo = [0] * (dq + 1)
         inv_lead = self.field.inv(other.lead())
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] * inv_lead % p
-            if c:
-                quo[k] = c
-                for j, v in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * v) % p
-        return self._wrap(quo), self._wrap(rem)
+        quo, rem = _divide_monic(self.coeffs, [v * inv_lead % p for v in other.coeffs], p)
+        return self._wrap([v * inv_lead for v in quo]), self._wrap(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -158,13 +160,69 @@ class Poly:
         return [u for u in range(self.field.p) if self(u) == 0]
 
 
+def _pack(coeffs: list, width: int) -> int:
+    """The int whose width-byte slots hold coeffs, in native byte order.
+
+    Little-endian, slot i has weight 2^(8*width*i).  Big-endian, the
+    slots come in reverse order, which a product preserves: unpacking it
+    in the same order reads its coefficients lowest degree first.
+    """
+    if width <= 8:
+        data = array(_TYPECODES[width], coeffs)
+    else:
+        data = b"".join(map(int.to_bytes, coeffs, repeat(width), repeat(byteorder)))
+    return int.from_bytes(data, byteorder)
+
+
+def _unpack(data: bytes, width: int):
+    """The width-byte native-order slots of data, as a sequence of ints."""
+    if width <= 8:
+        return array(_TYPECODES[width], data)
+    return [int.from_bytes(data[i : i + width], byteorder)
+            for i in range(0, len(data), width)]
+
+
+def _divide_monic(num: list, den: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder coefficient lists of num by the monic den.
+
+    Each quotient coefficient cancels one row of den's length with one
+    comprehension.  Rows are not reduced: an entry lies in at most
+    deg den rows, so it stays below deg(den)*p^2 + p; the quotient
+    coefficient is reduced as it is read and the remainder once, at the
+    end.
+    """
+    dd = len(den) - 1
+    if not dd:  # den = 1
+        return [v % p for v in num], []
+    rem = list(num)
+    low = den[:-1]
+    quo = []
+    for top in range(len(rem) - 1, dd - 1, -1):
+        c = rem[top] % p
+        quo.append(c)
+        if c:
+            k = top - dd
+            rem[k:top] = [r - c * v for r, v in zip(rem[k:top], low)]
+    quo.reverse()
+    return quo, [v % p for v in rem[:dd]]
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor via the Euclidean algorithm, run on
+    coefficient lists: each step makes the divisor monic and takes the
+    remainder by _divide_monic."""
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    p = f.field.p
+    a, b = f.coeffs, g.coeffs
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [v * inv % p for v in b]
+        rem = _divide_monic(a, b, p)[1]
+        while rem and rem[-1] == 0:
+            rem.pop()
+        a, b = b, rem
+    return Poly(f.field, a).monic()
 
 
 def pth_root(f: Poly) -> Poly:

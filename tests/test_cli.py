@@ -129,6 +129,17 @@ class TestVerifyCommand:
         assert data["schema"] == 1
         assert all(r["pass"] for r in data["records"])
 
+    def test_p197_all_checks_pass(self, tmp_path, capsys):
+        # #E(F_197^2) = 39,168: one walk of it serves every n <= 8
+        out = tmp_path / "verify.json"
+        rc = cli.main(["verify", "--p", "197", "--a", "1", "--b", "2",
+                       "--n-max", "8", "--out", str(out)])
+        assert rc == 0
+        records = json.loads(out.read_text())["records"]
+        assert {r["check"] for r in records} == set(cli.VERIFY_CHECKS)
+        assert all(r["pass"] for r in records)
+        assert "68/68 checks passed" in capsys.readouterr().out
+
 
 class TestSumsCommand:
     def test_single_u_cell_exact(self, tmp_path, capsys):
@@ -341,8 +352,9 @@ class TestBadInput:
         assert err.count("\n") == 1 and message in err
 
 
-# Small values for every flag: p < 200 including non-primes (verify scans
-# F_p^2, so it gets p < 32), N in -2..6, k and ell in -1..3.
+# Small values for every flag: p < 200 including non-primes (verify walks
+# all of E(F_p^2) once per curve, ~p^2 points, so it gets p < 128), N in
+# -2..6, k and ell in -1..3.
 _FLAG_VALUES = {
     "--n-max": st.integers(-1, 6),
     "--k": st.integers(-1, 3),
@@ -386,7 +398,7 @@ def cli_argv(draw):
     flags, plus the report file contents for `report`."""
     command = draw(st.sampled_from(["verify", "sums", "extract", "find-curve",
                                     "report"]))
-    top = 31 if command == "verify" else 199
+    top = 127 if command == "verify" else 199
     p = st.one_of(st.sampled_from([q for q in primes_upto(top) if q > 3]),
                   st.integers(-1, top))
     argv = [command]

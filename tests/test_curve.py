@@ -1,18 +1,22 @@
+import functools
 import itertools
 import math
 
 import pytest
 from conftest import small_curves
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ecbits.curve as curve_module
 from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
     factorize,
     group_structure,
+    index_table,
     orbit,
+    order_over,
     rational_division_points,
     sqrt_in_base_or_ext,
     subgroup_generator,
@@ -348,6 +352,124 @@ class TestDivisionPoints:
         C = Curve(field(1009), 1, 1)
         with pytest.raises(ResourceBudgetError):
             rational_division_points(C, 2, INFINITY, ext=2, budget=10_000)
+
+
+@functools.lru_cache(maxsize=4)
+def points_over(C, ext):
+    """Every point of E(F_p) (ext=1) or E(F_p^2) (ext=2), the latter by
+    lifting each of the p^2 x-coordinates through the curve equation."""
+    if ext == 1:
+        return tuple(C.enumerate_points())
+    F = C.field
+    pts = [INFINITY]
+    for re in range(C.p):
+        for im in range(C.p):
+            x = Fp2(F, re, im)
+            y = C.rhs(x).sqrt()
+            if y is not None:
+                pts.append(CurvePoint(x, y))
+                if not y.is_zero():
+                    pts.append(CurvePoint(x, -y))
+    return tuple(pts)
+
+
+@functools.lru_cache(maxsize=8)
+def multiples_over(C, ext, n):
+    """nP for every P of points_over(C, ext), by Curve.mul."""
+    return tuple(C.mul(n, P) for P in points_over(C, ext))
+
+
+def scan_division_points(C, n, Q, ext):
+    """Oracle: the division points by scanning E(F_p^ext) and testing
+    nP = Q with Curve.mul."""
+    target = C.embed(Q) if ext == 2 else Q
+    return [P for P, R in zip(points_over(C, ext), multiples_over(C, ext, n))
+            if R == target]
+
+
+class TestDivisionPointTable:
+    @settings(max_examples=30, deadline=None)
+    @given(small_curves(), st.sampled_from([1, 2]), st.integers(1, 6),
+           st.sampled_from(["O", "P0", "random", "no division points"]),
+           st.integers(0, 10**6))
+    @example(NON_CYCLIC, 1, 2, "no division points", 0)
+    @example(NON_CYCLIC, 2, 2, "no division points", 0)
+    @example(NON_CYCLIC, 2, 6, "random", 5)
+    @example(MIXED_PATHS, 2, 2, "no division points", 0)
+    @example(MIXED_PATHS, 2, 4, "random", 7)
+    @example(MIXED_PATHS, 1, 6, "P0", 0)
+    def test_table_equals_scan(self, C, ext, n, which, i):
+        pts = points_over(C, ext)
+        if which == "O":
+            Q = INFINITY
+        elif which == "P0":
+            Q = CurvePoint(Fp2(C.field, 0), sqrt_in_base_or_ext(C.field, C.b))
+        elif which == "random":
+            Q = pts[i % len(pts)]
+        else:
+            lonely = sorted(set(pts) - set(multiples_over(C, ext, n)), key=repr)
+            Q = lonely[i % len(lonely)] if lonely else pts[i % len(pts)]
+        got = rational_division_points(C, n, Q, ext)
+        want = scan_division_points(C, n, Q, ext)
+        assert len(got) == len(set(got)) == len(want)
+        assert set(got) == set(want)
+        if which == "no division points" and Q not in multiples_over(C, ext, n):
+            assert got == []
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_curves(), st.sampled_from([1, 2]), st.integers(0, 10**6))
+    @example(NON_CYCLIC, 1, 0)
+    @example(NON_CYCLIC, 2, 0)
+    @example(MIXED_PATHS, 2, 0)
+    def test_table_indexes_the_whole_group(self, C, ext, i):
+        T = index_table(C, ext)
+        pts = points_over(C, ext)
+        assert len(T.index) == len(pts) == order_over(C, ext) == T.d1 * T.d2
+        assert set(T.index) == set(pts)
+        assert all(C.contains(P) for P in T.index)
+        assert T.d2 % T.d1 == 0
+        G1 = T.rows[1][0] if T.d1 > 1 else INFINITY
+        G2 = T.rows[0][1] if T.d2 > 1 else INFINITY
+        assert C.point_order(G1, None, len(pts)) == T.d1
+        assert C.point_order(G2, None, len(pts)) == T.d2
+        row, col = i % T.d1, (i // T.d1) % T.d2
+        P = T.rows[row][col]
+        assert T.index[P] == (row, col)
+        assert P == C.add(C.mul(row, G1), C.mul(col, G2))
+
+    def test_non_cyclic_examples(self):
+        # E(F_7) = Z/2 x Z/2 for y^2 = x^3 + 6; over F_49 both F_7 examples
+        # are Z/4 x Z/12
+        assert (index_table(NON_CYCLIC, 1).d1, index_table(NON_CYCLIC, 1).d2) == (2, 2)
+        for C in (NON_CYCLIC, MIXED_PATHS):
+            T = index_table(C, 2)
+            assert (T.d1, T.d2) == (4, 12)
+
+    def test_short_table_refused(self, monkeypatch):
+        full_rows = curve_module._rows
+        monkeypatch.setattr(curve_module, "_rows", lambda *args: full_rows(*args)[:-1])
+        index_table.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="distinct points"):
+                index_table(NON_CYCLIC, 2)
+        finally:
+            index_table.cache_clear()
+
+    def test_no_generators_within_the_samples(self, monkeypatch):
+        monkeypatch.setattr(curve_module, "TABLE_SAMPLES", 0)
+        index_table.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="no generators"):
+                index_table(NON_CYCLIC, 2)
+        finally:
+            index_table.cache_clear()
+
+    def test_order_over_f_p2(self):
+        # #E(F_p^2) = #E(F_p) * #E'(F_p) for the quadratic twist E'
+        for p, a, b in [(7, 1, 1), (11, 1, 1), (13, 1, 6), (7, 0, 6)]:
+            C = Curve(field(p), a, b)
+            twist = 2 * (p + 1) - C.order()
+            assert order_over(C, 2) == C.order() * twist == len(points_over(C, 2))
 
 
 class TestSqrtInBaseOrExt:

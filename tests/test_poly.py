@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecbits.field import field
@@ -50,6 +52,123 @@ class TestBasics:
             if g.is_zero():
                 return
         assert (f * g).degree() == f.degree() + g.degree()
+
+
+def schoolbook(a, b, p):
+    """Oracle product of coefficient lists: every pair a_i*b_j, one at a time."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    out = [v % p for v in out]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def long_divmod(a, b, p):
+    """Oracle division of coefficient lists: one coefficient update at a
+    time, each reduced mod p."""
+    rem = list(a)
+    dq = len(rem) - len(b)
+    if dq < 0:
+        return [], rem
+    quo = [0] * (dq + 1)
+    inv_lead = pow(b[-1], -1, p)
+    for k in range(dq, -1, -1):
+        c = rem[k + len(b) - 1] * inv_lead % p
+        quo[k] = c
+        for j, v in enumerate(b):
+            rem[k + j] = (rem[k + j] - c * v) % p
+    while quo and quo[-1] == 0:
+        quo.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def euclid_gcd(f, g):
+    """Oracle gcd: the Euclidean algorithm on Poly, through long_divmod."""
+    p = f.field.p
+    while not g.is_zero():
+        f, g = g, Poly(f.field, long_divmod(f.coeffs, g.coeffs, p)[1])
+    return f.monic()
+
+
+# 2^31 - 1 is the largest supported modulus: with length ~700 a product
+# coefficient needs 72 bits, so a slot sized from (p - 1)^2 alone overflows
+PRIMES = [5, 7, 13, 43, 197, 1009, 65521, 2_147_483_647]
+
+
+@st.composite
+def coefficient_lists(draw, p, max_len=700):
+    """Coefficient lists up to max_len long: random residues, all p - 1
+    (the widest product slots), or mostly zeros."""
+    n = draw(st.one_of(st.integers(0, 8), st.integers(0, max_len),
+                       st.just(max_len)))
+    mode = draw(st.sampled_from(["random", "max", "sparse"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if mode == "max":
+        return [p - 1] * n
+    if mode == "sparse":
+        return [rng.randrange(p) if rng.random() < 0.1 else 0 for _ in range(n)]
+    return [rng.randrange(p) for _ in range(n)]
+
+
+@st.composite
+def poly_pairs(draw, max_len=700):
+    p = draw(st.sampled_from(PRIMES))
+    F = field(p)
+    return (Poly(F, draw(coefficient_lists(p, max_len))),
+            Poly(F, draw(coefficient_lists(p, max_len))))
+
+
+MAX_PAIR = (Poly(field(PRIMES[-1]), [PRIMES[-1] - 1] * 700),) * 2
+
+
+class TestKernelsAgainstOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(poly_pairs())
+    @example(MAX_PAIR)
+    def test_product_is_schoolbook(self, pair):
+        f, g = pair
+        assert (f * g).coeffs == schoolbook(f.coeffs, g.coeffs, f.field.p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_pairs())
+    @example(MAX_PAIR)
+    def test_divmod_is_long_division(self, pair):
+        f, g = pair
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                divmod(f, g)
+            return
+        p = f.field.p
+        q, r = divmod(f, g)
+        assert (q.coeffs, r.coeffs) == long_divmod(f.coeffs, g.coeffs, p)
+        assert r.degree() < g.degree()
+        qg = schoolbook(q.coeffs, g.coeffs, p)
+        assert Poly(f.field, qg) + r == f
+
+    @settings(max_examples=40, deadline=None)
+    @given(poly_pairs(max_len=250), st.integers(0, 2**32))
+    def test_gcd_is_euclid(self, pair, seed):
+        f, g = pair
+        p = f.field.p
+        rng = random.Random(seed)
+        common = Poly(f.field, [rng.randrange(p) for _ in range(rng.randrange(6))] + [1])
+        f = Poly(f.field, schoolbook(f.coeffs, common.coeffs, p))
+        g = Poly(f.field, schoolbook(g.coeffs, common.coeffs, p))
+        if f.is_zero() and g.is_zero():
+            with pytest.raises(ValueError):
+                poly_gcd(f, g)
+            return
+        h = poly_gcd(f, g)
+        assert h == euclid_gcd(f, g)
+        assert h.lead() == 1
+        assert long_divmod(h.coeffs, common.coeffs, p)[1] == []  # common | f, g
 
 
 class TestGcd:
