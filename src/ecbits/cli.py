@@ -394,6 +394,8 @@ def run_verify(args) -> int:
     bad = set(checks) - set(VERIFY_CHECKS)
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
+    if args.n_max < 1:
+        raise ConfigError(f"need n-max >= 1, got n-max = {args.n_max}")
     if args.p is not None:
         curves = [_flag_curve(args)]
     else:

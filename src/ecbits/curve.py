@@ -136,9 +136,12 @@ class Curve:
         return (P.y * P.y - self.rhs(P.x)) % self.p == 0
 
     def embed(self, P: CurvePoint) -> CurvePoint:
-        """The same point with coordinates coerced into F_p^2."""
+        """The same point with coordinates coerced into F_p^2 (P itself
+        when both already are)."""
         if P.is_infinity:
             return INFINITY
+        if isinstance(P.x, Fp2) and isinstance(P.y, Fp2):
+            return P
         x = P.x if isinstance(P.x, Fp2) else Fp2(self.field, P.x)
         y = P.y if isinstance(P.y, Fp2) else Fp2(self.field, P.y)
         return CurvePoint(x, y)

@@ -1,6 +1,6 @@
 """Division polynomials and the derived objects used by the pair-sum
-bound: f_n, g_n, h_n, the p-power root ft_n, and the rational functions
-whose non-squareness feeds the Weil-bound step.
+bound: f_n, g_n, h_n, the p-power root ft_n, and the square classes of
+the rational functions whose non-squareness feeds the Weil-bound step.
 
 Everything is kept univariate: an even-index division polynomial is
 stored as w(X) times one formal factor Y, and every product is reduced
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .curve import Curve, CurvePoint, rational_division_points, sqrt_in_base_or_ext
 from .field import Fp2, PreconditionError
-from .poly import Poly, RationalFn, poly_gcd, pth_power_root, squarefree_part
+from .poly import Poly, poly_gcd, pth_power_root, squarefree_part
 
 
 class ReducedPoly:
@@ -184,12 +184,23 @@ class DivisionPolynomials:
         self._ftilde[n] = ft
         return ft
 
-    def phi_psi(self, m: int, n: int) -> tuple[RationalFn, RationalFn]:
-        """The pair-sum fractions f_m*f_n/(g_m*g_n) and its (X^3+aX+b)
-        multiple, both in reduced form."""
-        num = self.f(m) * self.f(n)
-        den = self.g(m) * self.g(n)
-        return RationalFn(num, den), RationalFn(self.curve_poly * num, den)
+    def phi_psi(self, m: int, n: int) -> tuple[Poly, Poly]:
+        """Square-class polynomials w_Phi, w_Psi of the pair-sum fractions
+        Phi = f_m*f_n/(g_m*g_n) and Psi = E*Phi, with E = X^3+aX+b.
+
+        f_g_h certifies g_k = h_k^2 * E^[k even] and raises otherwise, so
+        num*den of Phi is f_m*f_n*E^e times a square, e = [m even] +
+        [n even].  Hence w_Phi = f_m*f_n*E^(e mod 2) and w_Psi =
+        f_m*f_n*E^((e+1) mod 2) give every closure root the same
+        multiplicity mod 2 as num*den of Phi and of Psi, reduced or not:
+        each is a constant times a square exactly when its fraction is a
+        square.
+        """
+        fmn = self.f(m) * self.f(n)
+        E = self.curve_poly
+        if (m + n) % 2:  # e mod 2 = (m + n) mod 2
+            return fmn * E, fmn
+        return fmn, fmn * E
 
     # -- executable checks ------------------------------------------------
 

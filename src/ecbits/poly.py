@@ -1,4 +1,4 @@
-"""Dense univariate polynomials and rational functions over F_p.
+"""Dense univariate polynomials over F_p.
 
 Coefficients are stored lowest degree first with no trailing zeros; the
 zero polynomial has an empty coefficient list.  Every operation is exact.
@@ -279,61 +279,20 @@ def squarefree_part(f: Poly) -> Poly:
     return (w * squarefree_part(pth_root(g))).monic()
 
 
-class RationalFn:
-    """Reduced fraction of two polynomials, denominator monic and nonzero."""
+def rational_square_test(f: Poly) -> bool:
+    """True iff f is a constant times a square over the closure of F_p.
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = Poly.const(num.field, 1)
-            return
-        g = poly_gcd(num, den)
-        num, den = num // g, den // g
-        scale = num.field.inv(den.lead())
-        self.num = num * scale
-        self.den = den * scale
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFn)
-            and other.num == self.num
-            and other.den == self.den
-        )
-
-    def __repr__(self):
-        return f"RationalFn({self.num!r} / {self.den!r})"
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-
-def rational_square_test(r: RationalFn) -> bool:
-    """True iff r is the square of a rational function over the closure.
-
-    Works through multiplicity parity: r = u^2 in the closure exactly
-    when every root of num*den has even multiplicity.  Leading
-    coefficients are always squares over the closure, so only root
-    parity matters; no factorization into irreducibles is needed.
+    A rational function num/den is a square over the closure exactly
+    when num*den is, so this decides it for any fraction whose num*den
+    differs from f by a square.  Constants are squares over the closure,
+    so only the parity of each root's multiplicity matters.  Peel the
+    squared radical off repeatedly: with f = c*prod q_i^(e_i), rad(f)^2
+    divides f iff all e_i >= 2, and the quotient drops every
+    multiplicity by two, so the loop decides the parity of all of them
+    without factoring.
     """
-    if r.is_zero():
-        raise ValueError("square test undefined for the zero function")
-    return _even_multiplicities(r.num * r.den)
-
-
-def _even_multiplicities(f: Poly) -> bool:
-    """Every closure root of f has even multiplicity.
-
-    Peel the squared radical off repeatedly: with f = prod q_i^(e_i),
-    rad(f)^2 divides f iff all e_i >= 2, and the quotient drops every
-    multiplicity by two, so the loop decides parity of all of them.
-    """
+    if f.is_zero():
+        raise ValueError("square test undefined for the zero polynomial")
     f = f.monic()
     while f.degree() > 0:
         if f.degree() % 2:

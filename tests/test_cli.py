@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -319,6 +321,8 @@ class TestBadInput:
          "need a length-k coefficient tuple"),
         (["report", "--in", "{tmp}/collisions_n0.json"], "N must be positive"),
         (["report", "--in", "{tmp}/lhs_huge.json"], "int too large to convert"),
+        (["verify", "--n-max", "0"], "need n-max >= 1, got n-max = 0"),
+        (["verify", "--n-max", "-3"], "need n-max >= 1, got n-max = -3"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -490,3 +494,16 @@ class TestTrend:
         assert len(rows) == 2
         assert all(0 <= r["mean_dev_ell1"] <= 1 for r in rows)
         assert rows[0]["p"] == 1009 and rows[1]["p"] == 2003
+
+
+def test_bench_tracer_wraps_every_traced_name():
+    # The benchmark's tracer wraps library functions by name; a renamed or
+    # dropped one shows up as a problem in what install() returns.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "bench"), os.path.join(root, "src")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import spans; print(spans.Tracer().install())"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

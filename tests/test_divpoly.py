@@ -1,4 +1,7 @@
 import pytest
+from conftest import small_curves
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecbits.curve import Curve, CurvePoint
 from ecbits.divpoly import DivisionPolynomials
@@ -131,36 +134,61 @@ class TestFTilde:
         assert ft ** 25 == dp.f(5)
 
 
+PAIRS = [(m, n) for m in range(1, 7) for n in range(m + 1, 7)]
+
+
 class TestPhiPsi:
     def test_m_n_one(self, micro_dp):
-        phi, psi_fn = micro_dp.phi_psi(1, 1)
-        F = field(7)
-        x_sq = Poly(F, [0, 0, 1])
-        assert phi.num == x_sq and phi.den == Poly.const(F, 1)
-        assert psi_fn.num == micro_dp.curve_poly * x_sq
+        w_phi, w_psi = micro_dp.phi_psi(1, 1)
+        x_sq = Poly(field(7), [0, 0, 1])
+        assert w_phi == x_sq
+        assert w_psi == micro_dp.curve_poly * x_sq
 
     def test_assembly_m1_n2(self, micro_dp):
-        phi, _ = micro_dp.phi_psi(1, 2)
-        f2, g2, _ = micro_dp.f_g_h(2)
-        # cross-multiplied identity avoids caring about reduction
-        assert phi.num * g2 == phi.den * (Poly.x(field(7)) * f2)
+        x_f2 = Poly.x(field(7)) * micro_dp.f(2)
+        w_phi, w_psi = micro_dp.phi_psi(1, 2)
+        assert w_phi == x_f2 * micro_dp.curve_poly  # e = [2 even] = 1
+        assert w_psi == x_f2
+
+    @pytest.mark.parametrize("p,a,b", CURVES)
+    def test_square_class_identity(self, p, a, b):
+        # w_Phi times a square is the unreduced product f_m*f_n*g_m*g_n
+        dp = DivisionPolynomials(Curve(field(p), a, b))
+        E = dp.curve_poly
+        for m in range(1, 7):
+            for n in range(m, 7):
+                (f_m, g_m, h_m), (f_n, g_n, h_n) = dp.f_g_h(m), dp.f_g_h(n)
+                w_phi, w_psi = dp.phi_psi(m, n)
+                s = h_m * h_n * (E if m % 2 == 0 and n % 2 == 0 else 1)
+                assert w_phi * s * s == f_m * f_n * g_m * g_n
+                assert w_phi * w_psi == E * (f_m * f_n) ** 2
 
     @pytest.mark.parametrize("p,a,b", CURVES)
     def test_never_squares_small_range(self, p, a, b):
         dp = DivisionPolynomials(Curve(field(p), a, b))
         for m in range(1, 6):
             for n in range(m + 1, 6):
-                phi, psi_fn = dp.phi_psi(m, n)
-                assert not rational_square_test(phi)
-                assert not rational_square_test(psi_fn)
+                w_phi, w_psi = dp.phi_psi(m, n)
+                assert not rational_square_test(w_phi)
+                assert not rational_square_test(w_psi)
 
     @pytest.mark.parametrize("p,a,b", CURVES)
     def test_psi_degree_difference_odd(self, p, a, b):
+        # deg w_Psi has the parity of deg num - deg den of the reduced Psi
         dp = DivisionPolynomials(Curve(field(p), a, b))
-        for m in range(1, 7):
-            for n in range(m + 1, 7):
-                _, psi_fn = dp.phi_psi(m, n)
-                assert (psi_fn.num.degree() - psi_fn.den.degree()) % 2 == 1
+        for m, n in PAIRS:
+            _, w_psi = dp.phi_psi(m, n)
+            assert w_psi.degree() % 2 == 1
+
+    @given(small_curves(), st.sampled_from(PAIRS))
+    @settings(max_examples=30, deadline=None)
+    def test_square_class_matches_unreduced_product(self, C, mn):
+        m, n = mn
+        dp = DivisionPolynomials(C)
+        w_phi, w_psi = dp.phi_psi(m, n)
+        prod = dp.f(m) * dp.f(n) * dp.g(m) * dp.g(n)
+        assert rational_square_test(w_phi) == rational_square_test(prod)
+        assert rational_square_test(w_psi) == rational_square_test(dp.curve_poly * prod)
 
 
 class TestVerifyXfg:

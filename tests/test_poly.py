@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from ecbits.field import field
 from ecbits.poly import (
     Poly,
-    RationalFn,
     poly_gcd,
     pth_power_root,
     rational_square_test,
@@ -259,45 +258,32 @@ class TestPthPowerRoot:
 class TestRationalSquareTest:
     def test_perfect_square(self):
         sq = P(7, 1, 1) * P(7, 1, 1)
-        assert rational_square_test(RationalFn(sq, P(7, 1)))
+        assert rational_square_test(sq)
+        assert rational_square_test(sq * 3)  # 3 is no square mod 7
 
     def test_odd_multiplicity(self):
-        assert not rational_square_test(RationalFn(P(7, 0, 1), P(7, 1)))
+        assert not rational_square_test(P(7, 0, 1))
 
     def test_square_over_square(self):
         num = P(7, 1, 2, 1)  # (X+1)^2
         den = P(7, 2, 1) * P(7, 2, 1)  # (X+2)^2
         root = P(7, 1, 1) * P(7, 2, 1)
         assert num * den == root * root  # oracle: the product is a square
-        assert rational_square_test(RationalFn(num, den))
+        assert rational_square_test(num * den)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            rational_square_test(RationalFn(P(7), P(7, 1)))
+            rational_square_test(P(7))
 
     @given(small_polys(min_degree=1, max_degree=3),
-           small_polys(min_degree=0, max_degree=2))
+           small_polys(min_degree=0, max_degree=2),
+           st.integers(min_value=1, max_value=6))
     @settings(max_examples=60)
-    def test_squares_detected_and_odd_factor_breaks(self, num, den):
+    def test_squares_detected_and_odd_factor_breaks(self, num, den, c):
         if num.field.p != den.field.p:
             den = Poly(num.field, den.coeffs)
         if den.is_zero():
             den = Poly.const(num.field, 1)
-        r = RationalFn(num, den)
-        r2 = r * r
-        assert rational_square_test(r2)
-        x = RationalFn(Poly.x(num.field), Poly.const(num.field, 1))
-        assert not rational_square_test(r2 * x)
-
-
-class TestRationalFn:
-    def test_reduction_and_monic_denominator(self):
-        num = P(7, 0, 2)  # 2X
-        den = P(7, 0, 0, 4)  # 4X^2
-        r = RationalFn(num, den)
-        assert r.den.lead() == 1
-        assert r.num * den == r.den * num  # cross-multiplication identity
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            RationalFn(P(7, 1), P(7))
+        f = num * den  # the square class of the fraction num/den
+        assert rational_square_test(f * f * c)
+        assert not rational_square_test(f * f * Poly.x(num.field))
