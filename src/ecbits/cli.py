@@ -248,6 +248,7 @@ def build_sum_cells(args) -> list[dict]:
     if c_vec is not None and not any(c_vec):
         raise ConfigError("coefficient vector c must be nonzero")
     for kind in experiments:
+        before = len(cells)
         if kind == "u":
             base = {"experiment": "u", **curve}
             cells += [dict(base, N=N) for N in range(2, args.big_n + 1)]
@@ -275,7 +276,19 @@ def build_sum_cells(args) -> list[dict]:
                     ]
         else:
             raise ConfigError(f"unknown experiment {kind!r}")
+        if len(cells) == before:
+            raise ConfigError(f"experiment {kind} builds no cells: "
+                              + _NO_CELLS[kind].format(**vars(args)))
     return cells
+
+
+# why an experiment's option ranges are empty
+_NO_CELLS = {
+    "u": "need big-n >= 2, got big-n = {big_n}",
+    "v": "need big-n >= 2, got big-n = {big_n}",
+    "lemma5": "need d-max >= 1 and s-max >= 1, got d-max = {d_max}, s-max = {s_max}",
+    "collisions": "need n-max >= 2, got n-max = {n_max}",
+}
 
 
 def _support_patterns(k: int) -> list[tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Short Weierstrass curves y^2 = x^3 + a*x + b over F_p, with point
 arithmetic optionally in F_p^2, point counting through the quadratic
-character weight, desk-scale group-structure utilities (including an
-index table of E(F_p) or E(F_p^2) for division points), and the search
-for curves with a large subgroup of order coprime to N!.
+character weight, desk-scale group-structure utilities (an index table
+of E(F_p) or E(F_p^2) from which the group structure, torsion kernels and
+division points are read), and the search for curves with a large
+subgroup of order coprime to N!.
 
 The point at infinity is the neutral element; everywhere a sum needs an
 x-coordinate for it, the formal convention x(O) = 0 applies.
@@ -275,28 +276,16 @@ class GroupStructure:
 
 
 def group_structure(curve: Curve, budget: int = 50_000) -> GroupStructure:
-    """Invariant factors and generators, certified by regenerating the
-    whole point set from the generators."""
+    """Invariant factors and generators, read from index_table(curve, 1):
+    gen1 = rows[1][0] (O when d1 = 1) and gen2 = rows[0][1].  The table
+    holds exactly #E distinct points i*gen1 + j*gen2, which certifies
+    them; it costs #E additions and a few sampled point orders."""
     n = curve.order()
     if n > budget:
         raise ResourceBudgetError(f"#E = {n} exceeds structure budget {budget}")
-    pts = curve.enumerate_points(budget)
-    factors = factorize(n)
-    orders = [curve.point_order(P, factors) for P in pts]
-    d2 = max(orders)
-    d1 = n // d2
-    gen2 = pts[orders.index(d2)]
-    row = orbit(curve, gen2)
-    if d1 == 1:
-        if len(row) != n:
-            raise RuntimeError("cyclic generator failed to regenerate the group")
-        return GroupStructure(n, 1, d2, INFINITY, gen2)
-    for Q, o in zip(pts, orders):
-        if o != d1:
-            continue
-        if len({P for shifted in _rows(curve, Q, d1, row) for P in shifted}) == n:
-            return GroupStructure(n, d1, d2, Q, gen2)
-    raise RuntimeError("no independent generator pair found")  # unreachable
+    T = index_table(curve, 1)
+    gen1 = T.rows[1][0] if T.d1 > 1 else INFINITY
+    return GroupStructure(n, T.d1, T.d2, gen1, T.rows[0][1])
 
 
 def _rows(curve: Curve, G1: CurvePoint, d1: int, row: list) -> list[list]:
@@ -333,8 +322,8 @@ def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[Cur
 
     When E[t] is provably cyclic of order t (see _torsion_cyclic) it is
     the orbit of a point of order t: t additions, and t must not exceed
-    budget.  Otherwise it is the kernel of multiplication by t, found by
-    multiplying every point of E (#E must not exceed budget), and t is
+    budget.  Otherwise it is E[t](F_p), read from the index table by
+    rational_division_points (#E must not exceed budget), and t is
     accepted only when that kernel has exactly t elements.
     """
     if t < 1:
@@ -347,9 +336,8 @@ def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[Cur
     if _torsion_cyclic(curve, n, t):
         if t > budget:
             raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {budget}")
-        tail = orbit(curve, subgroup_generator(curve, t))[1:]
-        return [INFINITY] + sorted(tail, key=lambda P: (P.x, P.y))
-    H = [P for P in curve.enumerate_points(budget) if curve.mul(t, P).is_infinity]
+        return sorted(orbit(curve, subgroup_generator(curve, t)), key=_point_key)
+    H = rational_division_points(curve, t, INFINITY, budget=budget)
     if len(H) != t:
         raise PreconditionError(
             f"no unique subgroup of order {t}: kernel of [t] has {len(H)} points"

@@ -11,9 +11,12 @@ against the group law.
 
 from __future__ import annotations
 
-from .curve import Curve, CurvePoint, rational_division_points, sqrt_in_base_or_ext
-from .field import Fp2, PreconditionError
+from .curve import INFINITY, Curve, CurvePoint, index_table, rational_division_points
+from .curve import sqrt_in_base_or_ext
+from .field import Fp2, PreconditionError, ResourceBudgetError
 from .poly import Poly, poly_gcd, pth_power_root, squarefree_part
+
+RATIONAL_BUDGET = 1_000_000  # the most points of E(F_p) the rational checks read
 
 
 class ReducedPoly:
@@ -206,20 +209,20 @@ class DivisionPolynomials:
 
     def verify_xfg(self, n: int) -> bool:
         """x(nP) = f_n(x)/g_n(x) against the group law, at every affine
-        rational point; g_n(x) = 0 must mean nP = O."""
+        rational point; g_n(x) = 0 must mean nP = O.  nP is read from
+        index_table(C, 1): P = i*G1 + j*G2 gives nP at (n*i, n*j)."""
         f, g, _ = self.f_g_h(n)
         C = self.curve
         p = C.p
-        for P in C.enumerate_points():
+        if C.order() > RATIONAL_BUDGET:
+            raise ResourceBudgetError(f"#E = {C.order()} exceeds budget {RATIONAL_BUDGET}")
+        T = index_table(C, 1)
+        for P, (i, j) in T.index.items():
             if P.is_infinity:
                 continue
-            u = P.x
-            gu = g(u)
-            R = C.mul(n, P)
-            if gu == 0:
-                if not R.is_infinity:
-                    return False
-            elif R.is_infinity or (R.x * gu - f(u)) % p != 0:
+            gu = g(P.x)
+            R = T.rows[n * i % T.d1][n * j % T.d2]
+            if R.is_infinity != (gu == 0) or (gu and (R.x * gu - f(P.x)) % p):
                 return False
         return True
 
@@ -230,8 +233,8 @@ class DivisionPolynomials:
             raise ValueError("torsion-root check needs n >= 2")
         C = self.curve
         g = self.g(n)
-        for P in C.enumerate_points():
-            if not P.is_infinity and C.mul(n, P).is_infinity and g(P.x) != 0:
+        for P in rational_division_points(C, n, INFINITY, budget=RATIONAL_BUDGET):
+            if not P.is_infinity and g(P.x) != 0:
                 return False
         for u in g.roots():
             y = sqrt_in_base_or_ext(C.field, C.rhs(u))
@@ -243,7 +246,8 @@ class DivisionPolynomials:
     def verify_division_point_roots(self, n: int) -> bool:
         """Lemma-1 behaviour of f_n: its F_p-roots are x-coordinates of
         n-division points of P0 = (0, sqrt(b)), and conversely every
-        F_p^2-rational member of that coset kills f_n."""
+        F_p^2-rational member of that coset kills f_n.  A root u lifts to
+        (u, y) with n*(u, y) = +-P0 exactly when u is a member's x."""
         C = self.curve
         if C.b == 0:
             raise PreconditionError("division-point check requires b != 0")
@@ -251,18 +255,11 @@ class DivisionPolynomials:
         if poly_gcd(f, g).degree() != 0:
             return False  # f_n, g_n must be coprime
         F = C.field
-        c = sqrt_in_base_or_ext(F, C.b)
-        P0 = CurvePoint(Fp2(F, 0), c)
-        minus_P0 = C.neg(P0)
-        for u in f.roots():
-            y = sqrt_in_base_or_ext(F, C.rhs(u))
-            R = C.mul(n, CurvePoint(Fp2(F, u), y))
-            if R != P0 and R != minus_P0:
-                return False
-        for P in rational_division_points(C, n, P0, ext=2):
-            if not f(P.x).is_zero():
-                return False
-        return True
+        P0 = CurvePoint(Fp2(F, 0), sqrt_in_base_or_ext(F, C.b))
+        xs = {P.x for P in rational_division_points(C, n, P0, ext=2)}
+        if any(Fp2(F, u) not in xs for u in f.roots()):
+            return False
+        return all(f(x).is_zero() for x in xs)
 
     def verify_squarefree_ftilde(self, n_max: int) -> bool:
         """ft_n is square-free for all n <= n_max (needs b != 0)."""

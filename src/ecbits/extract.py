@@ -27,6 +27,7 @@ from .charsum import (
 from .curve import (
     Curve,
     CurvePoint,
+    _point_key,
     find_curve,
     sample_subgroup_points,
     subgroup_generator,
@@ -226,9 +227,7 @@ def delta(
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
     _check_window(p, k, ell, N)
     check_coprime_to_factorial(t, N)
-    points = sorted(
-        set(H), key=lambda P: (0,) if P.is_infinity else (1, P.x, P.y)
-    )
+    points = sorted(set(H), key=_point_key)
     expected = Fraction(N**k, 1 << (k * ell))
     per_point = []
     total = Fraction(0)

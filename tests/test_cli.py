@@ -323,6 +323,22 @@ class TestBadInput:
         (["report", "--in", "{tmp}/lhs_huge.json"], "int too large to convert"),
         (["verify", "--n-max", "0"], "need n-max >= 1, got n-max = 0"),
         (["verify", "--n-max", "-3"], "need n-max >= 1, got n-max = -3"),
+        (["sums", "--experiments", "collisions", "--n-max", "1", "--out", "{tmp}/x"],
+         "experiment collisions builds no cells: need n-max >= 2, got n-max = 1"),
+        (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "u",
+          "--big-n", "1", "--out", "{tmp}/x"],
+         "experiment u builds no cells: need big-n >= 2, got big-n = 1"),
+        (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "v",
+          "--big-n", "0", "--out", "{tmp}/x"],
+         "experiment v builds no cells: need big-n >= 2, got big-n = 0"),
+        (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "lemma5",
+          "--d-max", "0", "--out", "{tmp}/x"],
+         "experiment lemma5 builds no cells: need d-max >= 1 and s-max >= 1, "
+         "got d-max = 0, s-max = 3"),
+        (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "lemma5",
+          "--s-max", "0", "--out", "{tmp}/x"],
+         "experiment lemma5 builds no cells: need d-max >= 1 and s-max >= 1, "
+         "got d-max = 8, s-max = 0"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",

@@ -252,9 +252,42 @@ class TestSubgroup:
 
 
 # E = Z/2 x Z/2 over F_7, and E = Z/12 over F_7, where subgroup_of_order
-# walks an orbit for t = 3 and scans the kernel for t = 2, 4, 6, 12
+# walks an orbit for t = 3 and reads E[t](F_7) from the index table for
+# t = 2, 4, 6, 12
 NON_CYCLIC = Curve(field(7), 0, 6)
 MIXED_PATHS = Curve(field(7), 3, 1)
+
+
+class TestGroupStructureProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves())
+    @example(NON_CYCLIC)
+    @example(MIXED_PATHS)
+    def test_structure_equals_scan(self, C):
+        # oracle: d2 is the largest point order, d1 = #E / d2
+        pts = C.enumerate_points()
+        d2 = max(C.point_order(P) for P in pts)
+        gs = group_structure(C)
+        assert (gs.order, gs.d1, gs.d2) == (len(pts), len(pts) // d2, d2)
+        assert C.point_order(gs.gen1) == gs.d1
+        span = {C.add(C.mul(i, gs.gen1), Q)
+                for i in range(gs.d1) for Q in orbit(C, gs.gen2)}
+        assert span == set(pts)
+
+    def test_no_point_order_scan(self, monkeypatch):
+        C = Curve(field(40009), 1, 1)
+        calls = []
+        point_order = Curve.point_order
+
+        def counted(self, *args):
+            calls.append(args)
+            return point_order(self, *args)
+
+        monkeypatch.setattr(Curve, "point_order", counted)
+        index_table.cache_clear()
+        gs = group_structure(C)
+        assert (gs.d1, gs.d2) == (2, 20010)
+        assert len(calls) < 100  # a scan makes one call per point: 40,020
 
 
 class TestOrbitProperties:

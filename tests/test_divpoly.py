@@ -1,6 +1,6 @@
 import pytest
 from conftest import small_curves
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecbits.curve import Curve, CurvePoint
@@ -255,6 +255,55 @@ class TestVerifyDivisionPointRoots:
         dp = DivisionPolynomials(Curve(field(7), 1, 0))
         with pytest.raises(PreconditionError):
             dp.verify_division_point_roots(2)
+
+
+class _Perturbed(DivisionPolynomials):
+    """f_n (which = "f") or g_n (which = "g") of one index n replaced by
+    edit(poly)."""
+
+    def __init__(self, curve, n, which, edit):
+        super().__init__(curve)
+        self.target, self.which, self.edit = n, which, edit
+
+    def f_g_h(self, n):
+        f, g, h = super().f_g_h(n)
+        if n != self.target:
+            return f, g, h
+        return (self.edit(f), g, h) if self.which == "f" else (f, self.edit(g), h)
+
+
+class TestPerturbedChecks:
+    # on y^2 = x^3 + x + 1 over F_7 every point is 5-torsion, g_5(1) != 0,
+    # and the only 2-division point of P0 over F_49 is (2, 2)
+    @pytest.mark.parametrize("edit", [
+        lambda g: g + Poly.const(g.field, 1),  # rational points stop being roots
+        lambda g: g * Poly(g.field, [-1, 1]),  # the root 1 lifts off E[5]
+    ], ids=["rational", "lifted"])
+    def test_torsion_roots_catch_g(self, micro_curve, edit):
+        assert not _Perturbed(micro_curve, 5, "g", edit).verify_torsion_roots(5)
+
+    @pytest.mark.parametrize("edit,roots", [
+        (lambda f: f * Poly(f.field, [-1, 1]), [1, 2]),  # 1 is no member's x
+        (lambda f: f + Poly.const(f.field, 4), []),  # (2, 2) stops being a root
+    ], ids=["roots", "members"])
+    def test_division_point_roots_catch_f(self, micro_curve, edit, roots):
+        dp = _Perturbed(micro_curve, 2, "f", edit)
+        f, g, _ = dp.f_g_h(2)
+        assert f.roots() == roots and poly_gcd(f, g).degree() == 0
+        assert not dp.verify_division_point_roots(2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_curves().filter(lambda C: C.b != 0))
+@example(Curve(field(7), 0, 6))  # E(F_7) = Z/2 x Z/2
+@example(Curve(field(7), 3, 1))  # E(F_7) = Z/12
+def test_group_law_checks_hold(C):
+    dp = DivisionPolynomials(C)
+    for n in range(1, 7):
+        assert dp.verify_xfg(n)
+        assert dp.verify_division_point_roots(n)
+        if n > 1:
+            assert dp.verify_torsion_roots(n)
 
 
 class TestSquarefreeFtilde:
