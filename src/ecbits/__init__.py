@@ -17,7 +17,6 @@ from .curve import (
     GroupStructure,
     group_structure,
     rational_division_points,
-    sqrt_in_base_or_ext,
     subgroup_of_order,
 )
 from .divpoly import DivisionPolynomials
@@ -75,7 +74,6 @@ __all__ = [
     "pth_power_root",
     "rational_division_points",
     "rational_square_test",
-    "sqrt_in_base_or_ext",
     "squarefree_part",
     "subgroup_of_order",
     "subgroup_sum",

@@ -142,12 +142,8 @@ def run_lemma_suite(
         dp = divpoly_factory(C)
         if "degrees" in checks:
             for n in range(1, n_max + 1):
-                try:
-                    f, g, _ = dp.f_g_h(n)
-                    ok = f.degree() == n * n and g.degree() <= n * n - 1
-                except RuntimeError:
-                    ok = False
-                note(C, "degrees", n, ok)
+                f, g, _ = dp.f_g_h(n)
+                note(C, "degrees", n, f.degree() == n * n and g.degree() <= n * n - 1)
         if "xfg" in checks:
             for n in range(1, min(n_max, 12) + 1):
                 note(C, "xfg", n, dp.verify_xfg(n))
@@ -240,15 +236,21 @@ def build_sum_cells(args) -> list[dict]:
     experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
     if not experiments:
         raise ConfigError("no experiments requested")
+    for kind in experiments:  # before the curve search, which can be slow
+        if kind not in _NO_CELLS:
+            raise ConfigError(f"unknown experiment {kind!r}")
+        why, empty = _NO_CELLS[kind]
+        if empty(args):
+            raise ConfigError(f"experiment {kind} builds no cells: "
+                              + why.format(**vars(args)))
+    c_vec = _parse_c(args.c) if args.c is not None else None
+    if c_vec is not None and not any(c_vec):
+        raise ConfigError("coefficient vector c must be nonzero")
     cells = []
     if {"u", "v", "lemma5"} & set(experiments):
         C, t = _curve_and_t(args)
         curve = {"p": C.p, "a": C.a, "b": C.b}
-    c_vec = _parse_c(args.c) if args.c is not None else None
-    if c_vec is not None and not any(c_vec):
-        raise ConfigError("coefficient vector c must be nonzero")
     for kind in experiments:
-        before = len(cells)
         if kind == "u":
             base = {"experiment": "u", **curve}
             cells += [dict(base, N=N) for N in range(2, args.big_n + 1)]
@@ -266,7 +268,7 @@ def build_sum_cells(args) -> list[dict]:
                 vec = c_vec if c_vec is not None and len(c_vec) == len(d) \
                     else (1,) * len(d)
                 cells.append(dict(base, d=list(d), c=list(vec)))
-        elif kind == "collisions":
+        else:  # collisions
             for k in (1, 2):
                 for pattern in _support_patterns(k):
                     cells += [
@@ -274,20 +276,17 @@ def build_sum_cells(args) -> list[dict]:
                          "c": list(pattern)}
                         for N in range(2, args.n_max + 1)
                     ]
-        else:
-            raise ConfigError(f"unknown experiment {kind!r}")
-        if len(cells) == before:
-            raise ConfigError(f"experiment {kind} builds no cells: "
-                              + _NO_CELLS[kind].format(**vars(args)))
     return cells
 
 
-# why an experiment's option ranges are empty
+# why, and when, an experiment's option ranges are empty; lemma5's
+# gcd(t, prod d) filter never empties them, as d = (1,) always passes
 _NO_CELLS = {
-    "u": "need big-n >= 2, got big-n = {big_n}",
-    "v": "need big-n >= 2, got big-n = {big_n}",
-    "lemma5": "need d-max >= 1 and s-max >= 1, got d-max = {d_max}, s-max = {s_max}",
-    "collisions": "need n-max >= 2, got n-max = {n_max}",
+    "u": ("need big-n >= 2, got big-n = {big_n}", lambda args: args.big_n < 2),
+    "v": ("need big-n >= 2, got big-n = {big_n}", lambda args: args.big_n < 2),
+    "lemma5": ("need d-max >= 1 and s-max >= 1, got d-max = {d_max}, s-max = {s_max}",
+               lambda args: args.d_max < 1 or args.s_max < 1),
+    "collisions": ("need n-max >= 2, got n-max = {n_max}", lambda args: args.n_max < 2),
 }
 
 

@@ -498,11 +498,6 @@ def rational_division_points(
     return sorted(found, key=_point_key)
 
 
-def sqrt_in_base_or_ext(field: PrimeField, u: int) -> Fp2:
-    """A square root of u, in F_p when chi(u) >= 0 and in F_p^2 otherwise."""
-    return Fp2(field, u).sqrt()
-
-
 # -- curve search ------------------------------------------------------------
 
 

@@ -2,68 +2,20 @@
 bound: f_n, g_n, h_n, the p-power root ft_n, and the square classes of
 the rational functions whose non-squareness feeds the Weil-bound step.
 
-Everything is kept univariate: an even-index division polynomial is
-stored as w(X) times one formal factor Y, and every product is reduced
-through Y^2 = X^3 + a*X + b at combination time.  The executable
-verify_* checks replay the torsion/division-point statements directly
-against the group law.
+Everything is kept univariate: psi_n = w_n(X) * Y^[n even], and only
+w_n is stored.  The recurrences carry the Y factors by the parity of
+the indices, each Y^2 becoming E = X^3 + a*X + b, so nothing is ever
+divided by E.  The executable verify_* checks replay the
+torsion/division-point statements directly against the group law.
 """
 
 from __future__ import annotations
 
 from .curve import INFINITY, Curve, CurvePoint, index_table, rational_division_points
-from .curve import sqrt_in_base_or_ext
 from .field import Fp2, PreconditionError, ResourceBudgetError
 from .poly import Poly, poly_gcd, pth_power_root, squarefree_part
 
 RATIONAL_BUDGET = 1_000_000  # the most points of E(F_p) the rational checks read
-
-
-class ReducedPoly:
-    """w(X) * Y^e with e in {0, 1}, in the coordinate ring of the curve.
-
-    Y^2 is eliminated against X^3 + a*X + b whenever a product would
-    carry two Y factors, so stored data stays univariate.
-    """
-
-    __slots__ = ("w", "has_y", "_e")
-
-    def __init__(self, w: Poly, has_y: bool, curve_poly: Poly):
-        self.w = w
-        self.has_y = has_y
-        self._e = curve_poly
-
-    def __mul__(self, other: "ReducedPoly") -> "ReducedPoly":
-        w = self.w * other.w
-        if self.has_y and other.has_y:
-            return ReducedPoly(w * self._e, False, self._e)
-        return ReducedPoly(w, self.has_y or other.has_y, self._e)
-
-    def __sub__(self, other: "ReducedPoly") -> "ReducedPoly":
-        if self.has_y != other.has_y:
-            raise RuntimeError("subtracting mixed Y-parities")
-        return ReducedPoly(self.w - other.w, self.has_y, self._e)
-
-    def cube(self) -> "ReducedPoly":
-        return self * self * self
-
-    def square_w(self) -> Poly:
-        """The univariate reduction of the square of this object."""
-        w = self.w * self.w
-        return w * self._e if self.has_y else w
-
-    def div_by_2y(self) -> "ReducedPoly":
-        """Exact division by 2Y of a pure object known to be E(X)-divisible.
-
-        The even-index recurrence always lands here with numerator
-        E(X) * (2 * result); failure means the recurrence is broken.
-        """
-        if self.has_y:
-            raise RuntimeError("2Y-division expects a reduced pure object")
-        q, r = divmod(self.w, self._e)
-        if not r.is_zero():
-            raise RuntimeError("2Y-division left a remainder")
-        return ReducedPoly(q * self.w.field.inv(2), True, self._e)
 
 
 class DivisionPolynomials:
@@ -74,73 +26,49 @@ class DivisionPolynomials:
         F = curve.field
         self.curve_poly = Poly(F, [curve.b, curve.a, 0, 1])  # X^3 + aX + b
         a, b = curve.a, curve.b
-        E = self.curve_poly
-        self._psi: dict[int, ReducedPoly] = {
-            -1: ReducedPoly(Poly.const(F, -1), False, E),
-            0: ReducedPoly(Poly(F), True, E),
-            1: ReducedPoly(Poly.const(F, 1), False, E),
-            2: ReducedPoly(Poly.const(F, 2), True, E),
-            3: ReducedPoly(Poly(F, [-a * a, 12 * b, 6 * a, 0, 3]), False, E),
-            4: ReducedPoly(
-                Poly(
-                    F,
-                    [
-                        4 * (-8 * b * b - a**3),
-                        4 * (-4 * a * b),
-                        4 * (-5 * a * a),
-                        4 * (20 * b),
-                        4 * (5 * a),
-                        0,
-                        4,
-                    ],
-                ),
-                True,
-                E,
-            ),
+        self._psi: dict[int, Poly] = {
+            -1: Poly.const(F, -1),
+            0: Poly(F),
+            1: Poly.const(F, 1),
+            2: Poly.const(F, 2),
+            3: Poly(F, [-a * a, 12 * b, 6 * a, 0, 3]),
+            4: Poly(F, [4 * (-8 * b * b - a**3), 4 * (-4 * a * b), 4 * (-5 * a * a),
+                        4 * (20 * b), 4 * (5 * a), 0, 4]),
         }
         self._fgh: dict[int, tuple[Poly, Poly, Poly]] = {}
         self._ftilde: dict[int, Poly] = {}
 
-    def psi(self, n: int) -> ReducedPoly:
-        """The nth division polynomial, reduced; n >= -1."""
+    def psi(self, n: int) -> Poly:
+        """w_n with psi_n = w_n * Y^[n even]; n >= -1."""
         if n < -1:
             raise ValueError("psi defined for n >= -1")
         got = self._psi.get(n)
         if got is not None:
             return got
-        m = n // 2
-        if n & 1:
-            value = self.psi(m + 2) * self.psi(m).cube() - self.psi(m - 1) * self.psi(
-                m + 1
-            ).cube()
-        else:
-            inner = self.psi(m + 2) * (self.psi(m - 1) * self.psi(m - 1)) - self.psi(
-                m - 2
-            ) * (self.psi(m + 1) * self.psi(m + 1))
-            value = (self.psi(m) * inner).div_by_2y()
-        if value.has_y != (n % 2 == 0):
-            raise RuntimeError(f"psi_{n} has the wrong Y-parity")
+        m, E = n // 2, self.curve_poly
+        lo, mid, hi, top = self.psi(m - 1), self.psi(m), self.psi(m + 1), self.psi(m + 2)
+        if n & 1:  # the term whose indices are even carries Y^4 = E^2
+            up, down = top * mid * mid * mid, lo * hi * hi * hi
+            value = up * (E * E) - down if m % 2 == 0 else up - down * (E * E)
+        else:  # psi_m times the bracket carries Y^2 * Y^[m even]: 2Y divides out
+            inner = top * lo * lo - self.psi(m - 2) * hi * hi
+            value = mid * inner * self.curve.field.inv(2)
         self._psi[n] = value
         return value
 
     def f_g_h(self, n: int) -> tuple[Poly, Poly, Poly]:
-        """f_n = X*psi_n^2 - psi_(n-1)*psi_(n+1), g_n = psi_n^2, and the
-        h_n with g_n = h_n^2 (n odd) or (X^3+aX+b)*h_n^2 (n even)."""
+        """f_n = X*psi_n^2 - psi_(n-1)*psi_(n+1), g_n = psi_n^2, and
+        h_n = w_n, so g_n = h_n^2 * (X^3+aX+b)^[n even]."""
         if n < 1:
             raise ValueError("f_g_h defined for n >= 1")
         got = self._fgh.get(n)
         if got is not None:
             return got
-        F = self.curve.field
-        g = self.psi(n).square_w()
+        E = self.curve_poly
+        h = self.psi(n)
+        g = h * h * E if n % 2 == 0 else h * h
         cross = self.psi(n - 1) * self.psi(n + 1)
-        if cross.has_y:
-            raise RuntimeError("psi_(n-1)*psi_(n+1) must reduce to a pure polynomial")
-        f = Poly.x(F) * g - cross.w
-        h = self.psi(n).w
-        expected = h * h if n % 2 else self.curve_poly * h * h
-        if expected != g:
-            raise RuntimeError(f"g_{n} does not have the required square shape")
+        f = Poly.x(self.curve.field) * g - (cross * E if n % 2 else cross)
         self._fgh[n] = (f, g, h)
         return self._fgh[n]
 
@@ -191,7 +119,7 @@ class DivisionPolynomials:
         """Square-class polynomials w_Phi, w_Psi of the pair-sum fractions
         Phi = f_m*f_n/(g_m*g_n) and Psi = E*Phi, with E = X^3+aX+b.
 
-        f_g_h certifies g_k = h_k^2 * E^[k even] and raises otherwise, so
+        g_k = h_k^2 * E^[k even] holds by construction (h_k = w_k), so
         num*den of Phi is f_m*f_n*E^e times a square, e = [m even] +
         [n even].  Hence w_Phi = f_m*f_n*E^(e mod 2) and w_Psi =
         f_m*f_n*E^((e+1) mod 2) give every closure root the same
@@ -237,8 +165,7 @@ class DivisionPolynomials:
             if not P.is_infinity and g(P.x) != 0:
                 return False
         for u in g.roots():
-            y = sqrt_in_base_or_ext(C.field, C.rhs(u))
-            P = CurvePoint(Fp2(C.field, u), y)
+            P = CurvePoint(Fp2(C.field, u), Fp2(C.field, C.rhs(u)).sqrt())
             if not C.mul(n, P).is_infinity:
                 return False
         return True
@@ -255,7 +182,7 @@ class DivisionPolynomials:
         if poly_gcd(f, g).degree() != 0:
             return False  # f_n, g_n must be coprime
         F = C.field
-        P0 = CurvePoint(Fp2(F, 0), sqrt_in_base_or_ext(F, C.b))
+        P0 = CurvePoint(Fp2(F, 0), Fp2(F, C.b).sqrt())
         xs = {P.x for P in rational_division_points(C, n, P0, ext=2)}
         if any(Fp2(F, u) not in xs for u in f.roots()):
             return False

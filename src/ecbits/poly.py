@@ -285,21 +285,22 @@ def rational_square_test(f: Poly) -> bool:
     A rational function num/den is a square over the closure exactly
     when num*den is, so this decides it for any fraction whose num*den
     differs from f by a square.  Constants are squares over the closure,
-    so only the parity of each root's multiplicity matters.  Peel the
-    squared radical off repeatedly: with f = c*prod q_i^(e_i), rad(f)^2
-    divides f iff all e_i >= 2, and the quotient drops every
-    multiplicity by two, so the loop decides the parity of all of them
-    without factoring.
+    so f may be made monic; then its square roots there are +-g with g
+    monic.  Frobenius fixes f, so it fixes g as well: g has coefficients
+    in F_p.  Matching the top half of g*g with f's fixes g one
+    coefficient at a time (p is odd, so 2 is invertible), and f is a
+    square exactly when that candidate squares back to f.
     """
     if f.is_zero():
         raise ValueError("square test undefined for the zero polynomial")
     f = f.monic()
-    while f.degree() > 0:
-        if f.degree() % 2:
-            return False
-        rad = squarefree_part(f)
-        q, rem = divmod(f, rad * rad)
-        if not rem.is_zero():
-            return False
-        f = q.monic()
-    return True
+    if f.degree() % 2:
+        return False
+    p, half = f.field.p, f.field.inv(2)
+    top = f.coeffs[::-1]  # f's coefficients from the leading one down
+    root = [1]  # g's coefficients from the leading one down
+    for k in range(1, f.degree() // 2 + 1):
+        cross = sum(root[i] * root[k - i] for i in range(1, k))
+        root.append((top[k] - cross) * half % p)
+    g = Poly(f.field, root[::-1])
+    return g * g == f

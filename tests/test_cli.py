@@ -18,7 +18,7 @@ from ecbits.curve import (
     find_curve,
     subgroup_order_for_policy,
 )
-from ecbits.divpoly import DivisionPolynomials, ReducedPoly
+from ecbits.divpoly import DivisionPolynomials
 from ecbits.extract import deviation_trend
 from ecbits.field import PreconditionError, field, primes_upto
 from ecbits.poly import Poly
@@ -107,11 +107,7 @@ class TestVerifyCommand:
         def corrupted(self, n):
             value = original(self, n)
             if n == 3:
-                return ReducedPoly(
-                    value.w + Poly.const(self.curve.field, 1),
-                    value.has_y,
-                    self.curve_poly,
-                )
+                return value + Poly.const(self.curve.field, 1)
             return value
 
         monkeypatch.setattr(DivisionPolynomials, "psi", corrupted)
@@ -371,6 +367,23 @@ class TestBadInput:
         assert rc == 2
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--experiments", "u", "--big-n", "1"],
+        ["--experiments", "v", "--big-n", "0"],
+        ["--experiments", "lemma5", "--d-max", "0"],
+        ["--experiments", "lemma5", "--s-max", "0"],
+    ], ids=["u", "v", "lemma5-d", "lemma5-s"])
+    def test_empty_ranges_exit_before_curve_search(self, tmp_path, capsys,
+                                                   monkeypatch, flags):
+        def no_search(*args, **kwargs):
+            raise AssertionError("curve search before the option-range check")
+
+        monkeypatch.setattr(cli, "find_curve", no_search)
+        rc = cli.main(["sums", "--p-min", "40000", "--p-max", "40100", *flags,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "builds no cells" in capsys.readouterr().err
+
 
 # Small values for every flag: p < 200 including non-primes (verify walks
 # all of E(F_p^2) once per curve, ~p^2 points, so it gets p < 128), N in
@@ -472,11 +485,7 @@ class TestLemmaSuiteLibrary:
             def psi(self, n):
                 value = super().psi(n)
                 if n == 3:
-                    return ReducedPoly(
-                        value.w + Poly.const(self.curve.field, 1),
-                        value.has_y,
-                        self.curve_poly,
-                    )
+                    return value + Poly.const(self.curve.field, 1)
                 return value
 
         records = cli.run_lemma_suite([micro_curve], n_max=3, checks=("xfg",),

@@ -2,6 +2,7 @@ import pytest
 from conftest import small_curves
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_poly import peel_square_test
 
 from ecbits.curve import Curve, CurvePoint
 from ecbits.divpoly import DivisionPolynomials
@@ -18,32 +19,38 @@ def micro_dp(micro_curve):
 
 def test_base_cases(micro_dp):
     F = field(7)
-    assert micro_dp.psi(0).w.is_zero()
-    assert micro_dp.psi(1).w == Poly.const(F, 1) and not micro_dp.psi(1).has_y
-    assert micro_dp.psi(2).w == Poly.const(F, 2) and micro_dp.psi(2).has_y
-    assert micro_dp.psi(-1).w == Poly.const(F, -1)
+    assert micro_dp.psi(0).is_zero()
+    assert micro_dp.psi(1) == Poly.const(F, 1)
+    assert micro_dp.psi(2) == Poly.const(F, 2)  # psi_2 = 2Y
+    assert micro_dp.psi(-1) == Poly.const(F, -1)
 
 
 def test_psi3_reduced_mod_7(micro_dp):
     # 3X^4 + 6aX^2 + 12bX - a^2 with a = b = 1 reduces to 3X^4+6X^2+5X+6
-    assert micro_dp.psi(3).w == Poly(field(7), [6, 5, 6, 0, 3])
-    assert not micro_dp.psi(3).has_y
+    assert micro_dp.psi(3) == Poly(field(7), [6, 5, 6, 0, 3])
 
 
 def test_even_recurrence_consistency(micro_dp):
-    # psi_2 and psi_4 from the doubling recurrence (using psi_-1 = -1)
-    # agree with the stored base cases
+    # w_2 and w_4 from the doubling recurrence on w_n (using w_-1 = -1),
+    # w_2m = w_m * (w_(m+2) w_(m-1)^2 - w_(m-2) w_(m+1)^2) / 2, agree
+    # with the stored base cases
+    w = micro_dp.psi
     for m in (1, 2):
-        inner = micro_dp.psi(m + 2) * (micro_dp.psi(m - 1) * micro_dp.psi(m - 1)) \
-            - micro_dp.psi(m - 2) * (micro_dp.psi(m + 1) * micro_dp.psi(m + 1))
-        value = (micro_dp.psi(m) * inner).div_by_2y()
-        assert value.w == micro_dp.psi(2 * m).w
-        assert value.has_y
+        inner = w(m + 2) * w(m - 1) * w(m - 1) - w(m - 2) * w(m + 1) * w(m + 1)
+        assert w(m) * inner == w(2 * m) * 2
 
 
-def test_parity_flag_matches_index(micro_dp):
-    for n in range(1, 16):
-        assert micro_dp.psi(n).has_y == (n % 2 == 0)
+@given(small_curves())
+@settings(max_examples=30, deadline=None)
+def test_w_degree_and_lead(C):
+    # for p not dividing n: deg w_n = (n^2 - 1)/2 (n odd) or (n^2 - 4)/2
+    # (n even), with leading coefficient n
+    dp = DivisionPolynomials(C)
+    for n in range(1, 13):
+        if n % C.p:
+            w = dp.psi(n)
+            assert w.degree() == ((n * n - 1) // 2 if n % 2 else (n * n - 4) // 2)
+            assert w.lead() == n % C.p
 
 
 class TestFGH:
@@ -187,8 +194,8 @@ class TestPhiPsi:
         dp = DivisionPolynomials(C)
         w_phi, w_psi = dp.phi_psi(m, n)
         prod = dp.f(m) * dp.f(n) * dp.g(m) * dp.g(n)
-        assert rational_square_test(w_phi) == rational_square_test(prod)
-        assert rational_square_test(w_psi) == rational_square_test(dp.curve_poly * prod)
+        assert rational_square_test(w_phi) == peel_square_test(prod)
+        assert rational_square_test(w_psi) == peel_square_test(dp.curve_poly * prod)
 
 
 class TestVerifyXfg:

@@ -18,6 +18,25 @@ def P(p, *coeffs):
     return Poly(field(p), coeffs)
 
 
+def peel_square_test(f: Poly) -> bool:
+    """Oracle for rational_square_test: peel the squared radical off.
+
+    With f = c*prod q_i^(e_i), rad(f)^2 divides f iff all e_i >= 2, and
+    the quotient drops every multiplicity by two, so the loop decides
+    the parity of all of them without factoring.
+    """
+    f = f.monic()
+    while f.degree() > 0:
+        if f.degree() % 2:
+            return False
+        rad = squarefree_part(f)
+        q, rem = divmod(f, rad * rad)
+        if not rem.is_zero():
+            return False
+        f = q.monic()
+    return True
+
+
 @st.composite
 def small_polys(draw, min_degree=0, max_degree=5):
     p = draw(st.sampled_from([7, 11, 13]))
@@ -255,7 +274,32 @@ class TestPthPowerRoot:
         assert pth_power_root(f, r) ** (g.field.p**r) == f
 
 
+@st.composite
+def factored_products(draw):
+    """c * prod q_i^(e_i) over F_p with e_i in {1, 2, 3, p, 2p}; the
+    exponents p and 2p only where p is small enough to expand them."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 2**31 - 1]))
+    F = field(p)
+    exponents = [1, 2, 3] + ([p, 2 * p] if p < 12 else [])
+    f = Poly.const(F, draw(st.integers(1, p - 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        deg = draw(st.integers(1, 3))
+        coeffs = [draw(st.integers(0, p - 1)) for _ in range(deg)]
+        q = Poly(F, coeffs + [draw(st.integers(1, p - 1))])
+        f = f * q ** draw(st.sampled_from(exponents))
+    return f
+
+
 class TestRationalSquareTest:
+    @given(factored_products())
+    @settings(max_examples=300, deadline=None)
+    @example(Poly.const(field(5), 3))  # a constant: a square over the closure
+    @example(Poly(field(3), [1, 2, 0, 1]) ** 3)  # odd degree
+    @example(Poly(field(7), [0, 1]) ** 14 * Poly(field(7), [1, 0, 1]) ** 7)
+    @example(Poly(field(11), [2, 1]) ** 22 * 5)  # multiplicity 2p
+    def test_matches_peel_oracle(self, f):
+        assert rational_square_test(f) == peel_square_test(f)
+
     def test_perfect_square(self):
         sq = P(7, 1, 1) * P(7, 1, 1)
         assert rational_square_test(sq)
