@@ -13,11 +13,12 @@ a fixed summation order so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field
 
-from .curve import Curve, CurvePoint, orbit
+from .curve import Curve, CurvePoint, multiples, orbit
 from .divpoly import DivisionPolynomials
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
@@ -68,12 +69,13 @@ def prefix_products(N: int, k: int, lo: int = 1) -> list[tuple[int, ...]]:
 
 
 def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
-    """[x(P), x(2P), ..., x(count*P)] with the x(O) = 0 convention."""
-    xs = []
-    Q = P
-    for _ in range(count):
-        xs.append(curve.x_formal(Q))
-        Q = curve._add(Q, P)
+    """[x(P), x(2P), ..., x(count*P)] with the x(O) = 0 convention, for
+    an F_p point P: at most count steps of the walk of multiples, and
+    when ord(P) <= count its period x(P), ..., x((o-1)P), 0 repeated."""
+    xs = [x for x, _ in itertools.islice(multiples(curve, P), count)]
+    if len(xs) < count:
+        period = xs + [0]
+        xs = (period * (count // len(period) + 1))[:count]
     return xs
 
 

@@ -108,9 +108,11 @@ def _p_range(args) -> range:
 
 def _curve_and_t(args) -> tuple[Curve, int]:
     """The --p/--a/--b curve with its --t-policy subgroup order, or the
-    first admissible curve with p in --p-min..--p-max."""
+    first admissible curve with p in --p-min..--p-max (its group
+    structure is not built: nothing here reads it)."""
     if args.p is None:
-        fc = find_curve(_p_range(args), args.big_n, args.t_policy)
+        fc = find_curve(_p_range(args), args.big_n, args.t_policy,
+                        structure_budget=0)
         return fc.curve, fc.t
     C = _flag_curve(args)
     return C, subgroup_order_for_policy(C.order(), args.big_n, args.t_policy)
@@ -580,6 +582,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out: str | None) -> None:
+    """--out must name a file (or file prefix) in an existing directory,
+    checked before any work so a long run cannot end in a failed write."""
+    if out is not None:
+        directory = os.path.dirname(out) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"--out directory {directory!r} does not exist")
+
+
 _HANDLERS = {
     "verify": run_verify,
     "sums": run_sums,
@@ -593,6 +604,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config(args)
+        _check_out_dir(args.out)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .field import (
@@ -296,16 +296,43 @@ def _rows(curve: Curve, G1: CurvePoint, d1: int, row: list) -> list[list]:
     return rows
 
 
+def multiples(curve: Curve, P: CurvePoint) -> Iterator[tuple[int, int]]:
+    """The int pairs (x, y) of P, 2P, ..., (o-1)P for o = ord(P), P an
+    F_p point (nothing for P = O): one inversion mod p per step, with no
+    CurvePoint built.  Only the first step meets x = x(P), at P itself,
+    so it doubles; the walk ends at -P, whose successor is O."""
+    if P.is_infinity:
+        return
+    p, a = curve.p, curve.a
+    x1, y1 = P.x, P.y
+    ny1 = -y1 % p
+    x, y = x1, y1
+    while True:
+        yield x, y
+        if x == x1:
+            if y == ny1:
+                return
+            s = (3 * x * x + a) * pow(2 * y, -1, p) % p
+        else:
+            s = (y - y1) * pow(x - x1, -1, p) % p
+        x3 = (s * s - x - x1) % p
+        y = (s * (x - x3) - y) % p
+        x = x3
+
+
 def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
-    """[O, G, 2G, ..., (o-1)G] for o = ord(G), by repeated addition."""
+    """[O, G, 2G, ..., (o-1)G] for o = ord(G): the walk of multiples for
+    an F_p point, repeated addition for an F_p^2 one."""
     if not curve.contains(G):
         raise ValueError(f"point {G} is not on {curve}")
-    pts = [INFINITY]
-    Q = G
-    while not Q.is_infinity:
-        pts.append(Q)
-        Q = curve._add(Q, G)
-    return pts
+    if isinstance(G.x, Fp2) or isinstance(G.y, Fp2):
+        pts = [INFINITY]
+        Q = G
+        while not Q.is_infinity:
+            pts.append(Q)
+            Q = curve._add(Q, G)
+        return pts
+    return [INFINITY] + [CurvePoint(x, y) for x, y in multiples(curve, G)]
 
 
 def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:

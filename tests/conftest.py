@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ecbits.curve import Curve
+from ecbits.curve import INFINITY, Curve
 from ecbits.field import field, primes_upto
 
 settings.register_profile("reproducible", derandomize=True)
@@ -27,3 +27,22 @@ def small_curves(draw):
     a = draw(st.integers(0, p - 1))
     b = draw(st.integers(0, p - 1).filter(lambda b: (4 * a**3 + 27 * b * b) % p))
     return Curve(field(p), a, b)
+
+
+def add_walk_x_multiples(C, P, count):
+    """[x(P), ..., x(count*P)] (x(O) = 0) by repeated Curve._add: the
+    group-law walk that the multiples kernel replaced, kept as its oracle."""
+    xs, Q = [], P
+    for _ in range(count):
+        xs.append(C.x_formal(Q))
+        Q = C._add(Q, P)
+    return xs
+
+
+def add_walk_orbit(C, G):
+    """[O, G, ..., (o-1)G] by repeated Curve._add, the oracle of orbit."""
+    pts, Q = [INFINITY], G
+    while not Q.is_infinity:
+        pts.append(Q)
+        Q = C._add(Q, G)
+    return pts

@@ -3,8 +3,8 @@ import itertools
 import math
 
 import pytest
-from conftest import small_curves
-from hypothesis import given, settings
+from conftest import add_walk_x_multiples, small_curves
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecbits.charsum import (
@@ -364,6 +364,19 @@ def test_x_multiples_matches_scalar_mul(micro_curve, micro_points):
         xs = x_multiples(micro_curve, P, 8)
         for n in range(1, 9):
             assert xs[n - 1] == micro_curve.x_formal(micro_curve.mul(n, P))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_curves())
+@example(Curve(field(5), 0, 1))  # Z/6: O, a 2-torsion point, order-3 points
+@example(Curve(field(7), 3, 1))  # Z/12
+def test_x_multiples_matches_add_walk(C):
+    # every point and every count from 1 to three periods past ord(P)
+    for P in C.enumerate_points():
+        o = C.point_order(P)
+        want = add_walk_x_multiples(C, P, 3 * o + 1)
+        for count in range(1, 3 * o + 2):
+            assert x_multiples(C, P, count) == want[:count]
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecbits.curve as curve_module
 from ecbits import cli
 from ecbits.charsum import sum_V
 from ecbits.curve import (
@@ -335,6 +336,13 @@ class TestBadInput:
           "--s-max", "0", "--out", "{tmp}/x"],
          "experiment lemma5 builds no cells: need d-max >= 1 and s-max >= 1, "
          "got d-max = 8, s-max = 0"),
+        (["sums", "--p-min", "40000", "--p-max", "40100", "--experiments", "u",
+          "--big-n", "2", "--out", "{tmp}/missing/s"], "/missing' does not exist"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--out",
+          "{tmp}/missing/x"], "/missing' does not exist"),
+        (["verify", "--out", "{tmp}/missing/v.json"], "/missing' does not exist"),
+        (["find-curve", "--p-min", "100", "--p-max", "120", "--out",
+          "{tmp}/missing/f.json"], "/missing' does not exist"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -383,6 +391,22 @@ class TestBadInput:
                        "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "builds no cells" in capsys.readouterr().err
+
+
+def test_searched_curve_skips_unread_group_structure(tmp_path, capsys, monkeypatch):
+    def no_structure(*args, **kwargs):
+        raise AssertionError("group structure built for a caller that drops it")
+
+    monkeypatch.setattr(curve_module, "group_structure", no_structure)
+    p_range = ["--p-min", "100", "--p-max", "120"]
+    assert cli.main(["sums", *p_range, "--experiments", "u", "--big-n", "2",
+                     "--jobs", "1", "--out", str(tmp_path / "s")]) == 0
+    assert cli.main(["extract", *p_range, "--out", str(tmp_path / "x")]) == 0
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert cli.main(["find-curve", *p_range]) == 0
+    found = json.loads(capsys.readouterr().out)
+    assert found["d1"] * found["d2"] == found["order"]
 
 
 # Small values for every flag: p < 200 including non-primes (verify walks

@@ -3,11 +3,12 @@ import itertools
 import math
 
 import pytest
-from conftest import small_curves
+from conftest import add_walk_orbit, small_curves
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecbits.curve as curve_module
+from ecbits.charsum import x_multiples
 from ecbits.curve import (
     INFINITY,
     Curve,
@@ -15,13 +16,20 @@ from ecbits.curve import (
     factorize,
     group_structure,
     index_table,
+    multiples,
     orbit,
     order_over,
     rational_division_points,
     subgroup_generator,
     subgroup_of_order,
 )
-from ecbits.field import Fp2, PreconditionError, ResourceBudgetError, field
+from ecbits.field import (
+    Fp2,
+    PreconditionError,
+    PrimeField,
+    ResourceBudgetError,
+    field,
+)
 
 
 def brute_order(p, a, b):
@@ -298,6 +306,41 @@ class TestOrbitProperties:
         orb = orbit(C, G)
         assert len(orb) == C.point_order(G)
         assert orb == [C.mul(j, G) for j in range(len(orb))]
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves())
+    @example(MIXED_PATHS)
+    def test_orbit_matches_add_walk(self, C):
+        for G in C.enumerate_points():
+            assert orbit(C, G) == add_walk_orbit(C, G)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves())
+    @example(MIXED_PATHS)
+    def test_multiples_are_the_affine_multiples(self, C):
+        for P in C.enumerate_points():
+            pairs = list(multiples(C, P))
+            assert len(set(pairs)) == len(pairs) == C.point_order(P) - 1
+            assert all(type(x) is int and type(y) is int
+                       and C.contains(CurvePoint(x, y)) for x, y in pairs)
+
+    def test_fp_walks_make_no_group_law_call(self, monkeypatch):
+        C = MIXED_PATHS
+        pts = C.enumerate_points()
+        want = [add_walk_orbit(C, G) for G in pts]
+        ext_gen = index_table(C, 2).rows[0][1]
+
+        def refused(*args):
+            raise AssertionError("group-law call in an F_p walk")
+
+        monkeypatch.setattr(Curve, "_add", refused)
+        monkeypatch.setattr(PrimeField, "inv", refused)
+        assert [orbit(C, G) for G in pts] == want
+        assert [x_multiples(C, G, 30) for G in pts] == [
+            [C.x_formal(orb[m % len(orb)]) for m in range(1, 31)] for orb in want]
+        monkeypatch.undo()
+        # an F_p^2 generator still walks by the group law
+        assert orbit(C, ext_gen) == add_walk_orbit(C, ext_gen)
 
     def test_orbit_rejects_point_off_curve(self, micro_curve):
         with pytest.raises(ValueError):
