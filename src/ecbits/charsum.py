@@ -2,13 +2,14 @@
 against the proved bounds.
 
 S sums the quadratic character of x(nP)x(nQ); U aggregates |S|^2 over
-all point pairs.  x_multiples walks the multiples of one point; x_rows
-reads those of every point of a set from one orbit table per cyclic
-subgroup.  T is the multiplicative-product additive-character
-sum; V aggregates |T|^2 over a subgroup.  The subgroup exponential sum
-and the product-collision count back the two proof devices.  Every
-integer-valued quantity is computed exactly; complex accumulation uses
-a fixed summation order so results are reproducible bit for bit.
+all point pairs.  x_multiples walks the multiples of one point;
+orbit_tables builds one x table per cyclic subgroup that a point set
+meets, and x_rows reads every point's multiples from it.  T is the
+multiplicative-product additive-character sum; V aggregates |T|^2 over
+a subgroup.  The subgroup exponential sum and the product-collision
+count back the two proof devices.  Every integer-valued quantity is
+computed exactly; complex accumulation uses a fixed summation order so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -79,21 +80,32 @@ def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
     return xs
 
 
+def orbit_tables(curve: Curve, points: Iterable[CurvePoint],
+                 build) -> Iterator[tuple[object, int]]:
+    """(build(tx), j) for each R of points, in order, where tx[i] = x(iG)
+    (x(O) = 0) is the x table of the orbit of the first point G met of
+    <R>, and R = jG.
+
+    Cost: one walk of ord(R) additions and one build per cyclic subgroup
+    <R> met; every other point of that orbit reuses its table.
+    """
+    tables = {}  # jG -> (build(tx), j)
+    for R in points:
+        if R not in tables:
+            orb = orbit(curve, R)
+            table = build([curve.x_formal(Q) for Q in orb])
+            tables.update((Q, (table, j)) for j, Q in enumerate(orb))
+        yield tables[R]
+
+
 def x_rows(curve: Curve, points: Iterable[CurvePoint],
            count: int) -> Iterator[list[int]]:
     """x_multiples(curve, R, count) for each R of points, in order.
 
-    Cost: one walk of ord(R) additions per cyclic subgroup <R> met, then
-    count table lookups per point: for R' = jR in that orbit,
-    x(mR') = x((mj mod ord(R)) R).
+    Cost: that of orbit_tables, then count table lookups per point: for
+    R = jG, x(mR) = x((mj mod ord(G)) G).
     """
-    tables = {}  # jR -> (x table of the orbit of R, j)
-    for R in points:
-        if R not in tables:
-            orb = orbit(curve, R)
-            tx = [curve.x_formal(Q) for Q in orb]
-            tables.update((Q, (tx, j)) for j, Q in enumerate(orb))
-        tx, j = tables[R]
+    for tx, j in orbit_tables(curve, points, lambda tx: tx):
         o = len(tx)
         yield [tx[m * j % o] for m in range(1, count + 1)]
 

@@ -44,7 +44,14 @@ from .curve import (
     subgroup_order_for_policy,
 )
 from .divpoly import DivisionPolynomials
-from .extract import bitstream, delta, pack_bits, sampled_deviation
+from .extract import (
+    _check_window,
+    bitstream,
+    delta,
+    deviation_bound,
+    pack_bits,
+    sampled_deviation,
+)
 from .field import PreconditionError, ResourceBudgetError, field
 from .poly import rational_square_test
 
@@ -353,6 +360,18 @@ def run_extract(args) -> int:
     check_coprime_to_factorial(t, args.big_n)
     if C.p <= args.k:
         raise PreconditionError(f"need p > k, got p = {C.p}, k = {args.k}")
+    _check_window(C.p, args.k, args.ell, args.big_n)
+    if t <= args.delta_budget:
+        # a positive finite C can still take (C log p)^k, or the ratio of
+        # Delta <= t N^k to the bound, out of the float range
+        try:
+            bound = deviation_bound(args.k, args.big_n, C.p, t, args.slack_delta)
+            in_range = bound < math.inf and t * args.big_n**args.k / bound < math.inf
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise ConfigError(f"--slack-delta {args.slack_delta} takes the deviation "
+                              "bound or the ratio to it out of the float range")
     gen = subgroup_generator(C, t)
     stream = bitstream(C, gen, args.k, args.ell, args.big_n)
     with open(args.out + ".bits", "wb") as fh:
@@ -591,6 +610,17 @@ def _check_out_dir(out: str | None) -> None:
             raise ConfigError(f"--out directory {directory!r} does not exist")
 
 
+def _check_slacks(args) -> None:
+    """Every slack factor must be positive and finite: a zero one divides
+    by zero in the ratio, a negative one flips its sign, and an infinite
+    or NaN one warns never and writes a non-JSON constant."""
+    for key in ("slack_u", "slack_v", "slack_l5", "slack_delta"):
+        value = getattr(args, key)
+        if not 0 < value < math.inf:
+            raise ConfigError(f"--{key.replace('_', '-')} must be positive "
+                              f"and finite, got {value}")
+
+
 _HANDLERS = {
     "verify": run_verify,
     "sums": run_sums,
@@ -605,6 +635,7 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(args)
         _check_out_dir(args.out)
+        _check_slacks(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,13 +16,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lshift
+from sys import byteorder
 
 from .charsum import (
     _t_sum,
     check_coprime_to_factorial,
+    orbit_tables,
     prefix_products,
     x_multiples,
-    x_rows,
 )
 from .curve import (
     Curve,
@@ -33,6 +35,7 @@ from .curve import (
     subgroup_generator,
 )
 from .field import PreconditionError, incomplete_geometric_sum
+from .poly import _unpack
 
 
 def lsb_string(x: int, ell: int, p: int) -> str:
@@ -124,14 +127,71 @@ def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
     return _codes(x_multiples(curve, R, N**k), k, ell, N)
 
 
-def _worst_deviation(codes: list[int], k: int, ell: int, N: int) -> Fraction:
-    """max over all k*ell-bit patterns of |count - N^k / 2^(k*ell)|."""
-    size = 1 << (k * ell)
-    counts = [0] * size
+def _histogram(codes: list[int], k: int, ell: int) -> list[int]:
+    """How often each k*ell-bit pattern occurs among codes."""
+    counts = [0] * (1 << (k * ell))
     for c in codes:
         counts[c] += 1
-    # |count * size - N^k| peaks at the rarest or the commonest pattern
-    return Fraction(max(max(counts) * size - N**k, N**k - min(counts) * size), size)
+    return counts
+
+
+def _pattern_counts(tx: list[int], k: int, ell: int, N: int):
+    """The histogram of _codes for every point of one orbit, through the
+    prefix-product recursion on its x table.
+
+    tx[i] = x(iG) for i < o = ord(G), with tx[0] = x(O) = 0.  Since
+    (n_1 n_2...n_j)(iG) = (n_2...n_j)(n_1 iG), the codes of iG over
+    [1,N]^j are those of its multiples n_1 iG over [1,N]^(j-1), each
+    under one more most significant window, w(x(n_1 iG)):
+
+      A_0(i) = 1 (the empty tuple),
+      A_j(i) = sum_{n=1..N} A_(j-1)(n i mod o) under w(tx[n i mod o]).
+
+    Each A_j(i) is one int whose slot c, the smallest of 1, 2, 4 or 8
+    bytes (or wider) that holds N^k, counts pattern c; "under window w"
+    is a left shift by w slots of 2^((j-1) ell) each.  Levels 1..k-1 are
+    built for the whole orbit, o shifts and o*N adds each, and the last
+    level only for the indices asked of the returned function: N
+    shift-adds and one unpacking each.  Memory: o ints of at most
+    2^((k-1) ell) slots.
+    """
+    o = len(tx)
+    mask = (1 << ell) - 1
+    windows = [x & mask for x in tx]
+    width = 1
+    while 8 * width < (N**k).bit_length():
+        width *= 2
+    ns = range(1, N + 1)
+
+    def shifts(j):  # A_(j-1)(m) goes under the window of tx[m]
+        return [(8 * width << (j - 1) * ell) * w for w in windows]
+
+    level = [1] * o
+    for j in range(1, k):
+        lifted = list(map(lshift, level, shifts(j)))
+        level = [sum(map(lifted.__getitem__, [n * i % o for n in ns]))
+                 for i in range(o)]
+    top = shifts(k)
+    nbytes = width << k * ell
+
+    def counts_at(i: int):
+        """The 2^(k*ell) pattern counts of iG, pattern c at index c."""
+        idx = [n * i % o for n in ns]
+        packed = sum(map(lshift, map(level.__getitem__, idx),
+                         map(top.__getitem__, idx)))
+        counts = _unpack(packed.to_bytes(nbytes, byteorder), width)
+        # a big-endian int puts the highest slot first
+        return counts if byteorder == "little" else counts[::-1]
+
+    return counts_at
+
+
+def _worst_deviation(counts, total: int) -> int:
+    """max over patterns of |count * len(counts) - total|: the worst
+    deviation from total / len(counts), times len(counts)."""
+    size = len(counts)
+    # |count * size - total| peaks at the rarest or the commonest pattern
+    return max(max(counts) * size - total, total - min(counts) * size)
 
 
 def count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> int:
@@ -215,26 +275,31 @@ def delta(
 
     H is treated as a set (order never matters); the sum includes the
     point at infinity, whose degenerate all-zero orbit is also reported
-    separately via total_excluding_infinity.
+    separately via total_excluding_infinity.  H need not be a subgroup:
+    every nR lies in the orbit of R, so the counts of R read that orbit
+    alone.
 
-    Cost: that of x_rows, one walk of ord(R) additions per cyclic
-    subgroup <R> met (at most |H| each when H is a subgroup), then N^k
-    table lookups per point.
+    Cost: one walk of ord(R) additions per cyclic subgroup <R> met (at
+    most |H| each when H is a subgroup), then the prefix-product
+    recursion of _pattern_counts on its x table: at most k*N shift-adds
+    per orbit point, with one packed int of at most 2^((k-1) ell) slots
+    per orbit point held at a time.
     """
     p = curve.p
-    t = len(set(H))
+    points = sorted(set(H), key=_point_key)
+    t = len(points)
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
     _check_window(p, k, ell, N)
     check_coprime_to_factorial(t, N)
-    points = sorted(set(H), key=_point_key)
-    expected = Fraction(N**k, 1 << (k * ell))
+    size = 1 << (k * ell)
     per_point = []
-    total = Fraction(0)
-    total_wo_o = Fraction(0)
-    for R, xs in zip(points, x_rows(curve, points, N**k)):
-        worst = _worst_deviation(_codes(xs, k, ell, N), k, ell, N)
-        per_point.append((repr(R), worst))
+    total = total_wo_o = 0  # numerators over 2^(k*ell)
+    tables = orbit_tables(curve, points,
+                          lambda tx: _pattern_counts(tx, k, ell, N))
+    for R, (counts_at, j) in zip(points, tables):
+        worst = _worst_deviation(counts_at(j), N**k)
+        per_point.append((repr(R), Fraction(worst, size)))
         total += worst
         if not R.is_infinity:
             total_wo_o += worst
@@ -244,10 +309,10 @@ def delta(
         N=N,
         p=p,
         t=t,
-        expected=expected,
+        expected=Fraction(N**k, size),
         per_point=per_point,
-        total=total,
-        total_excluding_infinity=total_wo_o,
+        total=Fraction(total, size),
+        total_excluding_infinity=Fraction(total_wo_o, size),
         bound_constant=bound_constant,
         bound_value=deviation_bound(k, N, p, t, bound_constant),
     )
@@ -271,8 +336,8 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     if samples < 1:
         raise PreconditionError(f"need samples >= 1, got samples = {samples}")
     pts = sample_subgroup_points(C, gen, t, samples, seed)
-    devs = [float(_worst_deviation(_window_codes(C, R, k, ell, N), k, ell, N) / N)
-            for R in pts]
+    devs = [_worst_deviation(_histogram(_window_codes(C, R, k, ell, N), k, ell), N)
+            / (N << ell) for R in pts]
     return {
         "samples": samples,
         "seed": seed,

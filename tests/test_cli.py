@@ -343,6 +343,30 @@ class TestBadInput:
         (["verify", "--out", "{tmp}/missing/v.json"], "/missing' does not exist"),
         (["find-curve", "--p-min", "100", "--p-max", "120", "--out",
           "{tmp}/missing/f.json"], "/missing' does not exist"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "0",
+          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got 0.0"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "-1",
+          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got -1.0"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "inf",
+          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got inf"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "nan",
+          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got nan"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-u", "0",
+          "--out", "{tmp}/x"], "--slack-u must be positive and finite, got 0.0"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-v", "-1",
+          "--out", "{tmp}/x"], "--slack-v must be positive and finite, got -1.0"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-l5", "nan",
+          "--out", "{tmp}/x"], "--slack-l5 must be positive and finite, got nan"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-u", "inf",
+          "--out", "{tmp}/x"], "--slack-u must be positive and finite, got inf"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
+          "--slack-delta", "1e-300", "--out", "{tmp}/x"],
+         "--slack-delta 1e-300 takes the deviation bound or the ratio to it "
+         "out of the float range"),
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
+          "--slack-delta", "1e200", "--out", "{tmp}/x"],
+         "--slack-delta 1e+200 takes the deviation bound or the ratio to it "
+         "out of the float range"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -391,6 +415,50 @@ class TestBadInput:
                        "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "builds no cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p-min", "40000", "--p-max", "40100", "--slack-delta", "0"],
+    ["--p", "1549", "--a", "1", "--b", "3", "--k", "2", "--slack-delta", "1e-300"],
+], ids=["nonpositive", "bound-underflow"])
+def test_bad_slack_exits_before_any_work(tmp_path, monkeypatch, flags):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the slack check")
+
+    monkeypatch.setattr(cli, "subgroup_generator", no_work)
+    if "--p-min" in flags:
+        monkeypatch.setattr(cli, "find_curve", no_work)
+    assert cli.main(["extract", *flags, "--out", str(tmp_path / "x")]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def _strict_json(path):
+    """The JSON document at path; NaN and Infinity are not JSON."""
+    def reject(name):
+        raise ValueError(f"{path.name} holds the non-JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_outputs_are_strict_json(tmp_path):
+    runs = {
+        "sums.json": ["sums", "--p", "7", "--a", "1", "--b", "1", "--big-n", "4",
+                      "--d-max", "3", "--n-max", "3", "--out", "{}/sums"],
+        "exact.json": ["extract", "--p", "7", "--a", "1", "--b", "1", "--big-n", "4",
+                       "--out", "{}/exact"],
+        "sampled.json": ["extract", "--p", "11", "--a", "1", "--b", "1",
+                         "--big-n", "4", "--delta-budget", "2", "--samples", "5",
+                         "--out", "{}/sampled"],
+        "verify.json": ["verify", "--p", "7", "--a", "1", "--b", "1", "--n-max", "3",
+                        "--out", "{}/verify.json"],
+        "find.json": ["find-curve", "--p-min", "100", "--p-max", "120",
+                      "--out", "{}/find.json"],
+    }
+    for name, argv in runs.items():
+        assert cli.main([a.format(tmp_path) for a in argv] + ["--jobs", "1"]) == 0
+        assert _strict_json(tmp_path / name)
+    assert "deviation" in _strict_json(tmp_path / "exact.json")
+    assert "deviation_sampled" in _strict_json(tmp_path / "sampled.json")
 
 
 def test_searched_curve_skips_unread_group_structure(tmp_path, capsys, monkeypatch):

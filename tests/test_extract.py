@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,14 @@ from conftest import small_curves
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ecbits.charsum import sum_V
-from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, subgroup_of_order
+import ecbits.charsum as charsum_module
+import ecbits.extract as extract_module
+from ecbits.charsum import sum_V, x_rows
+from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, orbit, subgroup_of_order
 from ecbits.extract import (
     BitWindow,
+    _codes,
+    _pattern_counts,
     bitstream,
     chi_square_uniformity,
     count_A,
@@ -260,17 +265,8 @@ class TestWindowOracle:
         N = data.draw(st.integers(1, min([*factorize(len(set(H))), 5]) - 1))
         k = data.draw(st.integers(1, 2))
         ell = data.draw(st.integers(1, min(3, (C.p - 1).bit_length() - 1)))
-        expected = Fraction(N**k, 2 ** (k * ell))
-        patterns = list(itertools.product(
-            ["".join(b) for b in itertools.product("01", repeat=ell)], repeat=k))
-        affine = sorted((P for P in set(H) if not P.is_infinity),
-                        key=lambda P: (P.x, P.y))
-        want = []
-        for R in [INFINITY] * (INFINITY in H) + affine:
-            windows = _oracle_windows(C, R, k, ell, N)
-            want.append((repr(R), max(abs(windows.count(s) - expected)
-                                      for s in patterns)))
-        assert delta(C, H, k, ell, N).per_point == want
+        assert delta(C, H, k, ell, N).per_point == _brute_force_per_point(
+            C, H, k, ell, N)
 
     @given(points, shapes, st.data())
     def test_count_A_matches_scalar_multiples(self, R, shape, data):
@@ -280,6 +276,88 @@ class TestWindowOracle:
         windows = _oracle_windows(_ORACLE_CURVE, R, k, ell, N)
         spec = BitWindow(k, ell, N, sigma)
         assert count_A(_ORACLE_CURVE, R, spec) == windows.count(sigma)
+
+
+def _brute_force_per_point(C, H, k, ell, N):
+    """delta's per_point from _oracle_windows: O first, then (x, y) order."""
+    expected = Fraction(N**k, 2 ** (k * ell))
+    patterns = list(itertools.product(
+        ["".join(b) for b in itertools.product("01", repeat=ell)], repeat=k))
+    affine = sorted((P for P in set(H) if not P.is_infinity),
+                    key=lambda P: (P.x, P.y))
+    out = []
+    for R in [INFINITY] * (INFINITY in H) + affine:
+        counts = Counter(_oracle_windows(C, R, k, ell, N))
+        out.append((repr(R), max(abs(counts[s] - expected) for s in patterns)))
+    return out
+
+
+class TestPatternCounts:
+    @given(small_curves(), st.data())
+    def test_counts_are_the_histogram_of_each_points_codes(self, C, data):
+        G = data.draw(st.sampled_from(C.enumerate_points()))
+        orb = orbit(C, G)
+        k = data.draw(st.integers(1, 3))
+        ell = data.draw(st.integers(1, min(3, (C.p - 1).bit_length() - 1)))
+        # up to 2 ord(G) + 1, so n*i wraps mod ord(G) and meets x(O) = 0,
+        # with at most 2,000 codes per point
+        N = data.draw(st.integers(1, min(2 * len(orb) + 1, int(2000 ** (1 / k)))))
+        counts_at = _pattern_counts([C.x_formal(Q) for Q in orb], k, ell, N)
+        for i, row in enumerate(x_rows(C, orb, N**k)):
+            counts = counts_at(i)
+            assert len(counts) == 1 << (k * ell)
+            assert {c: n for c, n in enumerate(counts) if n} == Counter(
+                _codes(row, k, ell, N))
+
+    @pytest.mark.parametrize("k,N", [(1, 255), (2, 16), (1, 65535), (2, 256)],
+                             ids=["255", "256", "65535", "65536"])
+    def test_slot_width_boundaries(self, k, N):
+        # N^k on either side of the 1- and 2-byte slot limits; index 0
+        # (the point O) puts all N^k codes in the slot of pattern 0
+        tx = [0, 5, 6]  # windows 0, 1, 0 for ell = 1
+        counts_at = _pattern_counts(tx, k, 1, N)
+        for i in range(len(tx)):
+            row = [tx[m * i % len(tx)] for m in range(1, N**k + 1)]
+            want = Counter(_codes(row, k, 1, N))
+            assert list(counts_at(i)) == [want[c] for c in range(1 << k)]
+        assert counts_at(0)[0] == N**k
+
+    def test_k3_delta_against_scalar_multiples(self):
+        C = Curve(field(89), 2, 5)  # #E = 101, prime
+        H = C.enumerate_points()
+        k, ell, N = 3, 2, 4
+        rep = delta(C, H, k, ell, N)
+        want = _brute_force_per_point(C, H, k, ell, N)
+        assert rep.per_point == want
+        assert rep.total == sum(dev for _, dev in want)
+        assert rep.total_excluding_infinity == sum(dev for _, dev in want[1:])
+
+    def test_delta_walks_each_cyclic_subgroup_once(self, monkeypatch):
+        walked = []
+
+        def counting_orbit(curve, G):
+            walked.append(G)
+            return orbit(curve, G)
+
+        def per_point_walk(*args, **kwargs):
+            raise AssertionError("delta read multiples point by point")
+
+        monkeypatch.setattr(charsum_module, "orbit", counting_orbit)
+        for module in (charsum_module, extract_module):
+            monkeypatch.setattr(module, "x_multiples", per_point_walk)
+            monkeypatch.setattr(module, "x_rows", per_point_walk, raising=False)
+        C = Curve(field(89), 2, 5)  # prime order 101: orbits {O} and E
+        delta(C, C.enumerate_points(), 2, 1, 3)
+        assert walked == [INFINITY, min(C.enumerate_points()[1:],
+                                        key=lambda P: (P.x, P.y))]
+        # Z/14 without one point of order 2: {O}, then each orbit met once
+        walked.clear()
+        H = [P for P in _ORACLE_CURVE.enumerate_points()
+             if P.is_infinity or _ORACLE_CURVE.mul(2, P) != INFINITY]
+        delta(_ORACLE_CURVE, H, 1, 1, 4)
+        orbits = [frozenset(orbit(_ORACLE_CURVE, G)) for G in walked]
+        assert len(set(orbits)) == len(orbits)
+        assert set(H) <= set().union(*orbits)
 
 
 class TestPackBits:
