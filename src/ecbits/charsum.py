@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .curve import Curve, CurvePoint, multiples, orbit
 from .divpoly import DivisionPolynomials
@@ -35,7 +35,6 @@ class BoundReport:
 
     lhs: float
     rhs_terms: list[tuple[str, float]]
-    metadata: dict = dataclass_field(default_factory=dict)
 
     @property
     def rhs_total(self) -> float:
@@ -145,7 +144,6 @@ def sum_U(
     report = BoundReport(
         lhs=float(total),
         rhs_terms=[("N^6*q", float(N**6 * q)), ("N*q^2", float(N * q * q))],
-        metadata={"p": q, "a": curve.a, "b": curve.b, "N": N, "points": ne},
     )
     return total, report
 
@@ -225,8 +223,6 @@ def sum_V(
             ("k*N^(4k)*sqrt(p)", k * N ** (4 * k) * math.sqrt(p)),
             ("k*N^(2k-1)*t", float(k * N ** (2 * k - 1) * t)),
         ],
-        metadata={"p": p, "a": curve.a, "b": curve.b, "N": N, "k": k, "t": t,
-                  "c": list(c)},
     )
     return total, report
 
@@ -286,8 +282,6 @@ def subgroup_sum(
     report = BoundReport(
         lhs=abs(total),
         rhs_terms=[("s*D^2*sqrt(p)", s * D * D * math.sqrt(p))],
-        metadata={"p": p, "a": curve.a, "b": curve.b, "t": t, "s": s, "D": D,
-                  "d": list(d), "c": list(c)},
     )
     return total, report
 

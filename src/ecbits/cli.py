@@ -45,6 +45,7 @@ from .curve import (
 )
 from .divpoly import DivisionPolynomials
 from .extract import (
+    _check_code_budget,
     _check_window,
     bitstream,
     delta,
@@ -223,7 +224,6 @@ def run_sum_cell(cell: dict) -> dict:
         report = BoundReport(
             lhs=float(lhs),
             rhs_terms=[("k*N^(2k-1)", float(k * N ** (2 * k - 1)))],
-            metadata={},
         )
         exact = True
     else:
@@ -252,6 +252,8 @@ def build_sum_cells(args) -> list[dict]:
         if empty(args):
             raise ConfigError(f"experiment {kind} builds no cells: "
                               + why.format(**vars(args)))
+        if kind == "lemma5":
+            _check_lemma5_cells(args.d_max, args.s_max)
     c_vec = _parse_c(args.c) if args.c is not None else None
     if c_vec is not None and not any(c_vec):
         raise ConfigError("coefficient vector c must be nonzero")
@@ -297,6 +299,22 @@ _NO_CELLS = {
                lambda args: args.d_max < 1 or args.s_max < 1),
     "collisions": ("need n-max >= 2, got n-max = {n_max}", lambda args: args.n_max < 2),
 }
+
+
+LEMMA5_CELL_BUDGET = 100_000
+
+
+def _check_lemma5_cells(d_max: int, s_max: int) -> None:
+    """lemma5 builds a cell for each of the sum_{s <= s-max} C(d-max, s)
+    tuples of _increasing_tuples that pass its gcd filter; more than
+    LEMMA5_CELL_BUDGET tuples is refused before the curve search."""
+    tuples = 0
+    for s in range(1, min(d_max, s_max) + 1):
+        tuples += math.comb(d_max, s)
+        if tuples > LEMMA5_CELL_BUDGET:
+            raise ResourceBudgetError(
+                f"d-max = {d_max}, s-max = {s_max} give more than "
+                f"{LEMMA5_CELL_BUDGET} lemma5 cells")
 
 
 def _support_patterns(k: int) -> list[tuple[int, ...]]:
@@ -354,6 +372,7 @@ def run_sums(args) -> int:
 def run_extract(args) -> int:
     if args.out is None:
         raise ConfigError("--out is required for extract")
+    _check_code_budget(args.k, args.big_n)  # before the curve search
     C, t = _curve_and_t(args)
     if t < 2:
         raise ConfigError(f"subgroup policy produced trivial t = {t}")

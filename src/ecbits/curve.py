@@ -16,6 +16,7 @@ import math
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import (
     MAX_MODULUS,
@@ -29,30 +30,17 @@ from .field import (
 )
 
 
-class CurvePoint:
-    """Affine point with int (F_p) or Fp2 coordinates, or infinity."""
+class CurvePoint(NamedTuple):
+    """Affine point with int (F_p) or Fp2 coordinates, or infinity
+    (x = y = None).  An immutable (x, y) value: an F_p point equals, and
+    hashes like, its F_p^2 image, as an Fp2 with im = 0 does its int."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = x
-        self.y = y
+    x: int | Fp2 | None
+    y: int | Fp2 | None
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        if self.is_infinity or other.is_infinity:
-            return self.is_infinity and other.is_infinity
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        if self.is_infinity:
-            return hash(("O",))
-        return hash((self.x, self.y))
 
     def __repr__(self):
         if self.is_infinity:
@@ -130,22 +118,8 @@ class Curve:
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
-        if isinstance(P.x, Fp2) or isinstance(P.y, Fp2):
-            x = P.x if isinstance(P.x, Fp2) else Fp2(self.field, P.x)
-            y = P.y if isinstance(P.y, Fp2) else Fp2(self.field, P.y)
-            return y * y == self.rhs(x)
-        return (P.y * P.y - self.rhs(P.x)) % self.p == 0
-
-    def embed(self, P: CurvePoint) -> CurvePoint:
-        """The same point with coordinates coerced into F_p^2 (P itself
-        when both already are)."""
-        if P.is_infinity:
-            return INFINITY
-        if isinstance(P.x, Fp2) and isinstance(P.y, Fp2):
-            return P
-        x = P.x if isinstance(P.x, Fp2) else Fp2(self.field, P.x)
-        y = P.y if isinstance(P.y, Fp2) else Fp2(self.field, P.y)
-        return CurvePoint(x, y)
+        d = P.y * P.y - self.rhs(P.x)
+        return d % self.p == 0 if isinstance(d, int) else d.is_zero()
 
     def neg(self, P: CurvePoint) -> CurvePoint:
         if P.is_infinity:
@@ -167,7 +141,7 @@ class Curve:
         if Q.is_infinity:
             return P
         if isinstance(P.x, Fp2) or isinstance(Q.x, Fp2):
-            return self._add_ext(self.embed(P), self.embed(Q))
+            return self._add_ext(P, Q)
         p = self.p
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
         if x1 == x2:
@@ -180,11 +154,14 @@ class Curve:
         return CurvePoint(x3, (s * (x1 - x3) - y1) % p)
 
     def _add_ext(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+        """The group law over F_p^2, for P and Q not O with at least one
+        Fp2 x-coordinate (the other point may have int coordinates)."""
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
         if x1 == x2:
             if (y1 + y2).is_zero():
                 return INFINITY
-            s = (3 * x1 * x1 + self.a) / (2 * y1)
+            # x1 = x2 and y1 = y2 here, so this is the tangent slope
+            s = (3 * x1 * x2 + self.a) / (y1 + y2)
         else:
             s = (y2 - y1) / (x2 - x1)
         x3 = s * s - x1 - x2
@@ -332,7 +309,7 @@ def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
             pts.append(Q)
             Q = curve._add(Q, G)
         return pts
-    return [INFINITY] + [CurvePoint(x, y) for x, y in multiples(curve, G)]
+    return [INFINITY, *map(CurvePoint._make, multiples(curve, G))]
 
 
 def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:
@@ -516,7 +493,7 @@ def rational_division_points(
     if not curve.contains(Q):
         raise ValueError(f"point {Q} is not on {curve}")
     T = index_table(curve, ext)
-    at = T.index.get(curve.embed(Q) if ext == 2 else Q)
+    at = T.index.get(Q)
     if at is None:  # Q is not F_p-rational
         return []
     rows = T.rows

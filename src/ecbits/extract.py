@@ -11,7 +11,6 @@ the low bits are exactly balanced up to O(1/p).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +33,7 @@ from .curve import (
     sample_subgroup_points,
     subgroup_generator,
 )
-from .field import PreconditionError, incomplete_geometric_sum
+from .field import PreconditionError, ResourceBudgetError, incomplete_geometric_sum
 from .poly import _unpack
 
 
@@ -86,14 +85,6 @@ class BitWindow:
         return field.inv(1 << self.ell)
 
 
-@functools.lru_cache(maxsize=4)
-def _walk_columns(N: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Column j holds n_1...n_(j+1) - 1, the x_multiples index of the j-th
-    window, for every tuple of the prefix-product walk over [1,N]^k."""
-    walk = prefix_products(N, k)
-    return tuple(tuple(prods[j] - 1 for prods in walk) for j in range(k))
-
-
 def _check_window(p: int, k: int, ell: int, N: int) -> None:
     """k windows of ell < log2(p) bits over the index range [1, N]."""
     if k < 1 or ell < 1:
@@ -105,6 +96,17 @@ def _check_window(p: int, k: int, ell: int, N: int) -> None:
         raise PreconditionError(f"need N >= 1, got N = {N}")
 
 
+# N^k codes, and as many x-coordinates, are held per point at a time
+CODE_BUDGET = 10_000_000
+
+
+def _check_code_budget(k: int, N: int) -> None:
+    """N^k <= CODE_BUDGET, without building N^k for a large k."""
+    if N > 1 and (k >= CODE_BUDGET.bit_length() or N**k > CODE_BUDGET):
+        raise ResourceBudgetError(
+            f"N^k = {N}^{k} codes per point exceed the budget {CODE_BUDGET}")
+
+
 def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
     """The k*ell-bit code of every index tuple (n_1..n_k) in [1,N]^k, in
     itertools.product order, from xs[m - 1] = x(mR), m = 1..N^k: its j-th
@@ -112,11 +114,12 @@ def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
     x((n_1...n_j) R)."""
     mask = (1 << ell) - 1
     windows = [x & mask for x in xs]
-    first, *rest = _walk_columns(N, k)
-    # k = 1 walks n_1 = 1..N in order, so its codes are the windows
-    codes = [windows[i] for i in first] if rest else windows
-    for column in rest:
-        codes = [c << ell | windows[i] for c, i in zip(codes, column)]
+    if k == 1:  # n_1 = 1..N in order, so the codes are the windows
+        return windows
+    walk = prefix_products(N, k)
+    codes = [0] * len(walk)
+    for j in range(k):
+        codes = [c << ell | windows[prods[j] - 1] for c, prods in zip(codes, walk)]
     return codes
 
 
@@ -124,6 +127,7 @@ def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
                   N: int) -> list[int]:
     """_codes of R, read from a walk of its first N^k multiples."""
     _check_window(curve.p, k, ell, N)
+    _check_code_budget(k, N)
     return _codes(x_multiples(curve, R, N**k), k, ell, N)
 
 

@@ -156,9 +156,6 @@ class PrimeField:
             self._nonresidue = d
         return self._nonresidue
 
-    def fp2(self, re: int, im: int = 0) -> "Fp2":
-        return Fp2(self, re, im)
-
 
 def orthogonality_indicator(field: PrimeField, v: int) -> complex:
     """(1/p) * sum_c psi(c*v), evaluated by direct summation.

@@ -166,10 +166,9 @@ class TestSumV:
             assert got == N ** (2 * k)
 
     def test_micro_brute_force(self, micro_curve, micro_points):
-        got, report = sum_V(micro_curve, micro_points, (1,), 4)
+        got, _ = sum_V(micro_curve, micro_points, (1,), 4)
         want = sum(abs(sum_T(micro_curve, (1,), R, 4)) ** 2 for R in micro_points)
         assert abs(got - want) < 1e-9
-        assert report.metadata["t"] == 5
 
     def test_expansion_identity(self, micro_curve, micro_points):
         for c in [(1,), (2,)]:

@@ -21,7 +21,7 @@ from ecbits.curve import (
 )
 from ecbits.divpoly import DivisionPolynomials
 from ecbits.extract import deviation_trend
-from ecbits.field import PreconditionError, field, primes_upto
+from ecbits.field import PreconditionError, ResourceBudgetError, field, primes_upto
 from ecbits.poly import Poly
 
 
@@ -415,6 +415,33 @@ class TestBadInput:
                        "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "builds no cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "3", "--ell", "1",
+          "--big-n", "1000", "--out", "{tmp}/x"],
+         "N^k = 1000^3 codes per point exceed the budget 10000000"),
+        (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "lemma5",
+          "--d-max", "30", "--s-max", "30", "--jobs", "1", "--out", "{tmp}/x"],
+         "d-max = 30, s-max = 30 give more than 100000 lemma5 cells"),
+    ])
+    def test_one_line_exit_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                             argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("curve search before the budget check")
+
+        monkeypatch.setattr(cli, "_curve_and_t", no_work)
+        rc = cli.main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.count("\n") == 1 and message in err
+        assert not list(tmp_path.iterdir())
+
+    def test_lemma5_cell_budget_edges(self):
+        cli._check_lemma5_cells(16, 16)  # 2^16 - 1 tuples
+        cli._check_lemma5_cells(10**5, 1)
+        for d_max, s_max in [(17, 17), (10**5 + 1, 1), (10**100, 10**100)]:
+            with pytest.raises(ResourceBudgetError, match="lemma5 cells"):
+                cli._check_lemma5_cells(d_max, s_max)
 
 
 @pytest.mark.parametrize("flags", [

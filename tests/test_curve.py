@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 
 import pytest
 from conftest import add_walk_orbit, small_curves
@@ -13,6 +14,7 @@ from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
+    _point_key,
     factorize,
     group_structure,
     index_table,
@@ -421,7 +423,7 @@ class TestDivisionPoints:
         Q = CurvePoint(0, 1)
         for P in rational_division_points(micro_curve, 3, Q, ext=2):
             assert micro_curve.contains(P)
-            assert micro_curve.mul(3, P) == micro_curve.embed(Q)
+            assert micro_curve.mul(3, P) == Q
 
     def test_budget(self):
         C = Curve(field(1009), 1, 1)
@@ -457,9 +459,8 @@ def multiples_over(C, ext, n):
 def scan_division_points(C, n, Q, ext):
     """Oracle: the division points by scanning E(F_p^ext) and testing
     nP = Q with Curve.mul."""
-    target = C.embed(Q) if ext == 2 else Q
     return [P for P, R in zip(points_over(C, ext), multiples_over(C, ext, n))
-            if R == target]
+            if R == Q]
 
 
 class TestDivisionPointTable:
@@ -545,6 +546,63 @@ class TestDivisionPointTable:
             C = Curve(field(p), a, b)
             twist = 2 * (p + 1) - C.order()
             assert order_over(C, 2) == C.order() * twist == len(points_over(C, 2))
+
+
+def f_p2_image(C, P):
+    """P with its coordinates as Fp2 elements (O stays O)."""
+    if P.is_infinity:
+        return INFINITY
+    return CurvePoint(Fp2(C.field, P.x), Fp2(C.field, P.y))
+
+
+class TestPointValues:
+    @settings(max_examples=25, deadline=None)
+    @given(small_curves())
+    @example(NON_CYCLIC)
+    @example(MIXED_PATHS)
+    def test_f_p_point_is_its_f_p2_image(self, C):
+        pts = C.enumerate_points()
+        images = [f_p2_image(C, P) for P in pts]
+        index = index_table(C, 2).index
+        off = Fp2(C.field, 0, 1)  # (y + sqrt(d))^2 - y^2 = 2y sqrt(d) + d != 0
+        for P, image in zip(pts, images):
+            assert P == image and image == P and hash(P) == hash(image)
+            assert index[P] == index[image]
+            assert C.contains(image)
+            assert image.is_infinity or not C.contains(CurvePoint(image.x, image.y + off))
+        for P in pts:
+            for Q, Q_image in zip(pts, images):
+                assert C._add(P, Q_image) == C._add(P, Q)
+                assert C._add(Q_image, P) == C._add(Q, P)
+
+    def test_pickle_round_trip(self, micro_curve):
+        T = index_table(NON_CYCLIC, 2)
+        for P in [INFINITY, *micro_curve.enumerate_points(), T.rows[1][1]]:
+            back = pickle.loads(pickle.dumps(P))
+            assert type(back) is CurvePoint
+            assert back == P and hash(back) == hash(P)
+            assert back.is_infinity == P.is_infinity
+
+    def test_repr(self, micro_curve):
+        F = micro_curve.field  # sqrt(3) adjoined: 3 is the least non-residue mod 7
+        assert repr(INFINITY) == "O"
+        assert repr(CurvePoint(2, 5)) == "(2, 5)"
+        assert repr(CurvePoint(Fp2(F, 3, 1), Fp2(F, 2))) == "(Fp2(3+1*sqrt(3)), Fp2(2))"
+        assert [repr(P) for P in micro_curve.enumerate_points()] == [
+            "O", "(0, 1)", "(0, 6)", "(2, 2)", "(2, 5)"]
+
+    @pytest.mark.parametrize("C", [NON_CYCLIC, MIXED_PATHS])
+    def test_sort_order(self, C):
+        def coordinates(P):  # O first, then x, then y, each as (re, im)
+            if P.is_infinity:
+                return ()
+            return tuple(v for c in P for v in (c.re, c.im))
+
+        pts = C.enumerate_points()
+        assert sorted(pts[::-1], key=_point_key) == pts
+        assert [P.x for P in pts[1:]] == sorted(P.x for P in pts[1:])
+        ext = list(points_over(C, 2))
+        assert sorted(ext[::-1], key=_point_key) == sorted(ext, key=coordinates)
 
 
 class TestSqrtInBaseOrExt:

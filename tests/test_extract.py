@@ -15,6 +15,7 @@ from ecbits.charsum import sum_V, x_rows
 from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, orbit, subgroup_of_order
 from ecbits.extract import (
     BitWindow,
+    _check_code_budget,
     _codes,
     _pattern_counts,
     bitstream,
@@ -25,7 +26,7 @@ from ecbits.extract import (
     lsb_string,
     pack_bits,
 )
-from ecbits.field import PreconditionError, field
+from ecbits.field import PreconditionError, ResourceBudgetError, field
 
 
 class TestLsbString:
@@ -218,6 +219,22 @@ class TestBitstream:
         for sigma in ("00", "01", "10", "11"):
             spec = BitWindow(1, 2, 5, (sigma,))
             assert count_A(C, R, spec) == windows.count(sigma)
+
+    def test_code_budget_edges(self):
+        for k, N in [(1, 10**7), (23, 2), (10**9, 1), (7, 10)]:
+            _check_code_budget(k, N)
+        for k, N in [(1, 10**7 + 1), (24, 2), (10**9, 2), (3, 216)]:
+            with pytest.raises(ResourceBudgetError, match="codes per point"):
+                _check_code_budget(k, N)
+
+    def test_code_budget_spares_delta(self, micro_curve, micro_points, monkeypatch):
+        monkeypatch.setattr(extract_module, "CODE_BUDGET", 3)
+        R = CurvePoint(0, 1)
+        with pytest.raises(ResourceBudgetError):
+            bitstream(micro_curve, R, 1, 1, 4)
+        with pytest.raises(ResourceBudgetError):
+            count_A(micro_curve, R, BitWindow(1, 1, 4, ("0",)))
+        assert delta(micro_curve, micro_points, 1, 1, 4).t == 5
 
 
 _ORACLE_CURVE = Curve(field(11), 1, 1)  # order 14: points of order 2, 7, 14
