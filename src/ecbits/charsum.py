@@ -3,17 +3,18 @@ against the proved bounds.
 
 S sums the quadratic character of x(nP)x(nQ); U aggregates |S|^2 over
 all point pairs.  x_multiples walks the multiples of one point;
-orbit_tables builds one x table per cyclic subgroup that a point set
-meets, and x_rows reads every point's multiples from it.  T is the
-multiplicative-product additive-character sum; V aggregates |T|^2 over
-a subgroup.  The subgroup exponential sum and the product-collision
-count back the two proof devices.  Every integer-valued quantity is
-computed exactly; complex accumulation uses a fixed summation order so
-results are reproducible bit for bit.
+orbit_tables reads one x table per cyclic subgroup that a point set
+meets, from a walk kept per process, and x_rows reads every point's
+multiples from it.  T is the multiplicative-product additive-character
+sum; V aggregates |T|^2 over a subgroup.  The subgroup exponential sum
+and the product-collision count back the two proof devices.  Every
+integer-valued quantity is computed exactly; complex accumulation uses
+a fixed summation order so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -79,21 +80,31 @@ def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
     return xs
 
 
+@functools.lru_cache(maxsize=8)
+def _orbit_walk(curve: Curve, G: CurvePoint) -> tuple[tuple, dict]:
+    """(tx, pos) of the orbit [O, G, ..., (o-1)G]: tx[j] = x(jG) (x(O) = 0)
+    and pos[jG] = j.  Kept per (curve, G) for the process, so every cell
+    of a sweep over one subgroup reads the same walk."""
+    orb = orbit(curve, G)
+    return tuple(map(curve.x_formal, orb)), {Q: j for j, Q in enumerate(orb)}
+
+
 def orbit_tables(curve: Curve, points: Iterable[CurvePoint],
                  build) -> Iterator[tuple[object, int]]:
     """(build(tx), j) for each R of points, in order, where tx[i] = x(iG)
     (x(O) = 0) is the x table of the orbit of the first point G met of
     <R>, and R = jG.
 
-    Cost: one walk of ord(R) additions and one build per cyclic subgroup
-    <R> met; every other point of that orbit reuses its table.
+    Cost: one build per cyclic subgroup <R> met, on a walk of ord(R)
+    additions that _orbit_walk keeps for later calls; every other point
+    of that orbit reuses its table.
     """
     tables = {}  # jG -> (build(tx), j)
     for R in points:
         if R not in tables:
-            orb = orbit(curve, R)
-            table = build([curve.x_formal(Q) for Q in orb])
-            tables.update((Q, (table, j)) for j, Q in enumerate(orb))
+            tx, pos = _orbit_walk(curve, R)
+            table = build(tx)
+            tables.update((Q, (table, j)) for Q, j in pos.items())
         yield tables[R]
 
 
@@ -259,7 +270,10 @@ def subgroup_sum(
 ) -> tuple[complex, BoundReport]:
     """sum over Q in H, Q != O, of psi(sum_i c_i x(d_i Q)), for strictly
     increasing multipliers d with gcd(#H, d_1...d_s) = 1 and c_s != 0 on
-    an ordinary curve.  Reported against s D^2 sqrt(p), D = d_s."""
+    an ordinary curve.  Reported against s D^2 sqrt(p), D = d_s.
+
+    Cost: that of orbit_tables (no walk when H's orbit was walked before
+    in this process), then s table reads and one psi per point."""
     s = len(d)
     if s == 0 or len(c) != s:
         raise PreconditionError("need matching nonempty d and c tuples")
@@ -277,8 +291,11 @@ def subgroup_sum(
     F = curve.field
     D = d[-1]
     total = 0j
-    for xs in x_rows(curve, [Q for Q in H if not Q.is_infinity], D):
-        total += F.psi(sum(c[i] * xs[d[i] - 1] for i in range(s)))
+    # Q = jG on the orbit table tx of G, so x(d_i Q) = tx[d_i j mod o]
+    for tx, j in orbit_tables(curve, [Q for Q in H if not Q.is_infinity],
+                              lambda tx: tx):
+        o = len(tx)
+        total += F.psi(sum(c[i] * tx[d[i] * j % o] for i in range(s)))
     report = BoundReport(
         lhs=abs(total),
         rhs_terms=[("s*D^2*sqrt(p)", s * D * D * math.sqrt(p))],

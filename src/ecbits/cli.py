@@ -35,10 +35,13 @@ from .charsum import (
     x_multiples,  # noqa: F401
 )
 from .curve import (
+    SUBGROUP_BUDGET,
     Curve,
     ExhaustionError,
+    _torsion_cyclic,
     find_curve,
     group_structure,  # noqa: F401
+    orbit,
     subgroup_generator,
     subgroup_of_order,
     subgroup_order_for_policy,
@@ -46,6 +49,7 @@ from .curve import (
 from .divpoly import DivisionPolynomials
 from .extract import (
     _check_code_budget,
+    _check_sampled,
     _check_window,
     bitstream,
     delta,
@@ -90,11 +94,18 @@ def write_records(records: list[dict], out_prefix: str) -> None:
 # -- curves from options ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _shared_curve(p: int, a: int, b: int) -> Curve:
+    """One Curve per (p, a, b) per process, so every cell of a sweep reads
+    the #E that the first one counted."""
+    return Curve(field(p), a, b)
+
+
 def _curve_from_inputs(inputs: dict) -> Curve:
     """The curve named by p, a, b in options or a report record; an
     unusable one is a configuration error."""
     try:
-        return Curve(field(inputs["p"]), inputs["a"], inputs["b"])
+        return _shared_curve(inputs["p"], inputs["a"], inputs["b"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -391,6 +402,14 @@ def run_extract(args) -> int:
         if not in_range:
             raise ConfigError(f"--slack-delta {args.slack_delta} takes the deviation "
                               "bound or the ratio to it out of the float range")
+        # Delta runs over the orbit of the generator, which is the order-t
+        # subgroup when that is unique; subgroup_of_order refuses t otherwise
+        if t > SUBGROUP_BUDGET:
+            raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
+        if not _torsion_cyclic(C, C.order(), t):
+            subgroup_of_order(C, t)
+    else:
+        _check_sampled(args.k, args.samples)
     gen = subgroup_generator(C, t)
     stream = bitstream(C, gen, args.k, args.ell, args.big_n)
     with open(args.out + ".bits", "wb") as fh:
@@ -405,8 +424,7 @@ def run_extract(args) -> int:
         "generator": repr(gen),
     }
     if t <= args.delta_budget:
-        H = subgroup_of_order(C, t)
-        rep = delta(C, H, args.k, args.ell, args.big_n,
+        rep = delta(C, orbit(C, gen), args.k, args.ell, args.big_n,
                     bound_constant=args.slack_delta)
         payload["deviation"] = {
             "total": str(rep.total),

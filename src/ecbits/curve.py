@@ -297,6 +297,45 @@ def multiples(curve: Curve, P: CurvePoint) -> Iterator[tuple[int, int]]:
         x = x3
 
 
+def mul_int(curve: Curve, n: int, P: CurvePoint) -> CurvePoint:
+    """nP for an F_p point P, by double-and-add on int pairs: the rules of
+    multiples (x1 = x2 doubles, unless y2 = -y1, which gives O) with one
+    inversion mod p per step and no CurvePoint built until the result.
+    P is checked to lie on the curve once, as Curve.mul does."""
+    if not curve.contains(P):
+        raise ValueError(f"point {P} is not on {curve}")
+    if n < 0:
+        n, P = -n, curve.neg(P)
+    if not n or P.is_infinity:
+        return INFINITY
+    p, a = curve.p, curve.a
+
+    def add(P1, P2):  # int pairs, None for O
+        if P1 is None:
+            return P2
+        (x1, y1), (x2, y2) = P1, P2
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            s = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+        else:
+            s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (s * s - x1 - x2) % p
+        return x3, (s * (x1 - x3) - y1) % p
+
+    result, addend = None, (P.x, P.y)
+    while True:
+        if n & 1:
+            result = add(result, addend)
+        n >>= 1
+        if not n:
+            break
+        addend = add(addend, addend)
+        if addend is None:  # 2^i P = O: no later addend adds anything
+            break
+    return INFINITY if result is None else CurvePoint._make(result)
+
+
 def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
     """[O, G, 2G, ..., (o-1)G] for o = ord(G): the walk of multiples for
     an F_p point, repeated addition for an F_p^2 one."""
@@ -321,7 +360,11 @@ def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:
                    for ell in factorize(t))
 
 
-def subgroup_of_order(curve: Curve, t: int, budget: int = 1_000_000) -> list[CurvePoint]:
+SUBGROUP_BUDGET = 1_000_000
+
+
+def subgroup_of_order(curve: Curve, t: int,
+                      budget: int = SUBGROUP_BUDGET) -> list[CurvePoint]:
     """The unique order-t subgroup, O first, then affine points by (x, y).
 
     When E[t] is provably cyclic of order t (see _torsion_cyclic) it is
@@ -629,6 +672,7 @@ def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
 def sample_subgroup_points(
     C: Curve, gen: CurvePoint, t: int, count: int, seed: int
 ) -> list[CurvePoint]:
-    """count seeded random multiples kG, 1 <= k < t, of a generator G."""
+    """count seeded random multiples kG, 1 <= k < t, of a generator G,
+    each by mul_int."""
     rng = random.Random(seed)
-    return [C.mul(rng.randrange(1, t), gen) for _ in range(count)]
+    return [mul_int(C, rng.randrange(1, t), gen) for _ in range(count)]

@@ -157,15 +157,18 @@ def _pattern_counts(tx: list[int], k: int, ell: int, N: int):
     built for the whole orbit, o shifts and o*N adds each, and the last
     level only for the indices asked of the returned function: N
     shift-adds and one unpacking each.  Memory: o ints of at most
-    2^((k-1) ell) slots.
+    2^((k-1) ell) slots.  At k = 1 there is no level to build, and the
+    returned function counts the N windows of iG into a plain histogram.
     """
     o = len(tx)
     mask = (1 << ell) - 1
     windows = [x & mask for x in tx]
+    ns = range(1, N + 1)
+    if k == 1:  # no recursion: the N windows of iG, counted directly
+        return lambda i: _histogram([windows[n * i % o] for n in ns], 1, ell)
     width = 1
     while 8 * width < (N**k).bit_length():
         width *= 2
-    ns = range(1, N + 1)
 
     def shifts(j):  # A_(j-1)(m) goes under the window of tx[m]
         return [(8 * width << (j - 1) * ell) * w for w in windows]
@@ -331,14 +334,19 @@ def bitstream(curve: Curve, R: CurvePoint, k: int, ell: int, N: int) -> str:
     return "".join(format(c, f"0{k * ell}b") for c in codes)
 
 
-def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
-                      N: int, samples: int, seed: int) -> dict:
-    """Average worst-pattern deviation over sampled subgroup points (the
-    exhaustive Delta is out of reach for large t)."""
+def _check_sampled(k: int, samples: int) -> None:
+    """What sampled_deviation accepts: k = 1 and at least one sample."""
     if k != 1:
         raise PreconditionError("sampled deviation sweeps support k = 1")
     if samples < 1:
         raise PreconditionError(f"need samples >= 1, got samples = {samples}")
+
+
+def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
+                      N: int, samples: int, seed: int) -> dict:
+    """Average worst-pattern deviation over sampled subgroup points (the
+    exhaustive Delta is out of reach for large t)."""
+    _check_sampled(k, samples)
     pts = sample_subgroup_points(C, gen, t, samples, seed)
     devs = [_worst_deviation(_histogram(_window_codes(C, R, k, ell, N), k, ell), N)
             / (N << ell) for R in pts]

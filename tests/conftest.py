@@ -2,11 +2,21 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ecbits.curve import INFINITY, Curve
+from ecbits import charsum, cli
+from ecbits.curve import INFINITY, Curve, index_table
 from ecbits.field import field, primes_upto
 
 settings.register_profile("reproducible", derandomize=True)
 settings.load_profile("reproducible")
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with the per-process caches empty, so a test that
+    counts walks or searches does not see an earlier test's work."""
+    for cache in (charsum._orbit_walk, index_table, cli._subgroup,
+                  cli._shared_curve):
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecbits.curve as curve_module
-from ecbits import cli
-from ecbits.charsum import sum_V
+from ecbits import charsum, cli
+from ecbits.charsum import sum_V, x_rows
 from ecbits.curve import (
     Curve,
     ExhaustionError,
     coprime_part,
     factorize,
     find_curve,
+    orbit,
     subgroup_order_for_policy,
 )
 from ecbits.divpoly import DivisionPolynomials
@@ -185,6 +186,32 @@ class TestSumsCommand:
         kinds = {r["experiment"] for r in records}
         assert kinds == {"v", "lemma5"}
 
+    def test_lemma5_sweep_walks_the_subgroup_once(self, tmp_path, monkeypatch):
+        walked = []
+
+        def counting_orbit(curve, G):
+            walked.append(G)
+            return orbit(curve, G)
+
+        monkeypatch.setattr(charsum, "orbit", counting_orbit)
+        rc = cli.main(["sums", "--p", "1009", "--a", "1", "--b", "1",
+                       "--experiments", "lemma5", "--d-max", "7", "--jobs", "1",
+                       "--out", str(tmp_path / "l5")])
+        assert rc == 0
+        records = json.loads((tmp_path / "l5.json").read_text())
+        assert len(records) == 63  # t = 517 = 11 * 47 admits every d <= 7
+        assert len(walked) == 1
+        assert cli._shared_curve.cache_info().misses == 1
+        # the lhs is bit for bit the per-point x_rows formulation
+        C = Curve(field(1009), 1, 1)
+        H = [Q for Q in cli._subgroup(C, 517) if not Q.is_infinity]
+        for rec in records:
+            d, c = rec["inputs"]["d"], rec["inputs"]["c"]
+            total = 0j
+            for xs in x_rows(C, H, d[-1]):
+                total += C.field.psi(sum(ci * xs[di - 1] for ci, di in zip(c, d)))
+            assert rec["lhs"] == abs(total)
+
     def test_collisions_cells(self, tmp_path):
         out = tmp_path / "col"
         rc = cli.main(["sums", "--n-max", "5", "--experiments", "collisions",
@@ -211,6 +238,27 @@ class TestExtractCommand:
     def test_missing_out_is_config_error(self):
         rc = cli.main(["extract", "--p", "7", "--a", "1", "--b", "1"])
         assert rc == 2
+
+    def test_exact_path_searches_one_generator(self, tmp_path, monkeypatch):
+        searched = []
+        search = cli.subgroup_generator
+
+        def counted(C, t):
+            searched.append(t)
+            return search(C, t)
+
+        def no_subgroup(*args, **kwargs):
+            raise AssertionError("H rebuilt by subgroup_of_order")
+
+        monkeypatch.setattr(cli, "subgroup_generator", counted)
+        monkeypatch.setattr(curve_module, "subgroup_generator", counted)
+        monkeypatch.setattr(cli, "subgroup_of_order", no_subgroup)
+        rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
+                       "--ell", "2", "--big-n", "6", "--out", str(tmp_path / "e")])
+        assert rc == 0
+        assert searched == [1579]
+        payload = json.loads((tmp_path / "e.json").read_text())
+        assert len(payload["deviation"]["per_point"]) == 1579
 
     def test_gcd_hypothesis_violation_named(self, tmp_path, capsys, monkeypatch,
                                             micro_curve, micro_points):
@@ -367,6 +415,15 @@ class TestBadInput:
           "--slack-delta", "1e200", "--out", "{tmp}/x"],
          "--slack-delta 1e+200 takes the deviation bound or the ratio to it "
          "out of the float range"),
+        # N^k = 9,998,244 codes: the stream alone took 30 s and 1.3 GB
+        (["extract", "--p-min", "5000", "--p-max", "5200", "--t-policy", "prime",
+          "--k", "2", "--ell", "4", "--big-n", "3162", "--delta-budget", "1",
+          "--samples", "1", "--out", "{tmp}/x"],
+         "sampled deviation sweeps support k = 1"),
+        # E = Z/2 x Z/2: three subgroups of order 2
+        (["extract", "--p", "7", "--a", "0", "--b", "6", "--t-policy", "prime",
+          "--big-n", "1", "--out", "{tmp}/x"],
+         "no unique subgroup of order 2: kernel of [t] has 4 points"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -398,6 +455,7 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.count("\n") == 1 and message in err
+        assert not list(tmp_path.glob("*.bits"))
 
     @pytest.mark.parametrize("flags", [
         ["--experiments", "u", "--big-n", "1"],
@@ -434,6 +492,21 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.count("\n") == 1 and message in err
+        assert not list(tmp_path.iterdir())
+
+    def test_subgroup_budget_exit_3_before_any_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("generator search before the subgroup budget")
+
+        monkeypatch.setattr(cli, "subgroup_generator", no_work)
+        monkeypatch.setattr(cli, "SUBGROUP_BUDGET", 1000)
+        rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3",
+                       "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == ("resource budget exceeded: t = 1579 exceeds subgroup "
+                       "budget 1000\n")
         assert not list(tmp_path.iterdir())
 
     def test_lemma5_cell_budget_edges(self):

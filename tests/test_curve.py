@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from conftest import add_walk_orbit, small_curves
@@ -19,9 +20,11 @@ from ecbits.curve import (
     group_structure,
     index_table,
     multiples,
+    mul_int,
     orbit,
     order_over,
     rational_division_points,
+    sample_subgroup_points,
     subgroup_generator,
     subgroup_of_order,
 )
@@ -373,6 +376,41 @@ class TestOrbitProperties:
             else:
                 with pytest.raises(PreconditionError):
                     subgroup_generator(C, t)
+
+
+class TestMulInt:
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves(), st.integers(-10**6, 10**6))
+    @example(NON_CYCLIC, 0)
+    @example(NON_CYCLIC, 5)  # three points of order 2
+    @example(MIXED_PATHS, 7)
+    @example(MIXED_PATHS, -13)
+    def test_equals_mul(self, C, n):
+        for P in C.enumerate_points():  # O first, and every 2-torsion point
+            Q = mul_int(C, n, P)
+            assert type(Q) is CurvePoint and Q == C.mul(n, P)
+            assert Q.is_infinity or (type(Q.x) is int and type(Q.y) is int)
+
+    def test_two_torsion_and_zero(self):
+        C = NON_CYCLIC
+        torsion = [P for P in C.enumerate_points() if not P.is_infinity]
+        assert len(torsion) == 3 and all(P.y == 0 for P in torsion)
+        for P in [INFINITY, *torsion]:
+            assert mul_int(C, 0, P) == INFINITY
+            assert mul_int(C, 2, P) == mul_int(C, -4, P) == INFINITY
+            assert mul_int(C, 3, P) == mul_int(C, -1, P) == P
+        assert mul_int(C, 10**6, INFINITY) == INFINITY
+
+    def test_rejects_point_off_curve(self, micro_curve):
+        with pytest.raises(ValueError):
+            mul_int(micro_curve, 3, CurvePoint(0, 0))
+
+    def test_samples_are_the_seeded_multiples(self):
+        C = Curve(field(1009), 1, 1)
+        gen = subgroup_generator(C, 517)
+        rng = random.Random(7)
+        want = [C.mul(rng.randrange(1, 517), gen) for _ in range(50)]
+        assert sample_subgroup_points(C, gen, 517, 50, 7) == want
 
 
 class TestDivisionPoints:
