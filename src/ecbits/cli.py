@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 # library names below, as attributes of this module.
 from .charsum import (
     BoundReport,
-    check_coprime_to_factorial,
     count_product_collisions,
     subgroup_sum,
     sum_U,
@@ -49,7 +48,6 @@ from .curve import (
 from .divpoly import DivisionPolynomials
 from .extract import (
     _check_code_budget,
-    _check_sampled,
     _check_window,
     bitstream,
     delta,
@@ -94,18 +92,11 @@ def write_records(records: list[dict], out_prefix: str) -> None:
 # -- curves from options ---------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8, typed=True)
-def _shared_curve(p: int, a: int, b: int) -> Curve:
-    """One Curve per (p, a, b) per process, so every cell of a sweep reads
-    the #E that the first one counted."""
-    return Curve(field(p), a, b)
-
-
 def _curve_from_inputs(inputs: dict) -> Curve:
     """The curve named by p, a, b in options or a report record; an
     unusable one is a configuration error."""
     try:
-        return _shared_curve(inputs["p"], inputs["a"], inputs["b"])
+        return Curve(field(inputs["p"]), inputs["a"], inputs["b"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -381,17 +372,18 @@ def run_sums(args) -> int:
 
 
 def run_extract(args) -> int:
+    # every result exists before the first output file is opened, so the
+    # library's own checks in delta and sampled_deviation refuse a run
+    # without leaving a file behind
     if args.out is None:
         raise ConfigError("--out is required for extract")
     _check_code_budget(args.k, args.big_n)  # before the curve search
     C, t = _curve_and_t(args)
     if t < 2:
         raise ConfigError(f"subgroup policy produced trivial t = {t}")
-    check_coprime_to_factorial(t, args.big_n)
-    if C.p <= args.k:
-        raise PreconditionError(f"need p > k, got p = {C.p}, k = {args.k}")
     _check_window(C.p, args.k, args.ell, args.big_n)
-    if t <= args.delta_budget:
+    exact = t <= args.delta_budget
+    if exact:
         # a positive finite C can still take (C log p)^k, or the ratio of
         # Delta <= t N^k to the bound, out of the float range
         try:
@@ -408,25 +400,11 @@ def run_extract(args) -> int:
             raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
         if not _torsion_cyclic(C, C.order(), t):
             subgroup_of_order(C, t)
-    else:
-        _check_sampled(args.k, args.samples)
     gen = subgroup_generator(C, t)
-    stream = bitstream(C, gen, args.k, args.ell, args.big_n)
-    with open(args.out + ".bits", "wb") as fh:
-        fh.write(pack_bits(stream))
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "experiment": "extract",
-        "inputs": {"p": C.p, "a": C.a, "b": C.b, "k": args.k, "ell": args.ell,
-                   "N": args.big_n, "t": t, "t_policy": args.t_policy,
-                   "seed": args.seed},
-        "stream_bits": len(stream),
-        "generator": repr(gen),
-    }
-    if t <= args.delta_budget:
+    if exact:
         rep = delta(C, orbit(C, gen), args.k, args.ell, args.big_n,
                     bound_constant=args.slack_delta)
-        payload["deviation"] = {
+        key, deviation = "deviation", {
             "total": str(rep.total),
             "total_float": float(rep.total),
             "total_excluding_infinity": str(rep.total_excluding_infinity),
@@ -437,9 +415,22 @@ def run_extract(args) -> int:
             "per_point": [(s, str(v)) for s, v in rep.per_point],
         }
     else:
-        rows = sampled_deviation(C, gen, t, args.k, args.ell, args.big_n,
-                                 args.samples, args.seed)
-        payload["deviation_sampled"] = rows
+        key, deviation = "deviation_sampled", sampled_deviation(
+            C, gen, t, args.k, args.ell, args.big_n, args.samples, args.seed)
+    stream = bitstream(C, gen, args.k, args.ell, args.big_n)
+    packed = pack_bits(stream)
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "experiment": "extract",
+        "inputs": {"p": C.p, "a": C.a, "b": C.b, "k": args.k, "ell": args.ell,
+                   "N": args.big_n, "t": t, "t_policy": args.t_policy,
+                   "seed": args.seed},
+        "stream_bits": len(stream),
+        "generator": repr(gen),
+        key: deviation,
+    }
+    with open(args.out + ".bits", "wb") as fh:
+        fh.write(packed)
     with open(args.out + ".json", "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {args.out}.bits ({len(stream)} bits) and {args.out}.json")

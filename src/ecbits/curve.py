@@ -72,10 +72,13 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+ENUMERATION_BUDGET = 1_000_000
+
+
 class Curve:
     """y^2 = x^3 + a*x + b over F_p, p > 3 prime, 4a^3 + 27b^2 != 0."""
 
-    __slots__ = ("field", "a", "b", "_order")
+    __slots__ = ("field", "a", "b")
 
     def __init__(self, field: PrimeField, a: int, b: int):
         p = field.p
@@ -88,7 +91,6 @@ class Curve:
         self.field = field
         self.a = a
         self.b = b
-        self._order: int | None = None
 
     @property
     def p(self) -> int:
@@ -186,20 +188,22 @@ class Curve:
         """x(P) with the formal convention x(O) = 0."""
         return 0 if P.is_infinity else P.x
 
+    @functools.lru_cache(maxsize=8)
     def order(self) -> int:
         """#E(F_p) = p + 1 + sum_u chi(u^3 + a*u + b).
 
         Each u occurs as an x-coordinate exactly 1 + chi(rhs(u)) times,
-        so the complete character sum counts the affine points.
+        so the complete character sum counts the affine points.  The
+        count is kept for the process by curve value (a Curve equals and
+        hashes as its (p, a, b)), so a curve search, the cells of a sweep
+        and a report replay count each curve once.
         """
-        if self._order is None:
-            p, a, b = self.p, self.a, self.b
-            chi = self.field.chi_table()
-            total = 0
-            for u in range(p):
-                total += chi[(u * u % p * u + a * u + b) % p]
-            self._order = p + 1 + total
-        return self._order
+        p, a, b = self.p, self.a, self.b
+        chi = self.field.chi_table()
+        total = 0
+        for u in range(p):
+            total += chi[(u * u % p * u + a * u + b) % p]
+        return p + 1 + total
 
     def is_ordinary(self) -> bool:
         """For p >= 5 a curve over F_p is supersingular iff #E = p + 1."""
@@ -216,11 +220,11 @@ class Curve:
         y = self.field.sqrt(w)
         return [CurvePoint(u, y), CurvePoint(u, self.p - y)]
 
-    def enumerate_points(self, budget: int = 1_000_000) -> list[CurvePoint]:
+    def enumerate_points(self) -> list[CurvePoint]:
         """All rational points, O first, then affine sorted by (x, y)."""
-        if self.order() > budget:
+        if self.order() > ENUMERATION_BUDGET:
             raise ResourceBudgetError(
-                f"#E = {self.order()} exceeds enumeration budget {budget}"
+                f"#E = {self.order()} exceeds enumeration budget {ENUMERATION_BUDGET}"
             )
         pts = [INFINITY]
         for u in range(self.p):
@@ -363,15 +367,14 @@ def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:
 SUBGROUP_BUDGET = 1_000_000
 
 
-def subgroup_of_order(curve: Curve, t: int,
-                      budget: int = SUBGROUP_BUDGET) -> list[CurvePoint]:
+def subgroup_of_order(curve: Curve, t: int) -> list[CurvePoint]:
     """The unique order-t subgroup, O first, then affine points by (x, y).
 
     When E[t] is provably cyclic of order t (see _torsion_cyclic) it is
-    the orbit of a point of order t: t additions, and t must not exceed
-    budget.  Otherwise it is E[t](F_p), read from the index table by
-    rational_division_points (#E must not exceed budget), and t is
-    accepted only when that kernel has exactly t elements.
+    the orbit of a point of order t: t <= SUBGROUP_BUDGET additions.
+    Otherwise it is E[t](F_p), read from the index table by
+    rational_division_points (#E <= SUBGROUP_BUDGET), and t is accepted
+    only when that kernel has exactly t elements.
     """
     if t < 1:
         raise ValueError("subgroup order must be positive")
@@ -381,10 +384,10 @@ def subgroup_of_order(curve: Curve, t: int,
     if t == 1:
         return [INFINITY]
     if _torsion_cyclic(curve, n, t):
-        if t > budget:
-            raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {budget}")
+        if t > SUBGROUP_BUDGET:
+            raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
         return sorted(orbit(curve, subgroup_generator(curve, t)), key=_point_key)
-    H = rational_division_points(curve, t, INFINITY, budget=budget)
+    H = rational_division_points(curve, t, INFINITY, budget=SUBGROUP_BUDGET)
     if len(H) != t:
         raise PreconditionError(
             f"no unique subgroup of order {t}: kernel of [t] has {len(H)} points"
@@ -640,11 +643,14 @@ def _prime_subgroup_unique(C: Curve, n: int, ell: int) -> bool:
         return False
 
 
-def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
-    """A point of exact order t from the scanned points P: (#E/t)P when
-    that has order t, else (ord(P)/t)P when t | ord(P).  The second
-    candidate finds order t where the first cannot, on E = Z/d1 x Z/d2
-    with gcd(t, d1) > 1."""
+GENERATOR_TRIES = 500
+
+
+def subgroup_generator(C: Curve, t: int) -> CurvePoint:
+    """A point of exact order t from the first GENERATOR_TRIES scanned
+    points P: (#E/t)P when that has order t, else (ord(P)/t)P when
+    t | ord(P).  The second candidate finds order t where the first
+    cannot, on E = Z/d1 x Z/d2 with gcd(t, d1) > 1."""
     n = C.order()
     if n % t:
         raise PreconditionError(f"t = {t} does not divide #E = {n}")
@@ -662,9 +668,9 @@ def subgroup_generator(C: Curve, t: int, max_tries: int = 500) -> CurvePoint:
                 if not G.is_infinity:
                     return G
             tries += 1
-            if tries >= max_tries:
+            if tries >= GENERATOR_TRIES:
                 raise PreconditionError(
-                    f"no point of order {t} within {max_tries} candidates"
+                    f"no point of order {t} within {GENERATOR_TRIES} candidates"
                 )
     raise PreconditionError(f"no point of order {t} on {C}")
 

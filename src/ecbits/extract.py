@@ -22,7 +22,6 @@ from .charsum import (
     _t_sum,
     check_coprime_to_factorial,
     orbit_tables,
-    prefix_products,
     x_multiples,
 )
 from .curve import (
@@ -116,10 +115,13 @@ def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
     windows = [x & mask for x in xs]
     if k == 1:  # n_1 = 1..N in order, so the codes are the windows
         return windows
-    walk = prefix_products(N, k)
-    codes = [0] * len(walk)
+    # the codes and products n_1...n_j of [1,N]^j, level by level
+    ns = range(1, N + 1)
+    codes, prods = [0], [1]
     for j in range(k):
-        codes = [c << ell | windows[prods[j] - 1] for c, prods in zip(codes, walk)]
+        codes = [c << ell | windows[m * n - 1] for c, m in zip(codes, prods) for n in ns]
+        if j < k - 1:
+            prods = [m * n for m in prods for n in ns]
     return codes
 
 
@@ -331,22 +333,21 @@ def bitstream(curve: Curve, R: CurvePoint, k: int, ell: int, N: int) -> str:
     if R.is_infinity:
         raise ValueError("the infinity orbit is degenerate; pick R != O")
     codes = _window_codes(curve, R, k, ell, N)
-    return "".join(format(c, f"0{k * ell}b") for c in codes)
-
-
-def _check_sampled(k: int, samples: int) -> None:
-    """What sampled_deviation accepts: k = 1 and at least one sample."""
-    if k != 1:
-        raise PreconditionError("sampled deviation sweeps support k = 1")
-    if samples < 1:
-        raise PreconditionError(f"need samples >= 1, got samples = {samples}")
+    # one string per distinct code: at most 2^(k*ell), and at most N^k
+    bits = {c: format(c, f"0{k * ell}b") for c in set(codes)}
+    return "".join(map(bits.__getitem__, codes))
 
 
 def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
                       N: int, samples: int, seed: int) -> dict:
     """Average worst-pattern deviation over sampled subgroup points (the
-    exhaustive Delta is out of reach for large t)."""
-    _check_sampled(k, samples)
+    exhaustive Delta is out of reach for large t); k = 1 only, and like
+    delta it needs gcd(N!, t) = 1."""
+    if k != 1:
+        raise PreconditionError("sampled deviation sweeps support k = 1")
+    if samples < 1:
+        raise PreconditionError(f"need samples >= 1, got samples = {samples}")
+    check_coprime_to_factorial(t, N)
     pts = sample_subgroup_points(C, gen, t, samples, seed)
     devs = [_worst_deviation(_histogram(_window_codes(C, R, k, ell, N), k, ell), N)
             / (N << ell) for R in pts]
@@ -378,13 +379,11 @@ def deviation_trend(primes: list[int], N: int = 32, ells: tuple[int, ...] = (1, 
 def pack_bits(stream: str) -> bytes:
     """Pack a bit string into bytes, little-endian within each byte: bit
     i of the stream lands in byte i // 8 at bit position i % 8."""
-    out = bytearray((len(stream) + 7) // 8)
-    for i, ch in enumerate(stream):
-        if ch == "1":
-            out[i // 8] |= 1 << (i % 8)
-        elif ch != "0":
-            raise ValueError(f"bad bit {ch!r}")
-    return bytes(out)
+    bad = stream.translate(str.maketrans("", "", "01"))
+    if bad:
+        raise ValueError(f"bad bit {bad[0]!r}")
+    # reversed, bit i of the stream is bit i of one int
+    return int(stream[::-1] or "0", 2).to_bytes((len(stream) + 7) // 8, "little")
 
 
 @dataclass

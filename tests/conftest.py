@@ -15,7 +15,7 @@ def cold_caches():
     """Start every test with the per-process caches empty, so a test that
     counts walks or searches does not see an earlier test's work."""
     for cache in (charsum._orbit_walk, index_table, cli._subgroup,
-                  cli._shared_curve):
+                  Curve.order):
         cache.cache_clear()
 
 

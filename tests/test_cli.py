@@ -22,7 +22,13 @@ from ecbits.curve import (
 )
 from ecbits.divpoly import DivisionPolynomials
 from ecbits.extract import deviation_trend
-from ecbits.field import PreconditionError, ResourceBudgetError, field, primes_upto
+from ecbits.field import (
+    PreconditionError,
+    PrimeField,
+    ResourceBudgetError,
+    field,
+    primes_upto,
+)
 from ecbits.poly import Poly
 
 
@@ -201,7 +207,7 @@ class TestSumsCommand:
         records = json.loads((tmp_path / "l5.json").read_text())
         assert len(records) == 63  # t = 517 = 11 * 47 admits every d <= 7
         assert len(walked) == 1
-        assert cli._shared_curve.cache_info().misses == 1
+        assert Curve.order.cache_info().misses == 1  # #E counted once
         # the lhs is bit for bit the per-point x_rows formulation
         C = Curve(field(1009), 1, 1)
         H = [Q for Q in cli._subgroup(C, 517) if not Q.is_infinity]
@@ -211,6 +217,24 @@ class TestSumsCommand:
             for xs in x_rows(C, H, d[-1]):
                 total += C.field.psi(sum(ci * xs[di - 1] for ci, di in zip(c, d)))
             assert rec["lhs"] == abs(total)
+
+    def test_range_sweep_counts_the_found_curve_once(self, tmp_path, monkeypatch):
+        counted = []
+        chi_table = PrimeField.chi_table
+
+        def counting_chi_table(F):  # read once per #E chi sum
+            counted.append(F.p)
+            return chi_table(F)
+
+        monkeypatch.setattr(PrimeField, "chi_table", counting_chi_table)
+        rc = cli.main(["sums", "--p-min", "1000", "--p-max", "1100",
+                       "--experiments", "lemma5", "--d-max", "1", "--s-max", "1",
+                       "--jobs", "1", "--out", str(tmp_path / "l5")])
+        assert rc == 0
+        records = json.loads((tmp_path / "l5.json").read_text())
+        assert [(r["inputs"]["p"], r["inputs"]["a"], r["inputs"]["b"])
+                for r in records] == [(1009, 1, 1)]  # the first candidate
+        assert counted == [1009]
 
     def test_collisions_cells(self, tmp_path):
         out = tmp_path / "col"
@@ -424,6 +448,9 @@ class TestBadInput:
         (["extract", "--p", "7", "--a", "0", "--b", "6", "--t-policy", "prime",
           "--big-n", "1", "--out", "{tmp}/x"],
          "no unique subgroup of order 2: kernel of [t] has 4 points"),
+        # refused by delta, after the generator search
+        (["extract", "--p", "7", "--a", "1", "--b", "1", "--k", "7", "--big-n", "4",
+          "--out", "{tmp}/x"], "need p > k, got p = 7, k = 7"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -456,6 +483,9 @@ class TestBadInput:
         assert rc == 2
         assert err.count("\n") == 1 and message in err
         assert not list(tmp_path.glob("*.bits"))
+        if argv[0] == "extract":
+            assert not (tmp_path / "x.bits").exists()
+            assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--experiments", "u", "--big-n", "1"],

@@ -25,6 +25,7 @@ from ecbits.extract import (
     fourier_count_A,
     lsb_string,
     pack_bits,
+    sampled_deviation,
 )
 from ecbits.field import PreconditionError, ResourceBudgetError, field
 
@@ -179,7 +180,9 @@ class TestDelta:
             delta(micro_curve, micro_points, 1, 1, 5)
         with pytest.raises(PreconditionError) as from_v:
             sum_V(micro_curve, micro_points, (1,), 5)
-        assert str(from_delta.value) == str(from_v.value)
+        with pytest.raises(PreconditionError) as from_sampled:
+            sampled_deviation(micro_curve, CurvePoint(0, 1), 5, 1, 1, 5, 1, 0)
+        assert str(from_delta.value) == str(from_v.value) == str(from_sampled.value)
 
     def test_p_greater_than_k_named(self, micro_curve, micro_points):
         with pytest.raises(PreconditionError, match="p > k"):
@@ -384,8 +387,15 @@ class TestPackBits:
         assert pack_bits("1100000001") == bytes([0x03, 0x02])
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad bit 'x'"):
             pack_bits("01x")
+
+    @given(st.text("01", max_size=70))
+    def test_matches_per_bit_loop(self, stream):
+        out = bytearray((len(stream) + 7) // 8)
+        for i, ch in enumerate(stream):
+            out[i // 8] |= (ch == "1") << (i % 8)
+        assert pack_bits(stream) == bytes(out)
 
 
 class TestChiSquare:
