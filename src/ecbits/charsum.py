@@ -4,12 +4,14 @@ against the proved bounds.
 S sums the quadratic character of x(nP)x(nQ); U aggregates |S|^2 over
 all point pairs.  x_multiples walks the multiples of one point;
 orbit_tables reads one x table per cyclic subgroup that a point set
-meets, from a walk kept per process, and x_rows reads every point's
-multiples from it.  T is the multiplicative-product additive-character
-sum; V aggregates |T|^2 over a subgroup.  The subgroup exponential sum
-and the product-collision count back the two proof devices.  Every
-integer-valued quantity is computed exactly; complex accumulation uses
-a fixed summation order so results are reproducible bit for bit.
+meets, from a walk kept per process (orbit_points lists the points of
+one), and x_rows reads every point's multiples from it.  T is the
+multiplicative-product additive-character sum, its psi arguments built
+level by level over [1,N]^k by prefix_sums; V aggregates |T|^2 over a
+subgroup.  The subgroup exponential sum and the product-collision
+count back the two proof devices.  Every integer-valued quantity is
+computed exactly; complex accumulation uses a fixed summation order so
+results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -69,6 +72,23 @@ def prefix_products(N: int, k: int, lo: int = 1) -> list[tuple[int, ...]]:
     return walk
 
 
+def prefix_sums(tables: list[list[int]], N: int) -> list[int]:
+    """sum_j tables[j][n_1...n_(j+1) - 1] for every index tuple
+    (n_1..n_k) in [1,N]^k, k = len(tables), in itertools.product order;
+    tables[j] needs its first N^(j+1) entries.
+
+    Built level by level: the sums and products n_1...n_j of [1,N]^j,
+    N^j of each, extended by one index per level, with no k-tuple built.
+    """
+    ns = range(1, N + 1)
+    sums, prods = [0], [1]
+    for j, table in enumerate(tables):
+        sums = [s + table[m * n - 1] for s, m in zip(sums, prods) for n in ns]
+        if j < len(tables) - 1:
+            prods = [m * n for m in prods for n in ns]
+    return sums
+
+
 def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
     """[x(P), x(2P), ..., x(count*P)] with the x(O) = 0 convention, for
     an F_p point P: at most count steps of the walk of multiples, and
@@ -87,6 +107,13 @@ def _orbit_walk(curve: Curve, G: CurvePoint) -> tuple[tuple, dict]:
     of a sweep over one subgroup reads the same walk."""
     orb = orbit(curve, G)
     return tuple(map(curve.x_formal, orb)), {Q: j for j, Q in enumerate(orb)}
+
+
+def orbit_points(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
+    """[O, G, ..., (o-1)G], read from the walk _orbit_walk keeps for
+    (curve, G): orbit_tables over these points, G met before any other
+    point of <G>, walks nothing more."""
+    return list(_orbit_walk(curve, G)[1])
 
 
 def orbit_tables(curve: Curve, points: Iterable[CurvePoint],
@@ -136,7 +163,10 @@ def sum_U(
 ) -> tuple[int, BoundReport]:
     """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exactly, through
     the proof's rearrangement: expanding the square and swapping the sums
-    gives sum_{m,n<=N} |sum_P chi(x(mP)x(nP))|^2, N^2 #E lookups.
+    gives sum_{m,n<=N} W(m, n)^2 with W(m, n) = sum_P chi(x(mP)x(nP)).
+    W is symmetric, so only the N(N+1)/2 pairs m <= n are summed, each
+    over the columns [x(mP)]_P and [x(nP)]_P: #E lookups per pair, and
+    the off-diagonal squares count twice.
 
     Reported against the N^6 q + N q^2 bound.
     """
@@ -146,12 +176,13 @@ def sum_U(
     ne = curve.order()
     if ne * N * N > budget:
         raise ResourceBudgetError(f"#E * N^2 = {ne * N * N} exceeds budget {budget}")
-    chi = curve.field.chi_table()
-    pairs = [(m, n) for m in range(N) for n in range(N)]
-    inner = [0] * len(pairs)  # sum_P chi(x(mP)x(nP)) for each (m, n)
-    for xs in x_rows(curve, curve.enumerate_points(), N):
-        inner = [s + chi[xs[m] * xs[n] % q] for s, (m, n) in zip(inner, pairs)]
-    total = sum(s * s for s in inner)
+    lookup = curve.field.chi_table().__getitem__
+    cols = list(zip(*x_rows(curve, curve.enumerate_points(), N)))
+    total = 0
+    for m, xm in enumerate(cols):
+        for n in range(m, N):
+            w = sum(map(lookup, [a * b % q for a, b in zip(xm, cols[n])]))
+            total += w * w if m == n else 2 * w * w
     report = BoundReport(
         lhs=float(total),
         rhs_terms=[("N^6*q", float(N**6 * q)), ("N*q^2", float(N * q * q))],
@@ -191,15 +222,13 @@ def _t_sum(curve: Curve, c: tuple[int, ...], R: CurvePoint, N: int) -> complex:
     if N**k > 1_000_000:
         raise ResourceBudgetError(f"N^k = {N**k} exceeds the term budget")
     p = curve.p
-    F = curve.field
     xs = x_multiples(curve, R, N**k)
-    c = tuple(v % p for v in c)
+    # tables[j][m - 1] = c_(j+1) x(mR) mod p, read at m = n_1...n_(j+1)
+    tables = [[cj % p * x % p for x in xs[:N ** (j + 1)]] for j, cj in enumerate(c)]
+    args = [a % p for a in prefix_sums(tables, N)]
     total = 0j
-    for prods in prefix_products(N, k):
-        arg = 0
-        for j in range(k):
-            arg += c[j] * xs[prods[j] - 1]
-        total += F.psi(arg)
+    for value in map(curve.field.psi_memo.__getitem__, args):
+        total += value
     return total
 
 
@@ -273,7 +302,8 @@ def subgroup_sum(
     an ordinary curve.  Reported against s D^2 sqrt(p), D = d_s.
 
     Cost: that of orbit_tables (no walk when H's orbit was walked before
-    in this process), then s table reads and one psi per point."""
+    in this process), then s table reads and one psi memo read per
+    point."""
     s = len(d)
     if s == 0 or len(c) != s:
         raise PreconditionError("need matching nonempty d and c tuples")
@@ -288,14 +318,16 @@ def subgroup_sum(
         raise PreconditionError(f"gcd(t, d_1...d_s) = {math.gcd(t, prod_d)} != 1")
     if not curve.is_ordinary():
         raise PreconditionError("the bound requires an ordinary curve")
-    F = curve.field
     D = d[-1]
-    total = 0j
     # Q = jG on the orbit table tx of G, so x(d_i Q) = tx[d_i j mod o]
-    for tx, j in orbit_tables(curve, [Q for Q in H if not Q.is_infinity],
-                              lambda tx: tx):
-        o = len(tx)
-        total += F.psi(sum(c[i] * tx[d[i] * j % o] for i in range(s)))
+    rows = list(orbit_tables(curve, [Q for Q in H if not Q.is_infinity],
+                             lambda tx: tx))
+    args = [0] * len(rows)
+    for ci, di in zip(c, d):
+        args = [a + ci * tx[di * j % len(tx)] for a, (tx, j) in zip(args, rows)]
+    total = 0j
+    for value in map(curve.field.psi_memo.__getitem__, [a % p for a in args]):
+        total += value
     report = BoundReport(
         lhs=abs(total),
         rhs_terms=[("s*D^2*sqrt(p)", s * D * D * math.sqrt(p))],
@@ -308,7 +340,13 @@ def count_product_collisions(
 ) -> int:
     """Exact count of index pairs (m_1..m_k), (n_1..n_k) in [2,N]^2k whose
     partial-product vectors collide at some position with a nonzero
-    coefficient; the proof shows this is at most k N^(2k-1)."""
+    coefficient; the proof shows this is at most k N^(2k-1).
+
+    By inclusion-exclusion over the nonempty subsets S of the support,
+    the count is sum_S (-1)^(|S|+1) sum_key cnt_S[key]^2, where cnt_S
+    counts the index tuples by their partial products at the positions
+    of S.  Cost: 2^|support| (N-1)^k, held to the budget.
+    """
     if k < 1 or len(c) != k:
         raise ValueError("need a length-k coefficient tuple")
     if N < 1:
@@ -318,14 +356,14 @@ def count_product_collisions(
         raise PreconditionError("coefficient vector must be nonzero")
     if N < 2:
         return 0
-    if k * (N - 1) ** (2 * k) > budget:
+    if 2 ** len(support) * (N - 1) ** k > budget:
         raise ResourceBudgetError("collision enumeration exceeds budget")
     prods = prefix_products(N, k, lo=2)
     count = 0
-    for mv in prods:
-        for nv in prods:
-            if any(mv[j] == nv[j] for j in support):
-                count += 1
+    for size in range(1, len(support) + 1):
+        for S in itertools.combinations(support, size):
+            cnt = Counter(tuple(v[j] for j in S) for v in prods)
+            count += (-1) ** (size + 1) * sum(n * n for n in cnt.values())
     bound = k * N ** (2 * k - 1)
     if count > bound:
         raise RuntimeError(f"{count} collisions exceed the proved bound "

@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .charsum import (
     BoundReport,
     count_product_collisions,
+    orbit_points,
     subgroup_sum,
     sum_U,
     sum_V,
@@ -40,7 +41,6 @@ from .curve import (
     _torsion_cyclic,
     find_curve,
     group_structure,  # noqa: F401
-    orbit,
     subgroup_generator,
     subgroup_of_order,
     subgroup_order_for_policy,
@@ -402,7 +402,7 @@ def run_extract(args) -> int:
             subgroup_of_order(C, t)
     gen = subgroup_generator(C, t)
     if exact:
-        rep = delta(C, orbit(C, gen), args.k, args.ell, args.big_n,
+        rep = delta(C, orbit_points(C, gen), args.k, args.ell, args.big_n,
                     bound_constant=args.slack_delta)
         key, deviation = "deviation", {
             "total": str(rep.total),

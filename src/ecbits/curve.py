@@ -221,7 +221,12 @@ class Curve:
         return [CurvePoint(u, y), CurvePoint(u, self.p - y)]
 
     def enumerate_points(self) -> list[CurvePoint]:
-        """All rational points, O first, then affine sorted by (x, y)."""
+        """All rational points, O first, then affine sorted by (x, y): a
+        fresh list of the points _points keeps per curve value."""
+        return list(self._points())
+
+    @functools.lru_cache(maxsize=8)
+    def _points(self) -> tuple[CurvePoint, ...]:
         if self.order() > ENUMERATION_BUDGET:
             raise ResourceBudgetError(
                 f"#E = {self.order()} exceeds enumeration budget {ENUMERATION_BUDGET}"
@@ -231,7 +236,7 @@ class Curve:
             row = self.points_by_x(u)
             row.sort(key=lambda P: P.y)
             pts.extend(row)
-        return pts
+        return tuple(pts)
 
     def point_order(self, P: CurvePoint, _factors=None, order: int | None = None) -> int:
         """Order of P, dividing order (default #E(F_p); pass #E(F_p^2) for a

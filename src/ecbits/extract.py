@@ -22,6 +22,7 @@ from .charsum import (
     _t_sum,
     check_coprime_to_factorial,
     orbit_tables,
+    prefix_sums,
     x_multiples,
 )
 from .curve import (
@@ -115,14 +116,9 @@ def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
     windows = [x & mask for x in xs]
     if k == 1:  # n_1 = 1..N in order, so the codes are the windows
         return windows
-    # the codes and products n_1...n_j of [1,N]^j, level by level
-    ns = range(1, N + 1)
-    codes, prods = [0], [1]
-    for j in range(k):
-        codes = [c << ell | windows[m * n - 1] for c, m in zip(codes, prods) for n in ns]
-        if j < k - 1:
-            prods = [m * n for m in prods for n in ns]
-    return codes
+    # the fields do not overlap, so the code is the sum of the shifted windows
+    return prefix_sums([[w << (k - 1 - j) * ell for w in windows[:N ** (j + 1)]]
+                        for j in range(k)], N)
 
 
 def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
@@ -282,21 +278,22 @@ def delta(
     """Delta_{k,ell}(H, N): the sum over R in H of the worst deviation of
     the pattern count from N^k / 2^(k*ell), taken over all patterns.
 
-    H is treated as a set (order never matters); the sum includes the
-    point at infinity, whose degenerate all-zero orbit is also reported
-    separately via total_excluding_infinity.  H need not be a subgroup:
-    every nR lies in the orbit of R, so the counts of R read that orbit
-    alone.
+    H is treated as a set, reported with its points sorted; the sum
+    includes the point at infinity, whose degenerate all-zero orbit is
+    also reported separately via total_excluding_infinity.  H need not
+    be a subgroup: every nR lies in the orbit of R, so the counts of R
+    read that orbit alone.
 
-    Cost: one walk of ord(R) additions per cyclic subgroup <R> met (at
-    most |H| each when H is a subgroup), then the prefix-product
-    recursion of _pattern_counts on its x table: at most k*N shift-adds
-    per orbit point, with one packed int of at most 2^((k-1) ell) slots
-    per orbit point held at a time.
+    Cost: one walk of ord(R) additions per cyclic subgroup <R> met, from
+    the first point R of H in it (at most |H| each when H is a subgroup,
+    and none when H is charsum.orbit_points of a generator), then the
+    prefix-product recursion of _pattern_counts on its x table: at most
+    k*N shift-adds per orbit point, with one packed int of at most
+    2^((k-1) ell) slots per orbit point held at a time.
     """
     p = curve.p
-    points = sorted(set(H), key=_point_key)
-    t = len(points)
+    met = list(dict.fromkeys(H))  # the points of H, in the order given
+    t = len(met)
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
     _check_window(p, k, ell, N)
@@ -304,9 +301,10 @@ def delta(
     size = 1 << (k * ell)
     per_point = []
     total = total_wo_o = 0  # numerators over 2^(k*ell)
-    tables = orbit_tables(curve, points,
-                          lambda tx: _pattern_counts(tx, k, ell, N))
-    for R, (counts_at, j) in zip(points, tables):
+    tables = dict(zip(met, orbit_tables(
+        curve, met, lambda tx: _pattern_counts(tx, k, ell, N))))
+    for R in sorted(met, key=_point_key):
+        counts_at, j = tables[R]
         worst = _worst_deviation(counts_at(j), N**k)
         per_point.append((repr(R), Fraction(worst, size)))
         total += worst

@@ -65,10 +65,26 @@ def primes_upto(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
+class PsiMemo(dict):
+    """psi(u) by residue u in [0, p), each filled on first use through
+    PrimeField.psi and kept with the field: memory grows with the
+    residues met, never to a length-p table."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: "PrimeField"):
+        super().__init__()
+        self.field = field
+
+    def __missing__(self, u: int) -> complex:
+        value = self[u] = self.field.psi(u)
+        return value
+
+
 class PrimeField:
     """The prime field F_p for an odd prime p < 2**31."""
 
-    __slots__ = ("p", "_chi_table", "_nonresidue")
+    __slots__ = ("p", "_chi_table", "_nonresidue", "psi_memo")
 
     def __init__(self, p: int):
         if not 2 < p < MAX_MODULUS:
@@ -78,6 +94,7 @@ class PrimeField:
         self.p = p
         self._chi_table: list[int] | None = None
         self._nonresidue: int | None = None
+        self.psi_memo = PsiMemo(self)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -335,5 +352,6 @@ class Fp2:
 
 @lru_cache(maxsize=None)
 def field(p: int) -> PrimeField:
-    """Shared PrimeField instances, so chi tables are built once per modulus."""
+    """Shared PrimeField instances, so chi tables and psi memos are built
+    once per modulus."""
     return PrimeField(p)

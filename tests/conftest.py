@@ -13,9 +13,11 @@ settings.load_profile("reproducible")
 @pytest.fixture(autouse=True)
 def cold_caches():
     """Start every test with the per-process caches empty, so a test that
-    counts walks or searches does not see an earlier test's work."""
+    counts walks, searches or psi evaluations does not see an earlier
+    test's work.  Clearing field() drops the shared PrimeField instances,
+    and with them their chi tables and psi memos."""
     for cache in (charsum._orbit_walk, index_table, cli._subgroup,
-                  Curve.order):
+                  Curve.order, Curve._points, field):
         cache.cache_clear()
 
 

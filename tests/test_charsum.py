@@ -8,10 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecbits.charsum import (
+    _t_sum,
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
     count_product_collisions,
     prefix_products,
+    prefix_sums,
     subgroup_sum,
     sum_S,
     sum_T,
@@ -21,7 +23,7 @@ from ecbits.charsum import (
     x_multiples,
     x_rows,
 )
-from ecbits.curve import Curve, CurvePoint, INFINITY, subgroup_of_order
+from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, subgroup_of_order
 from ecbits.divpoly import DivisionPolynomials
 from ecbits.field import PreconditionError, ResourceBudgetError, field
 
@@ -65,7 +67,27 @@ def u_by_definition(C, N):
     return sum(sum_S(C, P, Q, N) ** 2 for P in pts for Q in pts)
 
 
+def u_by_pairs(C, N):
+    """U(N) over all N^2 pairs (m, n), W(m, n) accumulated point by point:
+    the form that the symmetric column kernel replaced, kept as its oracle."""
+    q = C.p
+    chi = C.field.chi_table()
+    pairs = [(m, n) for m in range(N) for n in range(N)]
+    inner = [0] * len(pairs)
+    for xs in x_rows(C, C.enumerate_points(), N):
+        inner = [s + chi[xs[m] * xs[n] % q] for s, (m, n) in zip(inner, pairs)]
+    return sum(s * s for s in inner)
+
+
 class TestSumU:
+    @settings(max_examples=25, deadline=None)
+    @given(small_curves(), st.integers(min_value=1, max_value=7))
+    def test_symmetric_columns_equal_all_pairs(self, C, N):
+        got, report = sum_U(C, N)
+        assert type(got) is int
+        assert got == u_by_pairs(C, N)
+        assert report.lhs == float(got)
+
     def test_micro_brute_force(self, micro_curve, micro_points):
         # 25-pair enumeration with the independent per-term oracle
         want = 0
@@ -159,6 +181,45 @@ class TestSumT:
         assert abs(sum_T(micro_curve, c, R, N) - want) < 1e-12
 
 
+def t_sum_per_term(C, c, R, N):
+    """T_k(c, R; N) with one F.psi call per index tuple, accumulated in
+    itertools.product order: the per-term loop that the levelled kernel
+    and the psi memo replaced, kept as their oracle."""
+    F = C.field
+    xs = x_multiples(C, R, N ** len(c))
+    total = 0j
+    for prods in prefix_products(N, len(c)):
+        arg = 0
+        for j, cj in enumerate(c):
+            arg += cj * xs[prods[j] - 1]
+        total += F.psi(arg)
+    return total
+
+
+class TestPerTermOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves(), st.data())
+    def test_t_sum_equals_per_term_loop(self, C, data):
+        R = data.draw(st.sampled_from(C.enumerate_points()))
+        k = data.draw(st.integers(1, 3))
+        N = data.draw(st.integers(1, 5 if k < 3 else 3))
+        c = tuple(data.draw(st.integers(-2 * C.p, 2 * C.p)) for _ in range(k))
+        assert _t_sum(C, c, R, N) == t_sum_per_term(C, c, R, N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_curves(), st.data())
+    def test_sum_v_equals_per_term_loop(self, C, data):
+        H = C.enumerate_points()
+        N = data.draw(st.integers(1, min([*factorize(len(H)), 5]) - 1))
+        k = data.draw(st.integers(1, 2))
+        c = tuple(data.draw(st.integers(0, C.p - 1)) for _ in range(k - 1))
+        c += (data.draw(st.integers(1, C.p - 1)),)
+        want = 0.0
+        for R in H:
+            want += abs(t_sum_per_term(C, c, R, N)) ** 2
+        assert sum_V(C, H, c, N)[0] == want
+
+
 class TestSumV:
     def test_trivial_subgroup_exact(self, micro_curve):
         for k, N in [(1, 4), (2, 3)]:
@@ -249,7 +310,7 @@ class TestSubgroupSum:
                     want += C.field.psi(sum(ci * C.x_formal(C.mul(di, Q))
                                             for ci, di in zip(c, d)))
             got, _ = subgroup_sum(C, H, d, c)
-            assert abs(got - want) < 1e-9
+            assert got == want  # same psi arguments, same order
 
     def test_triangle_bound_various(self):
         C = Curve(field(11), 1, 1)
@@ -287,7 +348,50 @@ class TestPrefixProducts:
         assert prefix_products(N, k, lo) == expected
 
 
+class TestPrefixSums:
+    @given(st.integers(min_value=0, max_value=5), st.data())
+    def test_matches_product_definition(self, N, data):
+        k = data.draw(st.integers(0, 3))
+        tables = [data.draw(st.lists(st.integers(-50, 50), min_size=N ** (j + 1),
+                                     max_size=N ** (j + 1) + 2))
+                  for j in range(k)]
+        want = [sum(tables[j][prods[j] - 1] for j in range(k))
+                for prods in prefix_products(N, k)]
+        assert prefix_sums(tables, N) == want
+
+
+def pair_loop_collisions(N, k, c):
+    """The collision count by the (N-1)^(2k) pair loop over partial-product
+    vectors, which inclusion-exclusion replaced; kept as its oracle."""
+    support = [j for j in range(k) if c[j]]
+    prods = prefix_products(N, k, lo=2)
+    count = 0
+    for mv in prods:
+        for nv in prods:
+            if any(mv[j] == nv[j] for j in support):
+                count += 1
+    return count
+
+
 class TestProductCollisions:
+    @pytest.mark.parametrize("support", [
+        s for k in (1, 2, 3) for s in itertools.product((0, 1), repeat=k) if any(s)])
+    @settings(max_examples=8, deadline=None)
+    @given(N=st.integers(1, 7), data=st.data())
+    def test_inclusion_exclusion_equals_pair_loop(self, support, N, data):
+        # the count depends on the support only; coefficients vary freely
+        c = tuple(data.draw(st.integers(1, 50)) if j else 0 for j in support)
+        k = len(c)
+        assert count_product_collisions(N, k, c) == pair_loop_collisions(N, k, c)
+
+    def test_budget_counts_subsets_times_tuples(self):
+        # 2^|support| (N-1)^k = 4 * 59^2 = 13924 for N = 60, k = 2
+        with pytest.raises(ResourceBudgetError):
+            count_product_collisions(60, 2, (1, 1), budget=13923)
+        assert count_product_collisions(60, 2, (1, 1), budget=13924) <= 2 * 60**3
+        # one position in the support halves the cost
+        assert count_product_collisions(60, 2, (0, 1), budget=6962) <= 2 * 60**3
+
     def test_k1_diagonal(self):
         assert count_product_collisions(3, 1, (1,)) == 2
 

@@ -246,6 +246,19 @@ class TestSumsCommand:
             assert rec["exact"] is True
             assert rec["ratio"] <= 1.0
 
+    def test_collisions_to_n_60_skip_no_cell(self, tmp_path, capsys):
+        # the pair loop's (N-1)^(2k) cost skipped the k = 2 cells up to
+        # N = 60; inclusion-exclusion costs 2^|support| (N-1)^k
+        rc = cli.main(["sums", "--experiments", "collisions", "--n-max", "60",
+                       "--jobs", "1", "--out", str(tmp_path / "c")])
+        assert rc == 0
+        assert "skipped" not in capsys.readouterr().err
+        records = json.loads((tmp_path / "c.json").read_text())
+        assert len(records) == 4 * 59  # k = 1 and the three k = 2 supports
+        for rec in records:
+            k, N = rec["inputs"]["k"], rec["inputs"]["N"]
+            assert rec["lhs"] <= k * N ** (2 * k - 1)
+
 
 class TestExtractCommand:
     def test_toy_stream_and_exact_deviation(self, tmp_path, capsys):
@@ -283,6 +296,25 @@ class TestExtractCommand:
         assert searched == [1579]
         payload = json.loads((tmp_path / "e.json").read_text())
         assert len(payload["deviation"]["per_point"]) == 1579
+
+    def test_exact_path_walks_the_subgroup_once(self, tmp_path, monkeypatch):
+        walks = []  # steps of each walk of multiples that ran to its end
+        multiples = curve_module.multiples
+
+        def counting_multiples(curve, P):
+            steps = 0
+            for xy in multiples(curve, P):
+                steps += 1
+                yield xy
+            walks.append(steps)
+
+        for module in (curve_module, charsum):
+            monkeypatch.setattr(module, "multiples", counting_multiples)
+        rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
+                       "--ell", "2", "--big-n", "6", "--out", str(tmp_path / "e")])
+        assert rc == 0
+        # t = 1579 is prime: one walk of t - 1 steps, and the empty one of O
+        assert sorted(walks) == [0, 1578]
 
     def test_gcd_hypothesis_violation_named(self, tmp_path, capsys, monkeypatch,
                                             micro_curve, micro_points):

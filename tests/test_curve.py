@@ -120,6 +120,17 @@ class TestOrderViaCharacter:
     def test_enumeration_matches_order(self, micro_curve):
         assert len(micro_curve.enumerate_points()) == 5
 
+    def test_enumeration_is_kept_per_curve_value(self):
+        C = Curve(field(11), 1, 1)
+        pts = C.enumerate_points()
+        want = list(pts)
+        pts.append(pts[1])
+        pts[0] = pts[2]
+        pts.sort(key=repr)
+        again = Curve(field(11), 1, 1).enumerate_points()  # an equal curve
+        assert again == want and again is not pts
+        assert Curve._points.cache_info().misses == 1
+
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_all_curves_against_brute_force(self, p):
         F = field(p)

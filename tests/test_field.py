@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ecbits.field import (
     Fp2,
     PreconditionError,
+    PrimeField,
     field,
     geometric_sum_cap,
     incomplete_geometric_sum,
@@ -112,6 +113,34 @@ class TestAdditiveCharacter:
     def test_homomorphism(self, p, u, w):
         F = field(p)
         assert abs(F.psi(u) * F.psi(w) - F.psi(u + w)) < 1e-12
+
+
+class TestPsiMemo:
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_memo_reads_are_psi(self, p):
+        F = field(p)
+        assert [F.psi_memo[u] for u in range(p)] == [F.psi(u) for u in range(p)]
+
+    def test_one_psi_call_per_residue(self, monkeypatch):
+        F = field(101)
+        calls = []
+        psi = PrimeField.psi
+
+        def counting_psi(self, u):
+            calls.append(u)
+            return psi(self, u)
+
+        monkeypatch.setattr(PrimeField, "psi", counting_psi)
+        for _ in range(3):
+            for u in (5, 0, 100, 5):
+                assert F.psi_memo[u] == psi(F, u)
+        assert calls == [5, 0, 100]
+        assert len(F.psi_memo) == 3  # no length-p table
+
+    def test_memo_kept_with_the_shared_field(self):
+        field(13).psi_memo[4]
+        assert 4 in field(13).psi_memo
+        assert 4 not in field(17).psi_memo
 
 
 class TestOrthogonality:
