@@ -2,7 +2,9 @@
 against the proved bounds.
 
 S sums the quadratic character of x(nP)x(nQ); U aggregates |S|^2 over
-all point pairs.  x_multiples walks the multiples of one point;
+all point pairs.  x_multiples walks the multiples of one point, and
+x_walks those of many points side by side on x alone, with one
+inversion per step;
 orbit_tables reads one x table per cyclic subgroup that a point set
 meets, from a walk kept per process (orbit_points lists the points of
 one), and x_rows reads every point's multiples from it.  T is the
@@ -98,6 +100,88 @@ def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
         period = xs + [0]
         xs = (period * (count // len(period) + 1))[:count]
     return xs
+
+
+# points x_walks takes side by side: one inversion serves this many
+# point steps, and a batch's WALK_BATCH * count x values stay small
+# beside the rest of the process
+WALK_BATCH = 32
+
+
+def _inverses(dens: list[int], p: int) -> list[int] | None:
+    """[1/d mod p for d in dens] from one inversion mod p (Montgomery's
+    trick: invert the product of all of them, then peel each inverse off
+    it with two multiplications), or None when some d is 0 mod p."""
+    before = []  # before[i] = dens[0] * ... * dens[i - 1] mod p
+    acc = 1
+    for d in dens:
+        before.append(acc)
+        acc = acc * d % p
+    if not acc:
+        return None
+    inv = pow(acc, -1, p)  # 1 / (dens[0] * ... * dens[i]), i from the end
+    invs = []
+    for d, b in zip(reversed(dens), reversed(before)):
+        invs.append(b * inv % p)
+        inv = inv * d % p
+    invs.reverse()
+    return invs
+
+
+def _lockstep(curve: Curve, batch: list[CurvePoint],
+              count: int) -> list[list[int]] | None:
+    """x_multiples for each point of batch, the walks of multiples taken
+    side by side on x-coordinates alone, with one inversion mod p per
+    step for the whole batch.  None when count < 1, a point is O, or a
+    denominator is 0 (y(P) = 0, or the walk of P meets -P): when some
+    point's order is at most count.
+
+    x(2P) = ((x^2 - a)^2 - 8bx) / 4y^2 with y^2 = x^3 + ax + b, and
+    x((n+1)P) = 2((x + x1)(x x1 + a) + 2b) / (x - x1)^2 - x((n-1)P) for
+    x = x(nP), x1 = x(P) and nP != +-P; the numerator is kept as
+    c2 x^2 + c1 x + c0, its coefficients fixed per point.
+    """
+    if count < 1 or any(P.is_infinity for P in batch):
+        return None
+    p, a, b = curve.p, curve.a, curve.b
+    x1s = [P.x for P in batch]
+    cols = [x1s]
+    if count > 1:
+        invs = _inverses([4 * (x * x * x + a * x + b) for x in x1s], p)
+        if invs is None:
+            return None
+        cols.append([((x * x - a) ** 2 - 8 * b * x) * v % p
+                     for x, v in zip(x1s, invs)])
+    c2s = [2 * x1 for x1 in x1s]
+    c1s = [2 * (x1 * x1 + a) % p for x1 in x1s]
+    c0s = [(2 * a * x1 + 4 * b) % p for x1 in x1s]
+    for _ in range(count - 2):
+        prev, xs = cols[-2], cols[-1]
+        invs = _inverses([x - x1 for x, x1 in zip(xs, x1s)], p)
+        if invs is None:
+            return None
+        cols.append([(((c2 * x + c1) * x + c0) * v * v - xq) % p
+                     for x, c2, c1, c0, xq, v in zip(xs, c2s, c1s, c0s, prev, invs)])
+    return [list(row) for row in zip(*cols)]
+
+
+def x_walks(curve: Curve, points: Iterable[CurvePoint],
+            count: int) -> Iterator[list[int]]:
+    """x_multiples(curve, P, count) for each F_p point P of points, in
+    order, reading points WALK_BATCH at a time.
+
+    Cost: per batch, count - 1 lockstep steps, each one inversion mod p
+    for the batch and a few multiplications per point; a batch with a
+    point of order at most count (O, a 2-torsion point, or a walk that
+    meets -P) is walked by x_multiples point by point instead.  One
+    batch's rows are held at a time.
+    """
+    points = iter(points)
+    while batch := list(itertools.islice(points, WALK_BATCH)):
+        rows = _lockstep(curve, batch, count)
+        if rows is None:
+            rows = [x_multiples(curve, P, count) for P in batch]
+        yield from rows
 
 
 @functools.lru_cache(maxsize=8)

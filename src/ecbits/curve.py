@@ -306,11 +306,48 @@ def multiples(curve: Curve, P: CurvePoint) -> Iterator[tuple[int, int]]:
         x = x3
 
 
+def _add_pairs(p: int, a: int, P1, P2):
+    """P1 + P2 on int pairs (x, y), None for O: the rules of multiples
+    (x1 = x2 doubles, unless y2 = -y1, which gives O) with one inversion
+    mod p."""
+    if P1 is None:
+        return P2
+    if P2 is None:
+        return P1
+    (x1, y1), (x2, y2) = P1, P2
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        s = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        s = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (s * s - x1 - x2) % p
+    return x3, (s * (x1 - x3) - y1) % p
+
+
+def _doublings(p: int, a: int, P, bits: int) -> list:
+    """[P, 2P, 4P, ..., 2^(bits-1) P] on int pairs (None for O), cut
+    after the first O: every later doubling is O too."""
+    table = [P]
+    while len(table) < bits and table[-1] is not None:
+        table.append(_add_pairs(p, a, table[-1], table[-1]))
+    return table
+
+
+def _bit_sum(p: int, a: int, table: list, n: int):
+    """nP from table = _doublings(P): the sum of 2^i P over the set bits
+    i of n, low bits first, with the bits past the table adding O."""
+    result = None
+    for i, D in enumerate(table):
+        if n >> i & 1:
+            result = _add_pairs(p, a, result, D)
+    return result
+
+
 def mul_int(curve: Curve, n: int, P: CurvePoint) -> CurvePoint:
-    """nP for an F_p point P, by double-and-add on int pairs: the rules of
-    multiples (x1 = x2 doubles, unless y2 = -y1, which gives O) with one
-    inversion mod p per step and no CurvePoint built until the result.
-    P is checked to lie on the curve once, as Curve.mul does."""
+    """nP for an F_p point P, by double-and-add on int pairs (_add_pairs)
+    with one inversion mod p per step and no CurvePoint built until the
+    result.  P is checked to lie on the curve once, as Curve.mul does."""
     if not curve.contains(P):
         raise ValueError(f"point {P} is not on {curve}")
     if n < 0:
@@ -318,30 +355,7 @@ def mul_int(curve: Curve, n: int, P: CurvePoint) -> CurvePoint:
     if not n or P.is_infinity:
         return INFINITY
     p, a = curve.p, curve.a
-
-    def add(P1, P2):  # int pairs, None for O
-        if P1 is None:
-            return P2
-        (x1, y1), (x2, y2) = P1, P2
-        if x1 == x2:
-            if (y1 + y2) % p == 0:
-                return None
-            s = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-        else:
-            s = (y2 - y1) * pow(x2 - x1, -1, p) % p
-        x3 = (s * s - x1 - x2) % p
-        return x3, (s * (x1 - x3) - y1) % p
-
-    result, addend = None, (P.x, P.y)
-    while True:
-        if n & 1:
-            result = add(result, addend)
-        n >>= 1
-        if not n:
-            break
-        addend = add(addend, addend)
-        if addend is None:  # 2^i P = O: no later addend adds anything
-            break
+    result = _bit_sum(p, a, _doublings(p, a, (P.x, P.y), n.bit_length()), n)
     return INFINITY if result is None else CurvePoint._make(result)
 
 
@@ -682,8 +696,18 @@ def subgroup_generator(C: Curve, t: int) -> CurvePoint:
 
 def sample_subgroup_points(
     C: Curve, gen: CurvePoint, t: int, count: int, seed: int
-) -> list[CurvePoint]:
+) -> Iterator[CurvePoint]:
     """count seeded random multiples kG, 1 <= k < t, of a generator G,
-    each by mul_int."""
+    the points mul_int gives, drawn one at a time as they are read.
+
+    Cost: the doublings 2^i G, i < t.bit_length(), once, then one
+    addition per further set bit of each k."""
+    if not C.contains(gen):
+        raise ValueError(f"point {gen} is not on {C}")
+    p, a = C.p, C.a
+    table = _doublings(p, a, None if gen.is_infinity else (gen.x, gen.y),
+                       t.bit_length())
     rng = random.Random(seed)
-    return [mul_int(C, rng.randrange(1, t), gen) for _ in range(count)]
+    for _ in range(count):
+        kG = _bit_sum(p, a, table, rng.randrange(1, t))
+        yield INFINITY if kG is None else CurvePoint._make(kG)

@@ -24,6 +24,7 @@ from .charsum import (
     orbit_tables,
     prefix_sums,
     x_multiples,
+    x_walks,
 )
 from .curve import (
     Curve,
@@ -340,20 +341,30 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
                       N: int, samples: int, seed: int) -> dict:
     """Average worst-pattern deviation over sampled subgroup points (the
     exhaustive Delta is out of reach for large t); k = 1 only, and like
-    delta it needs gcd(N!, t) = 1."""
+    delta it needs gcd(N!, t) = 1.
+
+    Cost: the points come from sample_subgroup_points and their first N
+    multiples from x_walks, one batch at a time, so memory does not grow
+    with samples.  The mean is the integer sum of the worst deviations
+    divided once.
+    """
     if k != 1:
         raise PreconditionError("sampled deviation sweeps support k = 1")
     if samples < 1:
         raise PreconditionError(f"need samples >= 1, got samples = {samples}")
     check_coprime_to_factorial(t, N)
-    pts = sample_subgroup_points(C, gen, t, samples, seed)
-    devs = [_worst_deviation(_histogram(_window_codes(C, R, k, ell, N), k, ell), N)
-            / (N << ell) for R in pts]
+    _check_window(C.p, k, ell, N)
+    _check_code_budget(k, N)
+    total = top = 0
+    for xs in x_walks(C, sample_subgroup_points(C, gen, t, samples, seed), N):
+        worst = _worst_deviation(_histogram(_codes(xs, k, ell, N), k, ell), N)
+        total += worst
+        top = max(top, worst)
     return {
         "samples": samples,
         "seed": seed,
-        "mean_rel_deviation": sum(devs) / len(devs),
-        "max_rel_deviation": max(devs),
+        "mean_rel_deviation": total / (samples * (N << ell)),
+        "max_rel_deviation": top / (N << ell),
     }
 
 

@@ -7,7 +7,10 @@ from conftest import add_walk_x_multiples, small_curves
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ecbits.charsum as charsum_module
 from ecbits.charsum import (
+    WALK_BATCH,
+    _lockstep,
     _t_sum,
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
@@ -22,8 +25,17 @@ from ecbits.charsum import (
     v_sum_expanded,
     x_multiples,
     x_rows,
+    x_walks,
 )
-from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, subgroup_of_order
+from ecbits.curve import (
+    INFINITY,
+    Curve,
+    CurvePoint,
+    factorize,
+    mul_int,
+    subgroup_generator,
+    subgroup_of_order,
+)
 from ecbits.divpoly import DivisionPolynomials
 from ecbits.field import PreconditionError, ResourceBudgetError, field
 
@@ -492,3 +504,77 @@ def test_x_rows_matches_scalar_mul(C, data):
     count = data.draw(st.integers(0, C.order() + 3))
     want = [[C.x_formal(C.mul(m, R)) for m in range(1, count + 1)] for R in points]
     assert list(x_rows(C, points, count)) == want
+
+
+class TestXWalks:
+    @settings(max_examples=60, deadline=None)
+    @given(small_curves(), st.data())
+    def test_equals_x_multiples_and_add_walk(self, C, data):
+        # lists longer than a batch, with O and every 2-torsion point put
+        # in at drawn places, and counts below, at and above the order of
+        # a drawn point: a zero denominator can meet a batch part way
+        pts = C.enumerate_points()
+        points = data.draw(st.lists(st.sampled_from(pts), min_size=WALK_BATCH + 1,
+                                    max_size=3 * WALK_BATCH))
+        for P in pts:
+            if P.is_infinity or P.y == 0:
+                points.insert(data.draw(st.integers(0, len(points))), P)
+        o = C.point_order(data.draw(st.sampled_from(pts)))
+        count = max(1, o + data.draw(st.integers(-1, 1)))
+        rows = list(x_walks(C, points, count))
+        assert rows == [x_multiples(C, P, count) for P in points]
+        assert rows == [add_walk_x_multiples(C, P, count) for P in points]
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_curves(), st.data())
+    def test_lockstep_refuses_exactly_the_short_orders(self, C, data):
+        # None exactly when count < 1 or some point's order is at most
+        # count; the lockstep rows equal the group-law walk otherwise
+        count = data.draw(st.integers(0, 12))
+        pts = C.enumerate_points()
+        long = [P for P in pts if C.point_order(P) > count]
+        pool = long if long and data.draw(st.booleans()) else pts
+        batch = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=WALK_BATCH))
+        rows = _lockstep(C, batch, count)
+        short = count < 1 or any(C.point_order(P) <= count for P in batch)
+        assert (rows is None) == short
+        if rows is not None:
+            assert rows == [add_walk_x_multiples(C, P, count) for P in batch]
+
+    def test_one_inversion_per_step_per_batch(self, monkeypatch):
+        C = Curve(field(1009), 1, 1)
+        gen = subgroup_generator(C, 517)
+        points = [mul_int(C, k, gen) for k in range(1, 71)]  # batches 32, 32, 6
+        inversions = []
+
+        def counting_pow(*args):
+            inversions.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(charsum_module, "pow", counting_pow, raising=False)
+        rows = list(x_walks(C, points, 10))
+        monkeypatch.undo()
+        assert rows == [x_multiples(C, P, 10) for P in points]
+        assert len(inversions) == 3 * 9
+
+    def test_reads_one_batch_ahead(self):
+        C = Curve(field(1009), 1, 1)
+        gen = subgroup_generator(C, 517)
+        read = []
+
+        def points():
+            for k in itertools.count(1):
+                read.append(k)
+                yield mul_int(C, k, gen)
+
+        rows = x_walks(C, points(), 5)
+        assert next(rows) == x_multiples(C, gen, 5)
+        assert len(read) == WALK_BATCH
+        for _ in range(WALK_BATCH):
+            next(rows)
+        assert len(read) == 2 * WALK_BATCH
+
+    def test_empty_and_zero_count(self, micro_curve, micro_points):
+        assert list(x_walks(micro_curve, [], 4)) == []
+        assert list(x_walks(micro_curve, micro_points, 0)) == [[]] * len(micro_points)

@@ -421,7 +421,58 @@ class TestMulInt:
         gen = subgroup_generator(C, 517)
         rng = random.Random(7)
         want = [C.mul(rng.randrange(1, 517), gen) for _ in range(50)]
-        assert sample_subgroup_points(C, gen, 517, 50, 7) == want
+        assert list(sample_subgroup_points(C, gen, 517, 50, 7)) == want
+
+
+def seeded_mul_int(C, gen, t, count, seed):
+    """The per-sample form of the sampler: mul_int of each seeded k."""
+    rng = random.Random(seed)
+    return [mul_int(C, rng.randrange(1, t), gen) for _ in range(count)]
+
+
+# cyclic of order 16, generated by (2, 4)
+CYCLIC_16 = Curve(field(17), 2, 4)
+
+
+class TestSampleSubgroupPoints:
+    @pytest.mark.parametrize("t", [2, 4, 8, 16])
+    def test_power_of_two_orders(self, t):
+        gen = mul_int(CYCLIC_16, 16 // t, CurvePoint(2, 4))
+        assert CYCLIC_16.point_order(gen) == t
+        for seed in range(4):
+            got = list(sample_subgroup_points(CYCLIC_16, gen, t, 40, seed))
+            assert got == seeded_mul_int(CYCLIC_16, gen, t, 40, seed)
+            assert len(got) == 40 and INFINITY not in got
+
+    def test_order_517(self):
+        C = Curve(field(1009), 1, 1)
+        gen = subgroup_generator(C, 517)
+        for seed in range(3):
+            got = list(sample_subgroup_points(C, gen, 517, 70, seed))
+            assert got == seeded_mul_int(C, gen, 517, 70, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves(), st.data())
+    def test_equals_mul_int_for_any_t(self, C, data):
+        """t need not be the order of G: k past ord(G) wraps, and the
+        doubling table may reach O part way."""
+        gen = data.draw(st.sampled_from(C.enumerate_points()))
+        t = data.draw(st.integers(2, 3 * C.order()))
+        seed = data.draw(st.integers(0, 100))
+        got = list(sample_subgroup_points(C, gen, t, 20, seed))
+        assert got == seeded_mul_int(C, gen, t, 20, seed)
+        assert all(type(Q.x) is int for Q in got if not Q.is_infinity)
+
+    def test_streams(self):
+        """Points are drawn as they are read, from one doubling table."""
+        C = Curve(field(1009), 1, 1)
+        gen = subgroup_generator(C, 517)
+        stream = sample_subgroup_points(C, gen, 517, 10**12, 0)
+        assert next(stream) == seeded_mul_int(C, gen, 517, 1, 0)[0]
+
+    def test_rejects_generator_off_curve(self, micro_curve):
+        with pytest.raises(ValueError):
+            next(sample_subgroup_points(micro_curve, CurvePoint(0, 0), 5, 1, 0))
 
 
 class TestDivisionPoints:

@@ -11,8 +11,16 @@ from hypothesis import strategies as st
 
 import ecbits.charsum as charsum_module
 import ecbits.extract as extract_module
-from ecbits.charsum import sum_V, x_rows
-from ecbits.curve import Curve, CurvePoint, INFINITY, factorize, orbit, subgroup_of_order
+from ecbits.charsum import sum_V, x_multiples, x_rows
+from ecbits.curve import (
+    INFINITY,
+    Curve,
+    CurvePoint,
+    factorize,
+    orbit,
+    subgroup_generator,
+    subgroup_of_order,
+)
 from ecbits.extract import (
     BitWindow,
     _check_code_budget,
@@ -194,6 +202,48 @@ class TestDelta:
         rep = delta(C, H, 1, 2, 3)
         assert rep.expected == Fraction(3, 4)
         assert rep.total.denominator in (1, 2, 4)
+
+
+def per_point_sampled_deviation(C, gen, t, ell, N, samples, seed):
+    """The per-point form sampled_deviation replaced, kept as its oracle:
+    each seeded kG by the group law, one walk per point, and the float
+    mean of the relative worst deviations."""
+    rng = random.Random(seed)
+    devs = []
+    for _ in range(samples):
+        xs = x_multiples(C, C.mul(rng.randrange(1, t), gen), N)
+        counts = Counter(x % (1 << ell) for x in xs)
+        worst = max(abs(counts[w] * (1 << ell) - N) for w in range(1 << ell))
+        devs.append(worst / (N << ell))
+    return {"samples": samples, "seed": seed,
+            "mean_rel_deviation": sum(devs) / len(devs),
+            "max_rel_deviation": max(devs)}
+
+
+class TestSampledDeviation:
+    # t = 181 on y^2 = x^3 + x + 2 over F_10007, coprime to 32!
+    C = Curve(field(10007), 1, 2)
+    T = 181
+
+    @pytest.mark.parametrize("ell", [1, 4])
+    @pytest.mark.parametrize("samples", [1, 33, 70])
+    def test_equals_per_point_oracle(self, ell, samples):
+        # N * 2^ell is a power of two, so the two means agree exactly
+        gen = subgroup_generator(self.C, self.T)
+        for N, seed in [(16, 0), (32, 5)]:
+            got = sampled_deviation(self.C, gen, self.T, 1, ell, N, samples, seed)
+            assert got == per_point_sampled_deviation(self.C, gen, self.T, ell, N,
+                                                      samples, seed)
+
+    @pytest.mark.parametrize("ell", [1, 4])
+    def test_other_n_within_rounding(self, ell):
+        # N = 24: one division of the integer sum against the float mean
+        gen = subgroup_generator(self.C, self.T)
+        got = sampled_deviation(self.C, gen, self.T, 1, ell, 24, 45, 3)
+        want = per_point_sampled_deviation(self.C, gen, self.T, ell, 24, 45, 3)
+        assert got["max_rel_deviation"] == want["max_rel_deviation"]
+        assert math.isclose(got["mean_rel_deviation"], want["mean_rel_deviation"],
+                            rel_tol=1e-15)
 
 
 class TestBitstream:
