@@ -23,15 +23,14 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import Curve, CurvePoint, multiples, orbit
 from .divpoly import DivisionPolynomials
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """Measured left-hand side next to the bound's summands.
 
     The paper's implied constants are unspecified, so the report carries

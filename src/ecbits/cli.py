@@ -2,9 +2,9 @@
 records around the library's verification suites, character-sum sweeps
 and bit extraction.
 
-Subcommands: verify, sums, extract, find-curve, report.  Configuration
+Commands: verify, sums, extract, find-curve, report.  Configuration
 comes from a flat key=value file plus command-line flag overrides; the
-only positional argument is the subcommand.  Exit codes: 0 success,
+only positional argument is the command.  Exit codes: 0 success,
 1 verification failure, 2 configuration error, 3 resource budget
 exceeded.
 """
@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 # x_multiples and group_structure are unused here; the benchmark's
 # per-layer tracer (bench/spans.py) looks them up, like the other
@@ -339,9 +338,12 @@ def _cell_or_budget_error(cell: dict) -> dict:
 
 def run_sums(args) -> int:
     cells = build_sum_cells(args)
-    jobs = args.jobs or 1
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        # imported here, where the only pool starts: a serial run of any
+        # command never loads concurrent.futures or multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_cell_or_budget_error, cells))
     else:
         outcomes = [_cell_or_budget_error(cell) for cell in cells]
@@ -618,14 +620,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="character-sum bound checks and bit extraction on "
                     "elliptic curves over prime fields",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "sums", "extract", "find-curve", "report"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", help="flat key=value config file")
-        for key, (typ, _, *extra) in _OPTIONS.items():
-            kwargs = dict(extra[0]) if extra else {}
-            flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
-            sp.add_argument(flag, dest=key, type=typ, **kwargs)
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("--config", help="flat key=value config file")
+    for key, (typ, _, *extra) in _OPTIONS.items():
+        kwargs = dict(extra[0]) if extra else {}
+        flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
+        parser.add_argument(flag, dest=key, type=typ, **kwargs)
     return parser
 
 
@@ -663,6 +663,8 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(args)
         _check_out_dir(args.out)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         _check_slacks(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

@@ -15,7 +15,6 @@ import functools
 import math
 import random
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .field import (
@@ -250,8 +249,7 @@ class Curve:
         return o
 
 
-@dataclass(frozen=True)
-class GroupStructure:
+class GroupStructure(NamedTuple):
     """E(F_p) as Z/d1 x Z/d2 with d1 | d2, witnessed by two generators."""
 
     order: int
@@ -426,8 +424,7 @@ def order_over(curve: Curve, ext: int) -> int:
     return p * p + 1 - (a_p * a_p - 2 * p)
 
 
-@dataclass(frozen=True, eq=False)
-class IndexTable:
+class IndexTable(NamedTuple):
     """E(F_p^ext) as Z/d1 x Z/d2 with d1 | d2: rows[i][j] = i*G1 + j*G2,
     and index maps every point back to its (i, j)."""
 
@@ -597,8 +594,7 @@ def subgroup_order_for_policy(n: int, N: int, policy: str) -> int:
     raise PreconditionError(f"unknown t-policy {policy!r}")
 
 
-@dataclass
-class FoundCurve:
+class FoundCurve(NamedTuple):
     curve: Curve
     order: int
     factors: dict

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import lshift
 from sys import byteorder
+from typing import NamedTuple
 
 from .charsum import (
     _t_sum,
@@ -48,8 +48,14 @@ def lsb_string(x: int, ell: int, p: int) -> str:
     return format(x % p & ((1 << ell) - 1), f"0{ell}b")
 
 
-@dataclass(frozen=True)
-class BitWindow:
+class _BitWindowFields(NamedTuple):
+    k: int
+    ell: int
+    N: int
+    sigma: tuple[str, ...]
+
+
+class BitWindow(_BitWindowFields):
     """A pattern query: k windows of ell low bits over index range [1, N].
 
     sigma holds the k target bit strings; sigma_bar their integer
@@ -57,19 +63,17 @@ class BitWindow:
     admissible high parts y in x = 2^ell y + sigma_bar_j.
     """
 
-    k: int
-    ell: int
-    N: int
-    sigma: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1 or self.ell < 1 or self.N < 1:
+    def __new__(cls, k: int, ell: int, N: int, sigma: tuple[str, ...]):
+        if k < 1 or ell < 1 or N < 1:
             raise ValueError("k, ell, N must be positive")
-        if len(self.sigma) != self.k:
-            raise ValueError(f"need {self.k} bit strings, got {len(self.sigma)}")
-        for s in self.sigma:
-            if len(s) != self.ell or set(s) - {"0", "1"}:
-                raise ValueError(f"bad {self.ell}-bit string {s!r}")
+        if len(sigma) != k:
+            raise ValueError(f"need {k} bit strings, got {len(sigma)}")
+        for s in sigma:
+            if len(s) != ell or set(s) - {"0", "1"}:
+                raise ValueError(f"bad {ell}-bit string {s!r}")
+        return super().__new__(cls, k, ell, N, sigma)
 
     @property
     def sigma_bar(self) -> tuple[int, ...]:
@@ -234,8 +238,7 @@ def fourier_count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> complex:
     return total / p**spec.k
 
 
-@dataclass
-class DeviationReport:
+class DeviationReport(NamedTuple):
     """Exact worst-pattern deviations of the bit counts over a subgroup.
 
     Counts are integers and the reference value N^k / 2^(k*ell) is a
@@ -395,8 +398,7 @@ def pack_bits(stream: str) -> bytes:
     return int(stream[::-1] or "0", 2).to_bytes((len(stream) + 7) // 8, "little")
 
 
-@dataclass
-class ChiSquareReport:
+class ChiSquareReport(NamedTuple):
     statistic: float
     dof: int
     blocks: int

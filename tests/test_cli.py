@@ -483,6 +483,10 @@ class TestBadInput:
         # refused by delta, after the generator search
         (["extract", "--p", "7", "--a", "1", "--b", "1", "--k", "7", "--big-n", "4",
           "--out", "{tmp}/x"], "need p > k, got p = 7, k = 7"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--jobs", "0", "--out", "{tmp}/x"],
+         "--jobs must be at least 1, got 0"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--jobs", "-3", "--out", "{tmp}/x"],
+         "--jobs must be at least 1, got -3"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -784,5 +788,25 @@ def test_bench_tracer_wraps_every_traced_name():
     out = subprocess.run(
         [sys.executable, "-c", "import spans; print(spans.Tracer().install())"],
         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# What `import ecbits.cli` loads, as a line of Python; the CI job runs the
+# same line against the installed package.
+IMPORT_CHECK = (
+    "import sys; before = set(sys.modules); import ecbits.cli; "
+    "loaded = set(sys.modules) - before; "
+    "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+    "'dataclasses') if m in loaded))"
+)
+
+
+def test_import_loads_no_pool_or_dataclasses():
+    # only a --jobs > 1 sums run starts a pool, and it imports one then
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run([sys.executable, "-c", IMPORT_CHECK], env=env,
+                         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"

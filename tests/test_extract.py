@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 import ecbits.charsum as charsum_module
 import ecbits.extract as extract_module
-from ecbits.charsum import sum_V, x_multiples, x_rows
+from ecbits.charsum import BoundReport, sum_V, x_multiples, x_rows
 from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
+    FoundCurve,
+    GroupStructure,
+    IndexTable,
     factorize,
     orbit,
     subgroup_generator,
@@ -23,6 +27,8 @@ from ecbits.curve import (
 )
 from ecbits.extract import (
     BitWindow,
+    ChiSquareReport,
+    DeviationReport,
     _check_code_budget,
     _codes,
     _pattern_counts,
@@ -74,6 +80,52 @@ class TestLsbString:
                 members = [x for x in range(p) if x % (1 << ell) == sbar]
                 assert len(members) == L + 1
                 assert max(members) == (L << ell) + sbar
+
+
+class TestBitWindow:
+    @pytest.mark.parametrize("args,message", [
+        ((0, 1, 1, ()), "k, ell, N must be positive"),
+        ((1, 0, 1, ("",)), "k, ell, N must be positive"),
+        ((1, 1, 0, ("0",)), "k, ell, N must be positive"),
+        ((1, 1, -2, ("0",)), "k, ell, N must be positive"),
+        ((2, 1, 1, ("0",)), "need 2 bit strings, got 1"),
+        ((1, 2, 1, ("0",)), "bad 2-bit string '0'"),
+        ((1, 2, 1, ("02",)), "bad 2-bit string '02'"),
+        ((2, 1, 1, ("1", "x")), "bad 1-bit string 'x'"),
+    ])
+    def test_rejects_bad_window(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BitWindow(*args)
+
+    def test_keywords_and_properties(self):
+        spec = BitWindow(k=2, ell=2, N=3, sigma=("01", "11"))
+        assert spec == BitWindow(2, 2, 3, ("01", "11"))
+        assert spec.sigma_bar == (1, 3)
+        assert spec.L_values(11) == (2, 1)
+
+
+# field names, in order, of every record type; a record is a NamedTuple
+@pytest.mark.parametrize("record,fields", [
+    (BoundReport, ("lhs", "rhs_terms")),
+    (GroupStructure, ("order", "d1", "d2", "gen1", "gen2")),
+    (IndexTable, ("d1", "d2", "rows", "index")),
+    (FoundCurve, ("curve", "order", "factors", "t", "structure", "rejected")),
+    (BitWindow, ("k", "ell", "N", "sigma")),
+    (DeviationReport, ("k", "ell", "N", "p", "t", "expected", "per_point", "total",
+                       "total_excluding_infinity", "bound_constant", "bound_value")),
+    (ChiSquareReport, ("statistic", "dof", "blocks", "counts")),
+])
+def test_record_fields(record, fields):
+    assert record._fields == fields
+
+
+def test_record_properties():
+    rep = BoundReport(lhs=6.0, rhs_terms=[("a", 1.0), ("b", 3.0)])
+    assert (rep.rhs_total, rep.ratio) == (4.0, 1.5)
+    assert rep.within(1.5) and not rep.within(1.4)
+    dev = DeviationReport(1, 1, 2, 7, 5, Fraction(1), [], Fraction(3), Fraction(3),
+                          1.0, 2.0)
+    assert dev.ratio == 1.5
 
 
 class TestCountA:
