@@ -5,7 +5,6 @@ from .charsum import (
     BoundReport,
     count_product_collisions,
     subgroup_sum,
-    sum_S,
     sum_T,
     sum_U,
     sum_V,
@@ -21,30 +20,17 @@ from .curve import (
 )
 from .divpoly import DivisionPolynomials
 from .extract import (
-    BitWindow,
     ChiSquareReport,
     DeviationReport,
     bitstream,
     chi_square_uniformity,
-    count_A,
     delta,
-    fourier_count_A,
-    lsb_string,
     pack_bits,
 )
-from .field import (
-    Fp2,
-    PreconditionError,
-    PrimeField,
-    ResourceBudgetError,
-    field,
-    incomplete_geometric_sum,
-    orthogonality_indicator,
-)
+from .field import Fp2, PreconditionError, PrimeField, ResourceBudgetError, field
 from .poly import Poly, poly_gcd, pth_power_root, rational_square_test, squarefree_part
 
 __all__ = [
-    "BitWindow",
     "BoundReport",
     "ChiSquareReport",
     "Curve",
@@ -60,15 +46,10 @@ __all__ = [
     "ResourceBudgetError",
     "bitstream",
     "chi_square_uniformity",
-    "count_A",
     "count_product_collisions",
     "delta",
     "field",
-    "fourier_count_A",
     "group_structure",
-    "incomplete_geometric_sum",
-    "lsb_string",
-    "orthogonality_indicator",
     "pack_bits",
     "poly_gcd",
     "pth_power_root",
@@ -77,7 +58,6 @@ __all__ = [
     "squarefree_part",
     "subgroup_of_order",
     "subgroup_sum",
-    "sum_S",
     "sum_T",
     "sum_U",
     "sum_V",

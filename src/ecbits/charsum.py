@@ -1,10 +1,10 @@
 """Exact evaluation of the point character sums and their comparison
 against the proved bounds.
 
-S sums the quadratic character of x(nP)x(nQ); U aggregates |S|^2 over
-all point pairs.  x_multiples walks the multiples of one point, and
-x_walks those of many points side by side on x alone, with one
-inversion per step;
+U aggregates |S(P, Q; N)|^2 over all point pairs, S summing the
+quadratic character of x(nP)x(nQ).  x_multiples walks the multiples of
+one point, and x_walks those of many points side by side on x alone,
+with one inversion per step;
 orbit_tables reads one x table per cyclic subgroup that a point set
 meets, from a walk kept per process (orbit_points lists the points of
 one), and x_rows reads every point's multiples from it.  T is the
@@ -26,7 +26,6 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .curve import Curve, CurvePoint, multiples, orbit
-from .divpoly import DivisionPolynomials
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
 
@@ -230,17 +229,6 @@ def x_rows(curve: Curve, points: Iterable[CurvePoint],
         yield [tx[m * j % o] for m in range(1, count + 1)]
 
 
-def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:
-    """S(P, Q; N) = sum_{n<=N} chi(x(nP) * x(nQ)), an exact integer."""
-    if N < 1:
-        raise ValueError("N must be positive")
-    chi = curve.field.chi_table()
-    p = curve.p
-    xp = x_multiples(curve, P, N)
-    xq = x_multiples(curve, Q, N)
-    return sum(chi[xp[n] * xq[n] % p] for n in range(N))
-
-
 def sum_U(
     curve: Curve, N: int, budget: int = 50_000_000
 ) -> tuple[int, BoundReport]:
@@ -271,31 +259,6 @@ def sum_U(
         rhs_terms=[("N^6*q", float(N**6 * q)), ("N*q^2", float(N * q * q))],
     )
     return total, report
-
-
-def chi_pair_sum_direct(curve: Curve, m: int, n: int) -> int:
-    """sum over rational P of chi(x(mP) * x(nP))."""
-    q = curve.p
-    chi = curve.field.chi_table()
-    rows = x_rows(curve, curve.enumerate_points(), max(m, n))
-    return sum(chi[xs[m - 1] * xs[n - 1] % q] for xs in rows)
-
-
-def chi_pair_sum_phi_psi(divpolys: DivisionPolynomials, m: int, n: int) -> int:
-    """The same pair sum evaluated through the division-polynomial side:
-    sum_u chi(Phi_mn(u)) + sum_u chi(Psi_mn(u)).
-
-    chi of a fraction is taken as chi(numerator * denominator), which
-    matches the formal x(O) = 0 / chi(0) = 0 conventions at the poles.
-    """
-    C = divpolys.curve
-    chi = C.field.chi_table()
-    p = C.p
-    num = divpolys.f(m) * divpolys.f(n)
-    den = divpolys.g(m) * divpolys.g(n)
-    prod = num * den
-    prod_twisted = divpolys.curve_poly * prod
-    return sum(chi[prod(u)] + chi[prod_twisted(u)] for u in range(p))
 
 
 def _t_sum(curve: Curve, c: tuple[int, ...], R: CurvePoint, N: int) -> complex:
@@ -348,30 +311,6 @@ def sum_V(
         ],
     )
     return total, report
-
-
-def v_sum_expanded(
-    curve: Curve, H: list[CurvePoint], c: tuple[int, ...], N: int
-) -> float:
-    """V_k recomputed by squaring out and swapping the summation order,
-    as in the proof; agrees with the direct form up to rounding."""
-    k = len(c)
-    p = curve.p
-    F = curve.field
-    c = tuple(v % p for v in c)
-    tables = list(x_rows(curve, H, N**k))
-    args = prefix_products(N, k)
-    total = 0j
-    for m_prods in args:
-        for n_prods in args:
-            inner = 0j
-            for xs in tables:
-                e = 0
-                for j in range(k):
-                    e += c[j] * (xs[m_prods[j] - 1] - xs[n_prods[j] - 1])
-                inner += F.psi(e)
-            total += inner
-    return total.real
 
 
 def subgroup_sum(

@@ -54,7 +54,12 @@ from .extract import (
     pack_bits,
     sampled_deviation,
 )
-from .field import PreconditionError, ResourceBudgetError, field
+from .field import (
+    PreconditionError,
+    ResourceBudgetError,
+    check_chi_table_budget,
+    field,
+)
 from .poly import rational_square_test
 
 SCHEMA_VERSION = 1
@@ -113,6 +118,14 @@ def _p_range(args) -> range:
     if args.p_max < args.p_min:
         raise ConfigError("empty prime range")
     return range(args.p_min, args.p_max + 1)
+
+
+def _check_count_budget(args) -> None:
+    """A --p/--a/--b curve above the point-counting budget is refused
+    before the curve search; a --p-min..--p-max search meets that
+    budget at its first #E count above it."""
+    if args.p is not None:
+        check_chi_table_budget(_flag_curve(args).p)
 
 
 def _curve_and_t(args) -> tuple[Curve, int]:
@@ -234,7 +247,8 @@ def run_sum_cell(cell: dict) -> dict:
         "schema": SCHEMA_VERSION,
         "experiment": kind,
         "inputs": {k: v for k, v in cell.items() if k != "experiment"},
-        "lhs": float(lhs),
+        # an exact lhs is a JSON int: a float stops being exact above 2^53
+        "lhs": lhs if exact else float(lhs),
         "bound_terms": [{"name": n, "value": v} for n, v in report.rhs_terms],
         "ratio": report.ratio,
         "exact": exact,
@@ -260,6 +274,7 @@ def build_sum_cells(args) -> list[dict]:
         raise ConfigError("coefficient vector c must be nonzero")
     cells = []
     if {"u", "v", "lemma5"} & set(experiments):
+        _check_count_budget(args)
         C, t = _curve_and_t(args)
         curve = {"p": C.p, "a": C.a, "b": C.b}
     for kind in experiments:
@@ -380,6 +395,7 @@ def run_extract(args) -> int:
     if args.out is None:
         raise ConfigError("--out is required for extract")
     _check_code_budget(args.k, args.big_n)  # before the curve search
+    _check_count_budget(args)
     C, t = _curve_and_t(args)
     if t < 2:
         raise ConfigError(f"subgroup policy produced trivial t = {t}")
@@ -502,7 +518,18 @@ def run_find_curve(args) -> int:
 # -- report command ------------------------------------------------------
 
 
-def _report_records(path: str) -> list[tuple[dict, dict, float, bool]]:
+def _recorded_lhs(rec: dict) -> int | float:
+    """The lhs of a sums record as a number in the float range (the ratio
+    beside it is a float), kept as written when it is an exact int.  An
+    exact lhs is an int, or an integral float in files written before
+    exact values were ints; either compares exactly with the recomputed
+    int."""
+    lhs = rec["lhs"]
+    value = float(lhs)
+    return lhs if rec["exact"] and type(lhs) is int else value
+
+
+def _report_records(path: str) -> list[tuple[dict, dict, int | float, bool]]:
     """(record, cell to re-run, recorded lhs, exact flag) for every record
     of a sums report."""
     try:
@@ -514,7 +541,7 @@ def _report_records(path: str) -> list[tuple[dict, dict, float, bool]]:
         data = data.get("records", [data])
     try:
         return [(rec, dict(rec["inputs"], experiment=rec["experiment"]),
-                 float(rec["lhs"]), bool(rec["exact"])) for rec in data]
+                 _recorded_lhs(rec), bool(rec["exact"])) for rec in data]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path} holds no sums report records: {exc!r}") from exc
 

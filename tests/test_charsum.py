@@ -4,25 +4,22 @@ import math
 
 import pytest
 from conftest import add_walk_x_multiples, small_curves
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import chi_pair_sum_direct, chi_pair_sum_phi_psi, sum_S, v_sum_expanded
 
 import ecbits.charsum as charsum_module
 from ecbits.charsum import (
     WALK_BATCH,
     _lockstep,
     _t_sum,
-    chi_pair_sum_direct,
-    chi_pair_sum_phi_psi,
     count_product_collisions,
     prefix_products,
     prefix_sums,
     subgroup_sum,
-    sum_S,
     sum_T,
     sum_U,
     sum_V,
-    v_sum_expanded,
     x_multiples,
     x_rows,
     x_walks,
@@ -31,6 +28,7 @@ from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
+    coprime_part,
     factorize,
     mul_int,
     subgroup_generator,
@@ -257,6 +255,21 @@ class TestSumV:
     def test_gcd_precondition(self, micro_curve, micro_points):
         with pytest.raises(PreconditionError):
             sum_V(micro_curve, micro_points, (1,), 5)  # 5 | t = 5
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_curves(), st.data())
+    def test_expansion_identity_on_subgroups(self, C, data):
+        # H of order t, the part of #E coprime to N! (prime or composite)
+        N = data.draw(st.integers(1, 3))
+        t = coprime_part(C.order(), N)
+        assume(t > 1)
+        H = subgroup_of_order(C, t)
+        k = data.draw(st.integers(1, 2))
+        c = tuple(data.draw(st.lists(st.integers(0, C.p - 1), min_size=k,
+                                     max_size=k).filter(any)))
+        direct, _ = sum_V(C, H, c, N)
+        expanded = v_sum_expanded(C, H, c, N)
+        assert abs(direct - expanded) <= 1e-6 * max(1.0, abs(direct))
 
     def test_termwise_cap(self, micro_curve, micro_points):
         got, _ = sum_V(micro_curve, micro_points, (1,), 4)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import deviation_trend
 
 import ecbits.curve as curve_module
 from ecbits import charsum, cli
-from ecbits.charsum import sum_V, x_rows
+from ecbits.charsum import BoundReport, sum_V, x_rows
 from ecbits.curve import (
     Curve,
     ExhaustionError,
@@ -21,7 +23,6 @@ from ecbits.curve import (
     subgroup_order_for_policy,
 )
 from ecbits.divpoly import DivisionPolynomials
-from ecbits.extract import deviation_trend
 from ecbits.field import (
     PreconditionError,
     PrimeField,
@@ -30,6 +31,9 @@ from ecbits.field import (
     primes_upto,
 )
 from ecbits.poly import Poly
+
+# the module: the package's name ecbits.field is the field() cache
+field_module = importlib.import_module("ecbits.field")
 
 
 class TestFindCurve:
@@ -361,6 +365,41 @@ class TestReportCommand:
         rc = cli.main(["report", "--in", str(path)])
         assert rc == 1
 
+    def test_exact_lhs_above_2_53_is_written_and_replayed_exactly(
+            self, tmp_path, capsys, monkeypatch):
+        big = 2**53 + 1  # the nearest float is 2^53
+
+        def big_u(curve, N):
+            return big, BoundReport(lhs=float(big), rhs_terms=[("N^6*q", 1.0)])
+
+        monkeypatch.setattr(cli, "sum_U", big_u)
+        path = tmp_path / "sums.json"
+        assert cli.main(["sums", "--p", "7", "--a", "1", "--b", "1", "--big-n", "2",
+                         "--experiments", "u", "--jobs", "1",
+                         "--out", str(tmp_path / "sums")]) == 0
+        records = json.loads(path.read_text())
+        assert '"lhs": 9007199254740993,' in path.read_text()
+        assert records[0]["lhs"] == big
+        assert cli.main(["report", "--in", str(path)]) == 0
+        records[0]["lhs"] = 2**53
+        path.write_text(json.dumps(records))
+        capsys.readouterr()
+        assert cli.main(["report", "--in", str(path)]) == 1
+        assert "FAIL u" in capsys.readouterr().out
+
+    def test_float_exact_lhs_still_replays(self, tmp_path):
+        # schema 1 files written before exact values were ints hold floats
+        path = tmp_path / "sums.json"
+        assert cli.main(["sums", "--p", "7", "--a", "1", "--b", "1", "--big-n", "3",
+                         "--experiments", "u,collisions", "--n-max", "3",
+                         "--jobs", "1", "--out", str(tmp_path / "sums")]) == 0
+        records = json.loads(path.read_text())
+        assert all(type(r["lhs"]) is int for r in records)
+        for r in records:
+            r["lhs"] = float(r["lhs"])
+        path.write_text(json.dumps(records))
+        assert cli.main(["report", "--in", str(path)]) == 0
+
     def test_missing_in_is_config_error(self):
         assert cli.main(["report"]) == 2
 
@@ -547,6 +586,9 @@ class TestBadInput:
         (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "lemma5",
           "--d-max", "30", "--s-max", "30", "--jobs", "1", "--out", "{tmp}/x"],
          "d-max = 30, s-max = 30 give more than 100000 lemma5 cells"),
+        (["extract", "--p", "2147483647", "--a", "1", "--b", "1", "--jobs", "1",
+          "--out", "{tmp}/x"],
+         "p = 2147483647 exceeds the point-counting budget 10000000"),
     ])
     def test_one_line_exit_3_before_any_work(self, tmp_path, capsys, monkeypatch,
                                              argv, message):
@@ -573,6 +615,25 @@ class TestBadInput:
         assert rc == 3
         assert err == ("resource budget exceeded: t = 1579 exceeds subgroup "
                        "budget 1000\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["find-curve", "--p", "1009"],
+        ["find-curve", "--p-min", "1000", "--p-max", "1100"],
+        ["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "u",
+         "--jobs", "1"],
+        ["extract", "--p", "1009", "--a", "1", "--b", "1", "--jobs", "1"],
+        ["verify", "--p", "1009", "--a", "1", "--b", "1", "--checks",
+         "division_points", "--n-max", "2"],
+    ], ids=["find-curve", "find-curve-range", "sums", "extract", "verify"])
+    def test_count_budget_exit_3_without_a_chi_table(self, tmp_path, capsys,
+                                                     monkeypatch, argv):
+        monkeypatch.setattr(field_module, "CHI_TABLE_BUDGET", 1000)
+        rc = cli.main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == ("resource budget exceeded: p = 1009 "
+                                           "exceeds the point-counting budget 1000\n")
+        assert field(1009)._chi_table is None
         assert not list(tmp_path.iterdir())
 
     def test_lemma5_cell_budget_edges(self):

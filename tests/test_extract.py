@@ -9,6 +9,7 @@ import pytest
 from conftest import small_curves
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import BitWindow, count_A, fourier_count_A, lsb_string
 
 import ecbits.charsum as charsum_module
 import ecbits.extract as extract_module
@@ -26,7 +27,6 @@ from ecbits.curve import (
     subgroup_of_order,
 )
 from ecbits.extract import (
-    BitWindow,
     ChiSquareReport,
     DeviationReport,
     _check_code_budget,
@@ -34,10 +34,7 @@ from ecbits.extract import (
     _pattern_counts,
     bitstream,
     chi_square_uniformity,
-    count_A,
     delta,
-    fourier_count_A,
-    lsb_string,
     pack_bits,
     sampled_deviation,
 )

@@ -1,23 +1,26 @@
 import cmath
+import importlib
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import geometric_sum_cap, incomplete_geometric_sum, orthogonality_indicator
 
+from ecbits.curve import Curve
 from ecbits.field import (
     Fp2,
     PreconditionError,
     PrimeField,
+    ResourceBudgetError,
     field,
-    geometric_sum_cap,
-    incomplete_geometric_sum,
     is_prime,
-    orthogonality_indicator,
     primes_upto,
 )
 
 SMALL_PRIMES = [5, 7, 11, 13, 101]
+# the module: the package's name ecbits.field is the field() cache
+field_module = importlib.import_module("ecbits.field")
 
 
 def test_is_prime_small():
@@ -90,6 +93,19 @@ class TestQuadraticCharacter:
     def test_table_agrees_with_euler_criterion(self, p):
         F = field(p)
         assert F.chi_table() == [F.chi(u) for u in range(p)]
+
+
+class TestChiTableBudget:
+    def test_refused_before_the_table_is_built(self, monkeypatch):
+        monkeypatch.setattr(field_module, "CHI_TABLE_BUDGET", 1000)
+        F = field(1009)
+        message = "^p = 1009 exceeds the point-counting budget 1000$"
+        with pytest.raises(ResourceBudgetError, match=message):
+            F.chi_table()
+        with pytest.raises(ResourceBudgetError, match=message):
+            Curve(F, 1, 1).order()
+        assert F._chi_table is None
+        assert field(997).chi_table() == [field(997).chi(u) for u in range(997)]
 
 
 class TestAdditiveCharacter:
