@@ -7,7 +7,10 @@ one point, and x_walks those of many points side by side on x alone,
 with one inversion per step;
 orbit_tables reads one x table per cyclic subgroup that a point set
 meets, from a walk kept per process (orbit_points lists the points of
-one), and x_rows reads every point's multiples from it.  T is the
+one), and x_rows reads every point's multiples from it.  U, V and the
+bit counts of extract read a point R only through x(nR) = x(n(-R)):
+once_per_pair evaluates V's and the counts' per-point terms once per
+class {R, -R}, and U sums one column per class.  T is the
 multiplicative-product additive-character sum, its psi arguments built
 level by level over [1,N]^k by prefix_sums; V aggregates |T|^2 over a
 subgroup.  The subgroup exponential sum and the product-collision
@@ -229,15 +232,27 @@ def x_rows(curve: Curve, points: Iterable[CurvePoint],
         yield [tx[m * j % o] for m in range(1, count + 1)]
 
 
+def once_per_pair(points: Iterable[CurvePoint], value) -> list:
+    """[value(R) for R in points], value called once per class {R, -R}
+    met: for a value that reads R only through x(nR) = x(n(-R)).  The
+    classes are keyed by the affine x, whose None keeps O apart from the
+    points with x = 0 (x_formal maps all of them to 0)."""
+    memo = {}
+    return [memo[R.x] if R.x in memo else memo.setdefault(R.x, value(R))
+            for R in points]
+
+
 def sum_U(
     curve: Curve, N: int, budget: int = 50_000_000
 ) -> tuple[int, BoundReport]:
     """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exactly, through
     the proof's rearrangement: expanding the square and swapping the sums
     gives sum_{m,n<=N} W(m, n)^2 with W(m, n) = sum_P chi(x(mP)x(nP)).
-    W is symmetric, so only the N(N+1)/2 pairs m <= n are summed, each
-    over the columns [x(mP)]_P and [x(nP)]_P: #E lookups per pair, and
-    the off-diagonal squares count twice.
+    W is symmetric, so only the N(N+1)/2 pairs m <= n are summed, and the
+    off-diagonal squares count twice.  x(n(-P)) = x(nP), so W sums twice
+    over one point of each pair {P, -P} with y != 0, plus once over O
+    and the points of order 2: (#E + #E[2]) / 2 lookups per pair (m, n),
+    #E[2] in {1, 2, 4} counting O and the points of order 2.
 
     Reported against the N^6 q + N q^2 bound.
     """
@@ -248,11 +263,18 @@ def sum_U(
     if ne * N * N > budget:
         raise ResourceBudgetError(f"#E * N^2 = {ne * N * N} exceeds budget {budget}")
     lookup = curve.field.chi_table().__getitem__
-    cols = list(zip(*x_rows(curve, curve.enumerate_points(), N)))
+    points = curve.enumerate_points()
+    # O (y = None) and the points with y = 0 are their own negatives; one
+    # point of each other pair {P, -P} stands for both
+    fixed = [P for P in points if not P.y]
+    paired = list({P.x: P for P in points if P.y}.values())
+    cols = list(zip(*x_rows(curve, fixed + paired, N)))
+    nf = len(fixed)
     total = 0
     for m, xm in enumerate(cols):
         for n in range(m, N):
-            w = sum(map(lookup, [a * b % q for a, b in zip(xm, cols[n])]))
+            chis = list(map(lookup, [a * b % q for a, b in zip(xm, cols[n])]))
+            w = sum(chis[:nf]) + 2 * sum(chis[nf:])
             total += w * w if m == n else 2 * w * w
     report = BoundReport(
         lhs=float(total),
@@ -293,15 +315,22 @@ def sum_V(
 ) -> tuple[float, BoundReport]:
     """V_k(c, H; N) = sum_{R in H} |T_k(c, R; N)|^2, H a subgroup whose
     order t has gcd(N!, t) = 1.  Reported against
-    k N^(4k) sqrt(p) + k N^(2k-1) t."""
+    k N^(4k) sqrt(p) + k N^(2k-1) t.
+
+    Cost: T reads R only through x(nR) = x(n(-R)), so sum_T runs once
+    per distinct x(R) of H, (t + 1) / 2 times for an odd t: a walk of
+    N^k multiples and N^k psi memo reads each.  The memoised squares are
+    added in H's order, so the total is the per-point loop's bit for
+    bit.
+    """
     t = len(H)
     if t < 1:
         raise PreconditionError("H must be nonempty")
     check_coprime_to_factorial(t, N)
     k = len(c)
     total = 0.0
-    for R in H:
-        total += abs(sum_T(curve, c, R, N)) ** 2
+    for square in once_per_pair(H, lambda R: abs(sum_T(curve, c, R, N)) ** 2):
+        total += square
     p = curve.p
     report = BoundReport(
         lhs=total,

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .charsum import (
     _t_sum,  # noqa: F401
     check_coprime_to_factorial,
+    once_per_pair,
     orbit_tables,
     prefix_sums,
     x_multiples,
@@ -201,7 +202,10 @@ def delta(
     and none when H is charsum.orbit_points of a generator), then the
     prefix-product recursion of _pattern_counts on its x table: at most
     k*N shift-adds per orbit point, with one packed int of at most
-    2^((k-1) ell) slots per orbit point held at a time.
+    2^((k-1) ell) slots per orbit point held at a time.  The counts of
+    R read only x(nR) = x(n(-R)), so the last level, its unpacking and
+    the worst deviation are computed once per distinct x(R) of H:
+    (t + 1) / 2 times for a subgroup of odd order t.
     """
     p = curve.p
     met = list(dict.fromkeys(H))  # the points of H, in the order given
@@ -215,9 +219,13 @@ def delta(
     total = total_wo_o = 0  # numerators over 2^(k*ell)
     tables = dict(zip(met, orbit_tables(
         curve, met, lambda tx: _pattern_counts(tx, k, ell, N))))
-    for R in sorted(met, key=_point_key):
+
+    def worst_at(R):
         counts_at, j = tables[R]
-        worst = _worst_deviation(counts_at(j), N**k)
+        return _worst_deviation(counts_at(j), N**k)
+
+    points = sorted(met, key=_point_key)
+    for R, worst in zip(points, once_per_pair(points, worst_at)):
         per_point.append((repr(R), Fraction(worst, size)))
         total += worst
         if not R.is_infinity:

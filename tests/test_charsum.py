@@ -14,6 +14,7 @@ from ecbits.charsum import (
     _lockstep,
     _t_sum,
     count_product_collisions,
+    orbit_points,
     prefix_products,
     prefix_sums,
     subgroup_sum,
@@ -24,10 +25,12 @@ from ecbits.charsum import (
     x_rows,
     x_walks,
 )
+from ecbits.cli import run_sum_cell
 from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
+    _point_key,
     coprime_part,
     factorize,
     mul_int,
@@ -275,6 +278,118 @@ class TestSumV:
         got, _ = sum_V(micro_curve, micro_points, (1,), 4)
         t, k, N = 5, 1, 4
         assert 0 <= got <= t * N ** (2 * k) * (1 + 1e-9)
+
+
+def v_per_point(C, H, c, N):
+    """V as the loop over every point of H, one T per point in H's order:
+    the form that the one-T-per-{R, -R} kernel replaced."""
+    total = 0.0
+    for R in H:
+        total += abs(sum_T(C, c, R, N)) ** 2
+    return total
+
+
+# y^2 = x^3 + 1 over F_211: #E = 228 = 4 * 3 * 19, full 2-torsion (x = 15,
+# 197, 210) and (0, +-1) of order 3
+GOLDEN_CURVE = Curve(field(211), 0, 1)
+# curves whose points are all O and 2-torsion: {O, (0, 0), (2, 0), (3, 0)}
+# (x = 0 on a point other than O) and {O, (1, 0), (2, 0), (4, 0)}
+TWO_TORSION_CURVES = [Curve(field(5), 1, 0), Curve(field(7), 0, 6)]
+
+
+class TestPlusMinusPairs:
+    """U and V read a point only through x of its multiples, and
+    x(n(-P)) = x(nP): one evaluation per class {P, -P}, keyed by the
+    affine x, so O (x = None) stays apart from the points with x = 0."""
+
+    def test_golden_values_recorded_before_pairing(self):
+        C = GOLDEN_CURVE
+        E = C.enumerate_points()
+        H57, H19 = subgroup_of_order(C, 57), subgroup_of_order(C, 19)
+        assert [sum_U(C, N)[0] for N in range(1, 7)] == [
+            50625, 98433, 154548, 203796, 258633, 312489]
+        assert sum_V(C, E, (1,), 1)[0] == 228.0
+        assert sum_V(C, E, (5, 3), 1)[0] == 228.0
+        assert sum_V(C, H57, (1,), 2)[0] == 123.50568043467739
+        assert sum_V(C, H57, (2, 7), 2)[0] == 283.34278065865277
+        assert sum_V(C, H19, (1,), 4)[0] == 94.6462353762222
+        assert sum_V(C, H19, (1, 1), 4)[0] == 637.7136414807841
+        lhs = {(len(H), d, c): subgroup_sum(C, H, d, c)[1].lhs
+               for H, d, c in [(E, (1,), (1,)), (E, (1, 5), (1, 1)),
+                               (H57, (1, 2), (3, 1)), (H19, (1, 7, 8), (1, 1, 1))]}
+        assert lhs == {(228, (1,), (1,)): 4.679244050090327,
+                       (228, (1, 5), (1, 1)): 29.56480151052065,
+                       (57, (1, 2), (3, 1)): 6.227392116493103,
+                       (19, (1, 7, 8), (1, 1, 1)): 18.0}
+
+    def test_infinity_keyed_apart_from_x_zero(self, micro_curve, micro_points):
+        # O first, then (0, +-1) of order 5, whose T differs from T(O) = N^k
+        assert micro_points[:3] == [INFINITY, CurvePoint(0, 1), CurvePoint(0, 6)]
+        assert sum_T(micro_curve, (1,), CurvePoint(0, 1), 4) != 4
+        for c in [(1,), (4, 2)]:
+            assert sum_V(micro_curve, micro_points, c, 4)[0] == v_per_point(
+                micro_curve, micro_points, c, 4)
+
+    def test_points_without_their_negatives(self):
+        C = GOLDEN_CURVE
+        H57 = subgroup_of_order(C, 57)
+        # (0, 1), O and 27 points of order 19 or 57, none with its negative
+        H = [P for P in H57 if P.is_infinity or P.y < 106][:29]
+        assert not {CurvePoint(P.x, -P.y % C.p) for P in H if P.y} & set(H)
+        for c in [(1,), (3, 2)]:
+            assert sum_V(C, H, c, 2)[0] == v_per_point(C, H, c, 2)
+
+    def test_sum_v_adds_in_h_order(self):
+        # the order-57 subgroup in walk order: its float total differs
+        # from the same squares added in sorted order
+        C = GOLDEN_CURVE
+        H = orbit_points(C, subgroup_generator(C, 57))
+        for c in [(1,), (2, 7)]:
+            want = v_per_point(C, H, c, 2)
+            assert want != v_per_point(C, sorted(H, key=_point_key), c, 2)
+            assert sum_V(C, H, c, 2)[0] == want
+
+    @pytest.mark.parametrize("C", TWO_TORSION_CURVES, ids=["p5", "p7"])
+    def test_group_of_o_and_two_torsion(self, C):
+        E = C.enumerate_points()
+        assert all(P.is_infinity or P.y == 0 for P in E)
+        for N in range(1, 6):
+            assert sum_U(C, N)[0] == u_by_pairs(C, N) == u_by_definition(C, N)
+        for c in [(1,), (2, 3)]:
+            assert sum_V(C, E, c, 1)[0] == v_per_point(C, E, c, 1)
+
+    @pytest.mark.parametrize("p,a,b", [(211, 0, 1), (103, 1, 0), (89, 2, 5)])
+    def test_two_torsion_counted_once(self, p, a, b):
+        # three, one and no points of order 2 beside O, (0, 0) among them
+        # at p = 103
+        C = Curve(field(p), a, b)
+        for N in (1, 3, 4):
+            assert sum_U(C, N)[0] == u_by_pairs(C, N)
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_curves(), st.data())
+    def test_sum_v_on_any_point_list(self, C, data):
+        H = data.draw(st.lists(st.sampled_from(C.enumerate_points()),
+                               min_size=1, max_size=12))
+        N = data.draw(st.integers(1, min([*factorize(len(H)), 5]) - 1))
+        c = (data.draw(st.integers(1, C.p - 1)),)
+        assert sum_V(C, H, c, N)[0] == v_per_point(C, H, c, N)
+
+    def test_benchmark_v_cell_evaluates_t_once_per_pair(self, monkeypatch):
+        # t = 517 = 11 * 47: O and 258 pairs {R, -R}
+        calls = []
+
+        def counting_sum_T(C, c, R, N):
+            calls.append(R)
+            return sum_T(C, c, R, N)
+
+        monkeypatch.setattr(charsum_module, "sum_T", counting_sum_T)
+        got = run_sum_cell({"experiment": "v", "p": 1009, "a": 1, "b": 1,
+                            "t": 517, "N": 6, "k": 2, "c": [1, 1]})
+        monkeypatch.undo()
+        assert len(calls) == len({R.x for R in calls}) == 259
+        C = Curve(field(1009), 1, 1)
+        assert got["lhs"] == v_per_point(C, subgroup_of_order(C, 517), (1, 1), 6)
 
 
 class TestSubgroupSum:

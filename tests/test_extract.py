@@ -13,7 +13,7 @@ from oracles import BitWindow, count_A, fourier_count_A, lsb_string
 
 import ecbits.charsum as charsum_module
 import ecbits.extract as extract_module
-from ecbits.charsum import BoundReport, sum_V, x_multiples, x_rows
+from ecbits.charsum import BoundReport, orbit_points, sum_V, x_multiples, x_rows
 from ecbits.curve import (
     INFINITY,
     Curve,
@@ -477,6 +477,61 @@ class TestPatternCounts:
         orbits = [frozenset(orbit(_ORACLE_CURVE, G)) for G in walked]
         assert len(set(orbits)) == len(orbits)
         assert set(H) <= set().union(*orbits)
+
+
+class TestDeltaPlusMinusPairs:
+    """delta counts the patterns once per class {R, -R}, keyed by the
+    affine x, so O (x = None) stays apart from the points with x = 0,
+    and still reports every point of H."""
+
+    @pytest.mark.parametrize("k,ell,N", [(1, 2, 4), (2, 2, 3)])
+    def test_infinity_keyed_apart_from_x_zero(self, micro_curve, micro_points,
+                                              k, ell, N):
+        # per_point starts O, (0, 1), (0, 6)
+        want = _brute_force_per_point(micro_curve, micro_points, k, ell, N)
+        assert want[0][1] != want[1][1] == want[2][1]
+        assert delta(micro_curve, micro_points, k, ell, N).per_point == want
+
+    def test_points_without_their_negatives(self):
+        C = Curve(field(89), 2, 5)  # #E = 101, prime
+        H = [P for P in C.enumerate_points() if P.is_infinity or P.y < 45][:25]
+        assert not {CurvePoint(P.x, -P.y % C.p) for P in H if P.y} & set(H)
+        rep = delta(C, H, 2, 2, 4)
+        assert rep.per_point == _brute_force_per_point(C, H, 2, 2, 4)
+
+    @pytest.mark.parametrize("p,a,b", [(5, 1, 0), (7, 0, 6)])
+    def test_group_of_o_and_two_torsion(self, p, a, b):
+        # {O, (0, 0), (2, 0), (3, 0)} and {O, (1, 0), (2, 0), (4, 0)}
+        C = Curve(field(p), a, b)
+        E = C.enumerate_points()
+        assert all(P.is_infinity or P.y == 0 for P in E)
+        for k, ell in [(1, 1), (2, 2), (3, 1)]:
+            rep = delta(C, E, k, ell, 1)
+            assert rep.per_point == _brute_force_per_point(C, E, k, ell, 1)
+
+    def test_extract_exact_counts_once_per_pair(self, monkeypatch):
+        # the extract-exact benchmark: t = 1,579 = O and 789 pairs {R, -R}
+        C = Curve(field(1549), 1, 3)
+        H = orbit_points(C, subgroup_generator(C, 1579))
+        read = []
+
+        def counting_pattern_counts(*args):
+            counts_at = _pattern_counts(*args)
+
+            def counted(i):
+                read.append(i)
+                return counts_at(i)
+
+            return counted
+
+        monkeypatch.setattr(extract_module, "_pattern_counts",
+                            counting_pattern_counts)
+        rep = delta(C, H, 2, 2, 24)
+        assert len(read) == 790
+        assert len(rep.per_point) == 1579
+        dev = dict(rep.per_point)
+        assert all(dev[repr(P)] == dev[repr(CurvePoint(P.x, -P.y % C.p))]
+                   for P in H[1:])
 
 
 class TestPackBits:
