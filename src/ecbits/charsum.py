@@ -4,7 +4,9 @@ against the proved bounds.
 U aggregates |S(P, Q; N)|^2 over all point pairs, S summing the
 quadratic character of x(nP)x(nQ).  x_multiples walks the multiples of
 one point, and x_walks those of many points side by side on x alone,
-with one inversion per step;
+with one inversion per step; window_table keeps the low bits of x over
+a whole cyclic subgroup, half of it walked in lanes by that step and
+the other half mirrored through x(mG) = x((t - m)G);
 orbit_tables reads one x table per cyclic subgroup that a point set
 meets, from a walk kept per process (orbit_points lists the points of
 one), and x_rows reads every point's multiples from it.  U, V and the
@@ -24,11 +26,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .curve import Curve, CurvePoint, multiples, orbit
+from .curve import (
+    Curve,
+    CurvePoint,
+    _add_pairs,
+    _bit_sum,
+    _doublings,
+    multiples,
+    orbit,
+)
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
 
@@ -129,6 +140,31 @@ def _inverses(dens: list[int], p: int) -> list[int] | None:
     return invs
 
 
+def _x_stepper(curve: Curve, x1s: list[int]):
+    """step(prev, xs): the column x(Q + P) of one side-by-side step of
+    lanes, lane i adding the point P with x(P) = x1s[i] to its Q, from
+    xs = x(Q) and prev = x(Q - P) with one inversion mod p for all
+    lanes; None when a denominator is 0 (some Q = +-P).
+
+    x(Q + P) = 2((x + x1)(x x1 + a) + 2b) / (x - x1)^2 - x(Q - P) for
+    x = x(Q), x1 = x(P); the numerator is kept as c2 x^2 + c1 x + c0,
+    its coefficients fixed per lane.
+    """
+    p, a, b = curve.p, curve.a, curve.b
+    c2s = [2 * x1 for x1 in x1s]
+    c1s = [2 * (x1 * x1 + a) % p for x1 in x1s]
+    c0s = [(2 * a * x1 + 4 * b) % p for x1 in x1s]
+
+    def step(prev: list[int], xs: list[int]) -> list[int] | None:
+        invs = _inverses([x - x1 for x, x1 in zip(xs, x1s)], p)
+        if invs is None:
+            return None
+        return [(((c2 * x + c1) * x + c0) * v * v - xq) % p
+                for x, c2, c1, c0, xq, v in zip(xs, c2s, c1s, c0s, prev, invs)]
+
+    return step
+
+
 def _lockstep(curve: Curve, batch: list[CurvePoint],
               count: int) -> list[list[int]] | None:
     """x_multiples for each point of batch, the walks of multiples taken
@@ -137,10 +173,8 @@ def _lockstep(curve: Curve, batch: list[CurvePoint],
     denominator is 0 (y(P) = 0, or the walk of P meets -P): when some
     point's order is at most count.
 
-    x(2P) = ((x^2 - a)^2 - 8bx) / 4y^2 with y^2 = x^3 + ax + b, and
-    x((n+1)P) = 2((x + x1)(x x1 + a) + 2b) / (x - x1)^2 - x((n-1)P) for
-    x = x(nP), x1 = x(P) and nP != +-P; the numerator is kept as
-    c2 x^2 + c1 x + c0, its coefficients fixed per point.
+    x(2P) = ((x^2 - a)^2 - 8bx) / 4y^2 with y^2 = x^3 + ax + b, then the
+    steps of _x_stepper with Q = nP for n = 2..count - 1.
     """
     if count < 1 or any(P.is_infinity for P in batch):
         return None
@@ -153,16 +187,12 @@ def _lockstep(curve: Curve, batch: list[CurvePoint],
             return None
         cols.append([((x * x - a) ** 2 - 8 * b * x) * v % p
                      for x, v in zip(x1s, invs)])
-    c2s = [2 * x1 for x1 in x1s]
-    c1s = [2 * (x1 * x1 + a) % p for x1 in x1s]
-    c0s = [(2 * a * x1 + 4 * b) % p for x1 in x1s]
+    step = _x_stepper(curve, x1s)
     for _ in range(count - 2):
-        prev, xs = cols[-2], cols[-1]
-        invs = _inverses([x - x1 for x, x1 in zip(xs, x1s)], p)
-        if invs is None:
+        col = step(cols[-2], cols[-1])
+        if col is None:
             return None
-        cols.append([(((c2 * x + c1) * x + c0) * v * v - xq) % p
-                     for x, c2, c1, c0, xq, v in zip(xs, c2s, c1s, c0s, prev, invs)])
+        cols.append(col)
     return [list(row) for row in zip(*cols)]
 
 
@@ -175,7 +205,9 @@ def x_walks(curve: Curve, points: Iterable[CurvePoint],
     for the batch and a few multiplications per point; a batch with a
     point of order at most count (O, a 2-torsion point, or a walk that
     meets -P) is walked by x_multiples point by point instead.  One
-    batch's rows are held at a time.
+    batch's rows are held at a time.  That is len(points) * (count - 1)
+    point steps in all; when the points are multiples of one G, and that
+    is more than ord(G) / 2, window_table reads them for fewer.
     """
     points = iter(points)
     while batch := list(itertools.islice(points, WALK_BATCH)):
@@ -183,6 +215,76 @@ def x_walks(curve: Curve, points: Iterable[CurvePoint],
         if rows is None:
             rows = [x_multiples(curve, P, count) for P in batch]
         yield from rows
+
+
+def _lane_columns(curve: Curve, table: list, starts: range,
+                  L: int) -> Iterator[list[int]]:
+    """The columns [x((s + j)G) for s in starts], j = 0..L - 1, of lanes
+    walked side by side from sG and (s + 1)G, table = _doublings(G).  They
+    stop early when a lane meets O or +-G: for m = s + j < t, only when
+    ord(G) < t."""
+    p, a = curve.p, curve.a
+    lanes = [_bit_sum(p, a, table, s) for s in starts]
+    if None in lanes:
+        return
+    cur = [x for x, _ in lanes]
+    yield cur
+    if L < 2:
+        return
+    lanes = [_add_pairs(p, a, P, table[0]) for P in lanes]
+    if None in lanes:
+        return
+    prev, cur = cur, [x for x, _ in lanes]
+    yield cur
+    step = _x_stepper(curve, [table[0][0]] * len(starts))
+    for _ in range(L - 2):
+        prev, cur = cur, step(prev, cur)
+        if cur is None:
+            return
+        yield cur
+
+
+def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
+    """w with w[m] = x(mG) & (2^ell - 1) for 0 <= m < t (w[0] = 0, as
+    x(O) = 0), for an F_p point G whose order divides t, in the smallest
+    array typecode that holds ell bits: t * w.itemsize bytes.
+
+    Cost: x(mG) = x((t - m)G), so only m = 1..t // 2 are walked, and
+    w[t - m] = w[m] fills the rest.  That half is cut into WALK_BATCH
+    lanes of L = ceil((t // 2) / WALK_BATCH) consecutive m, walked side
+    by side on x alone by the step of _lockstep with G for P: L - 2
+    steps, each one inversion mod p for all lanes.  Each lane starts
+    from sG and (s + 1)G, s its first m, read from one table of G's
+    doublings as mul_int reads nG, plus one addition.  The last lane
+    may run past t // 2, onto values the mirror writes again.  When
+    ord(G) < t a lane can meet O or +-G; x_multiples then walks the
+    half from G instead.
+    """
+    if not curve.contains(G):
+        raise ValueError(f"point {G} is not on {curve}")
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t = {t}")
+    p, a = curve.p, curve.a
+    table = _doublings(p, a, None if G.is_infinity else (G.x, G.y),
+                       t.bit_length())
+    if _bit_sum(p, a, table, t) is not None:
+        raise PreconditionError(f"tG != O for t = {t} and G = {G}")
+    typecode = next(c for c in "BHILQ" if 8 * array(c).itemsize >= ell)
+    w = array(typecode, [0]) * t
+    mask = (1 << ell) - 1
+    h = t // 2
+    if not h:
+        return w
+    L = -(-h // WALK_BATCH)
+    starts = range(1, h + 1, L)
+    walked = 0
+    for j, col in enumerate(_lane_columns(curve, table, starts, L)):
+        w[1 + j:1 + j + len(starts) * L:L] = array(typecode, [x & mask for x in col])
+        walked += 1
+    if walked < L:
+        w[1:h + 1] = array(typecode, [x & mask for x in x_multiples(curve, G, h)])
+    w[t - h:] = w[h:0:-1]
+    return w
 
 
 @functools.lru_cache(maxsize=8)

@@ -615,8 +615,10 @@ def find_curve(
 
     Admissible: nonsingular, ordinary, b != 0 (and a != 0 by scan
     policy), with a unique subgroup of order t >= sqrt(p) whose order is
-    coprime to big_n factorial.
+    coprime to big_n factorial, for big_n >= 1.
     """
+    if big_n < 1:
+        raise PreconditionError(f"need N >= 1, got N = {big_n}")
     primes = [p for p in p_values if 3 < p < MAX_MODULUS and is_prime(p)]
     rejected = {"singular": 0, "supersingular": 0, "subgroup_small": 0,
                 "subgroup_ambiguous": 0}
@@ -690,11 +692,20 @@ def subgroup_generator(C: Curve, t: int) -> CurvePoint:
     raise PreconditionError(f"no point of order {t} on {C}")
 
 
+def sample_scalars(t: int, count: int, seed: int) -> Iterator[int]:
+    """count seeded random scalars k, 1 <= k < t, drawn one at a time:
+    the k of every sampled multiple kG, whatever reads kG."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng.randrange(1, t)
+
+
 def sample_subgroup_points(
     C: Curve, gen: CurvePoint, t: int, count: int, seed: int
 ) -> Iterator[CurvePoint]:
-    """count seeded random multiples kG, 1 <= k < t, of a generator G,
-    the points mul_int gives, drawn one at a time as they are read.
+    """The multiples kG of a generator G for the k of
+    sample_scalars(t, count, seed), the points mul_int gives, drawn one
+    at a time as they are read.
 
     Cost: the doublings 2^i G, i < t.bit_length(), once, then one
     addition per further set bit of each k."""
@@ -703,7 +714,6 @@ def sample_subgroup_points(
     p, a = C.p, C.a
     table = _doublings(p, a, None if gen.is_infinity else (gen.x, gen.y),
                        t.bit_length())
-    rng = random.Random(seed)
-    for _ in range(count):
-        kG = _bit_sum(p, a, table, rng.randrange(1, t))
+    for k in sample_scalars(t, count, seed):
+        kG = _bit_sum(p, a, table, k)
         yield INFINITY if kG is None else CurvePoint._make(kG)

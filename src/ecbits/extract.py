@@ -12,6 +12,7 @@ the low bits are exactly balanced up to O(1/p).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import lshift
 from sys import byteorder
@@ -25,10 +26,19 @@ from .charsum import (
     once_per_pair,
     orbit_tables,
     prefix_sums,
+    window_table,
     x_multiples,
     x_walks,
 )
-from .curve import Curve, CurvePoint, _point_key, sample_subgroup_points
+from .curve import (
+    SUBGROUP_BUDGET,
+    Curve,
+    CurvePoint,
+    _point_key,
+    mul_int,
+    sample_scalars,
+    sample_subgroup_points,
+)
 from .field import PreconditionError, ResourceBudgetError
 from .poly import _unpack
 
@@ -256,16 +266,48 @@ def bitstream(curve: Curve, R: CurvePoint, k: int, ell: int, N: int) -> str:
     return "".join(map(bits.__getitem__, codes))
 
 
+def _reads_table(t: int, N: int, samples: int) -> bool:
+    """Whether sampled_deviation reads a window table of the order-t
+    subgroup (t // 2 point steps, t bytes at ell <= 8) rather than walk
+    each sample's first N multiples (samples * (N - 1) point steps)."""
+    return t // 2 <= samples * (N - 1) and t <= SUBGROUP_BUDGET
+
+
+def _table_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,
+                   samples: int, seed: int) -> Iterator[list[int]]:
+    """The ell low bits of x(n kG), n = 1..N, for each k of
+    sample_scalars(t, samples, seed): w[nk mod t] of one window table."""
+    w = window_table(C, gen, t, ell)
+    ns = range(1, N + 1)
+    for k in sample_scalars(t, samples, seed):
+        yield [w[n * k % t] for n in ns]
+
+
+def _walk_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,
+                  samples: int, seed: int) -> Iterator[list[int]]:
+    """_table_windows, each sampled kG walked by x_walks instead."""
+    for xs in x_walks(C, sample_subgroup_points(C, gen, t, samples, seed), N):
+        yield _codes(xs, 1, ell, N)
+
+
 def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
                       N: int, samples: int, seed: int) -> dict:
-    """Average worst-pattern deviation over sampled subgroup points (the
-    exhaustive Delta is out of reach for large t); k = 1 only, and like
-    delta it needs gcd(N!, t) = 1.
+    """Average worst-pattern deviation over the sampled subgroup points
+    kG, k from curve.sample_scalars(t, samples, seed) and gen of order t
+    (the exhaustive Delta is out of reach for large t); k = 1 only, and
+    like delta it needs gcd(N!, t) = 1.  A gen off the curve is a
+    ValueError, and one with tG != O a PreconditionError.
 
-    Cost: the points come from sample_subgroup_points and their first N
-    multiples from x_walks, one batch at a time, so memory does not grow
-    with samples.  The mean is the integer sum of the worst deviations
-    divided once.
+    Cost: x(n kG), n = 1..N, is read the way with fewer point steps
+    (_reads_table), each step a few multiplications and a share of one
+    inversion mod p:
+    - from one charsum.window_table of <gen>, when t // 2 <=
+      samples * (N - 1) and t <= SUBGROUP_BUDGET: t // 2 steps, a table
+      of t bytes at ell <= 8, then N reads per sample;
+    - otherwise by x_walks over sample_subgroup_points: samples * (N - 1)
+      steps, one batch at a time, so memory does not grow with samples.
+    Both read the same k, so the result does not depend on the way.  The
+    mean is the integer sum of the worst deviations divided once.
     """
     if k != 1:
         raise PreconditionError("sampled deviation sweeps support k = 1")
@@ -274,9 +316,12 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     check_coprime_to_factorial(t, N)
     _check_window(C.p, k, ell, N)
     _check_code_budget(k, N)
+    if not mul_int(C, t, gen).is_infinity:  # the table's mirror needs tG = O
+        raise PreconditionError(f"tG != O for t = {t} and G = {gen}")
+    windows = _table_windows if _reads_table(t, N, samples) else _walk_windows
     total = top = 0
-    for xs in x_walks(C, sample_subgroup_points(C, gen, t, samples, seed), N):
-        worst = _worst_deviation(_histogram(_codes(xs, k, ell, N), k, ell), N)
+    for codes in windows(C, gen, t, ell, N, samples, seed):
+        worst = _worst_deviation(_histogram(codes, k, ell), N)
         total += worst
         top = max(top, worst)
     return {

@@ -21,10 +21,12 @@ from ecbits.charsum import (
     sum_T,
     sum_U,
     sum_V,
+    window_table,
     x_multiples,
     x_rows,
     x_walks,
 )
+import ecbits.curve as curve_module
 from ecbits.cli import run_sum_cell
 from ecbits.curve import (
     INFINITY,
@@ -706,3 +708,85 @@ class TestXWalks:
     def test_empty_and_zero_count(self, micro_curve, micro_points):
         assert list(x_walks(micro_curve, [], 4)) == []
         assert list(x_walks(micro_curve, micro_points, 0)) == [[]] * len(micro_points)
+
+
+# #E = 1034 = 2 * 11 * 47, cyclic: a generator (1, 149) of order 1034
+# and points of every order dividing it
+C_1009 = Curve(field(1009), 1, 1)
+
+# (curve, G, t = ord(G)): odd and even t, with WALK_BATCH lanes of
+# L = 1, 2, 3, 9 and 17 multiples, and t in {2, 3, 4}
+WINDOW_GROUPS = [
+    (C_1009, CurvePoint(1, 149), 1034),
+    (C_1009, CurvePoint(0, 1), 517),
+    (C_1009, CurvePoint(92, 296), 94),
+    (C_1009, CurvePoint(18, 352), 47),
+    (C_1009, CurvePoint(27, 192), 11),
+    (C_1009, CurvePoint(999, 0), 2),
+    (Curve(field(10007), 1, 2), INFINITY, 1),
+    (Curve(field(7), 0, 1), CurvePoint(0, 1), 3),
+    (Curve(field(17), 2, 4), CurvePoint(2, 4), 16),
+]
+
+
+def masked_orbit(C, G, t, ell):
+    """[x(mG) & (2^ell - 1) for m < t] (x(O) = 0) by the walk of multiples."""
+    return [0] + [x & (1 << ell) - 1 for x in x_multiples(C, G, t - 1)]
+
+
+class TestWindowTable:
+    @pytest.mark.parametrize("ell,itemsize", [(1, 1), (4, 1), (8, 1), (9, 2), (16, 2)])
+    @pytest.mark.parametrize("C,G,t", WINDOW_GROUPS)
+    def test_equals_masked_x_multiples(self, C, G, t, ell, itemsize):
+        assert C.point_order(G) == t
+        w = window_table(C, G, t, ell)
+        assert w.itemsize == itemsize and len(w) == t
+        assert list(w) == masked_orbit(C, G, t, ell)
+
+    @pytest.mark.parametrize("t", [2, 4, 8, 16])
+    def test_power_of_two_orders(self, t):
+        C = Curve(field(17), 2, 4)  # cyclic of order 16
+        G = mul_int(C, 16 // t, CurvePoint(2, 4))
+        assert list(window_table(C, G, t, 3)) == masked_orbit(C, G, t, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_curves(), st.data())
+    def test_any_multiple_of_the_order(self, C, data):
+        # t a multiple of ord(G), O included: a lane can meet O or +-G
+        G = data.draw(st.sampled_from(C.enumerate_points()))
+        t = C.point_order(G) * data.draw(st.integers(1, 3))
+        ell = data.draw(st.sampled_from([1, 4, 9]))
+        w = window_table(C, G, t, ell)
+        assert list(w) == masked_orbit(C, G, t, ell)
+        assert list(w) == [0] + [x & (1 << ell) - 1
+                                 for x in add_walk_x_multiples(C, G, t - 1)]
+
+    def test_refuses_an_order_not_dividing_t(self, micro_curve):
+        with pytest.raises(PreconditionError, match="tG != O"):
+            window_table(C_1009, CurvePoint(0, 1), 516, 4)
+        with pytest.raises(ValueError, match="is not on"):
+            window_table(micro_curve, CurvePoint(0, 0), 5, 1)
+
+    @pytest.mark.parametrize("G,t,lane", [
+        (CurvePoint(1, 149), 1034, 17), (CurvePoint(0, 1), 517, 9),
+        (CurvePoint(92, 296), 94, 2), (CurvePoint(27, 192), 11, 1)])
+    def test_one_inversion_per_step_for_all_lanes(self, monkeypatch, G, t, lane):
+        # the lanes hold L = ceil((t // 2) / WALK_BATCH) multiples each and
+        # take L - 2 steps; the lane starts are read from G's doublings
+        assert lane == -(-(t // 2) // WALK_BATCH)
+        steps, setup = [], []
+
+        def counting(calls):
+            def counting_pow(*args):
+                calls.append(args)
+                return pow(*args)
+            return counting_pow
+
+        monkeypatch.setattr(charsum_module, "pow", counting(steps), raising=False)
+        monkeypatch.setattr(curve_module, "pow", counting(setup), raising=False)
+        w = window_table(C_1009, G, t, 4)
+        monkeypatch.undo()
+        assert list(w) == masked_orbit(C_1009, G, t, 4)
+        assert len(steps) == max(lane - 2, 0)
+        lanes = -(-(t // 2) // lane)
+        assert len(setup) <= (lanes + 2) * t.bit_length()

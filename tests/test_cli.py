@@ -60,6 +60,13 @@ class TestFindCurve:
         with pytest.raises(ExhaustionError, match="rejected"):
             find_curve([7], 30)
 
+    @pytest.mark.parametrize("big_n", [0, -2])
+    def test_big_n_below_one_refused_before_the_scan(self, big_n):
+        # an empty scan would exhaust: the precondition comes first
+        for p_values in ([], [7]):
+            with pytest.raises(PreconditionError, match=f"got N = {big_n}"):
+                find_curve(p_values, big_n)
+
     def test_admissibility_predicates(self):
         fc = find_curve([11], 4)
         C = fc.curve
@@ -526,6 +533,11 @@ class TestBadInput:
          "--jobs must be at least 1, got 0"),
         (["sums", "--p", "7", "--a", "1", "--b", "1", "--jobs", "-3", "--out", "{tmp}/x"],
          "--jobs must be at least 1, got -3"),
+        # refused by find_curve before it scans
+        (["find-curve", "--p-min", "100", "--p-max", "200", "--big-n", "0"],
+         "need N >= 1, got N = 0"),
+        (["find-curve", "--p-min", "100", "--p-max", "200", "--big-n", "-2"],
+         "need N >= 1, got N = -2"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",

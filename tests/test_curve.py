@@ -24,6 +24,7 @@ from ecbits.curve import (
     orbit,
     order_over,
     rational_division_points,
+    sample_scalars,
     sample_subgroup_points,
     subgroup_generator,
     subgroup_of_order,
@@ -462,6 +463,17 @@ class TestSampleSubgroupPoints:
         got = list(sample_subgroup_points(C, gen, t, 20, seed))
         assert got == seeded_mul_int(C, gen, t, 20, seed)
         assert all(type(Q.x) is int for Q in got if not Q.is_infinity)
+
+    def test_scalars_of_the_points(self):
+        """The points are mul_int of the scalars sample_scalars draws."""
+        C = Curve(field(1009), 1, 1)
+        gen = subgroup_generator(C, 517)
+        for seed in range(3):
+            rng = random.Random(seed)
+            ks = list(sample_scalars(517, 40, seed))
+            assert ks == [rng.randrange(1, 517) for _ in range(40)]
+            assert list(sample_subgroup_points(C, gen, 517, 40, seed)) == [
+                mul_int(C, k, gen) for k in ks]
 
     def test_streams(self):
         """Points are drawn as they are read, from one doubling table."""

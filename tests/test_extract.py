@@ -7,21 +7,30 @@ from fractions import Fraction
 
 import pytest
 from conftest import small_curves
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import BitWindow, count_A, fourier_count_A, lsb_string
 
 import ecbits.charsum as charsum_module
 import ecbits.extract as extract_module
-from ecbits.charsum import BoundReport, orbit_points, sum_V, x_multiples, x_rows
+from ecbits.charsum import (
+    WALK_BATCH,
+    BoundReport,
+    orbit_points,
+    sum_V,
+    x_multiples,
+    x_rows,
+)
 from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
     FoundCurve,
+    SUBGROUP_BUDGET,
     GroupStructure,
     IndexTable,
     factorize,
+    mul_int,
     orbit,
     subgroup_generator,
     subgroup_of_order,
@@ -32,13 +41,16 @@ from ecbits.extract import (
     _check_code_budget,
     _codes,
     _pattern_counts,
+    _reads_table,
+    _table_windows,
+    _walk_windows,
     bitstream,
     chi_square_uniformity,
     delta,
     pack_bits,
     sampled_deviation,
 )
-from ecbits.field import PreconditionError, ResourceBudgetError, field
+from ecbits.field import PreconditionError, ResourceBudgetError, field, primes_upto
 
 
 class TestLsbString:
@@ -293,6 +305,156 @@ class TestSampledDeviation:
         assert got["max_rel_deviation"] == want["max_rel_deviation"]
         assert math.isclose(got["mean_rel_deviation"], want["mean_rel_deviation"],
                             rel_tol=1e-15)
+
+
+_C_1009 = Curve(field(1009), 1, 1)  # cyclic of order 1034 = 2 * 11 * 47
+
+# (curve, generator, t): odd and even t, t in {2, 3, 4}, and lanes of
+# L = 1..17 multiples in window_table
+_SAMPLED_GROUPS = [
+    (Curve(field(10007), 1, 2), None, 181),
+    (_C_1009, CurvePoint(0, 1), 517),
+    (_C_1009, CurvePoint(1, 149), 1034),
+    (_C_1009, CurvePoint(92, 296), 94),
+    (_C_1009, CurvePoint(27, 192), 11),
+    (_C_1009, 517, 2),
+    (Curve(field(7), 0, 1), CurvePoint(0, 1), 3),
+    (Curve(field(17), 2, 4), CurvePoint(0, 15), 4),
+]
+
+
+def _sampled_group(i):
+    """(curve, gen, t) of _SAMPLED_GROUPS, an int m standing for the point
+    m * (1, 149) of _C_1009, None for subgroup_generator's."""
+    C, gen, t = _SAMPLED_GROUPS[i]
+    if gen is None:
+        gen = subgroup_generator(C, t)
+    elif isinstance(gen, int):
+        gen = mul_int(C, gen, CurvePoint(1, 149))
+    assert C.point_order(gen) == t
+    return C, gen, t
+
+
+class _Spy:
+    """Counts the calls of a function and forwards them."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def _forced(rule):
+    """_reads_table replaced by a constant, to run one path on purpose."""
+    return lambda t, N, samples: rule
+
+
+class TestSampledPaths:
+    """The window-table path of sampled_deviation against the walk path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_table_path_equals_walk_path(self, data):
+        C, gen, t = _sampled_group(data.draw(st.integers(0, len(_SAMPLED_GROUPS) - 1)))
+        ell = data.draw(st.sampled_from([1, 4, 9]))
+        N = data.draw(st.integers(1, 40))
+        samples = data.draw(st.integers(1, 3 * WALK_BATCH))
+        seed = data.draw(st.integers(0, 10**6))
+        args = (C, gen, t, ell, N, samples, seed)
+        # the same windows of the same sampled points, in the same order
+        assert list(_table_windows(*args)) == list(_walk_windows(*args))
+        if ell < (C.p - 1).bit_length() and all(t % q for q in primes_upto(N)):
+            got = {}
+            for rule in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(extract_module, "_reads_table", _forced(rule))
+                    got[rule] = sampled_deviation(C, gen, t, 1, ell, N, samples, seed)
+            assert got[True] == got[False]
+
+    def test_rule_at_the_crossover(self):
+        # t // 2 = 90 against samples * (N - 1)
+        assert _reads_table(181, 91, 1) and not _reads_table(181, 90, 1)
+        assert _reads_table(181, 16, 6) and not _reads_table(181, 16, 5)
+        # the oracle tests above: samples = 1 walks, 33 and 70 read the table
+        for N in (16, 32):
+            assert not _reads_table(181, N, 1)
+            assert _reads_table(181, N, 33) and _reads_table(181, N, 70)
+        big = SUBGROUP_BUDGET
+        assert _reads_table(big, 2, big)
+        assert not _reads_table(big + 1, 2, big) and not _reads_table(big + 2, 2, big)
+
+    @pytest.mark.parametrize("N,samples,table", [
+        (91, 1, True), (90, 1, False), (16, 6, True), (16, 5, False),
+        (16, 33, True), (16, 1, False)])
+    def test_sampled_deviation_takes_the_chosen_path(self, monkeypatch, N, samples,
+                                                    table):
+        C, gen, t = _sampled_group(0)
+        want = sampled_deviation(C, gen, t, 1, 4, N, samples, 2)
+        tables = _Spy(extract_module.window_table)
+        walks = _Spy(extract_module.x_walks)
+        monkeypatch.setattr(extract_module, "window_table", tables)
+        monkeypatch.setattr(extract_module, "x_walks", walks)
+        assert sampled_deviation(C, gen, t, 1, 4, N, samples, 2) == want
+        assert (tables.calls, walks.calls) == ((1, 0) if table else (0, 1))
+
+    def test_subgroup_budget_sends_a_large_t_to_the_walks(self, monkeypatch):
+        C, gen, t = _sampled_group(0)
+        want = sampled_deviation(C, gen, t, 1, 4, 16, 33, 0)
+        monkeypatch.setattr(extract_module, "SUBGROUP_BUDGET", t - 1)
+        tables = _Spy(extract_module.window_table)
+        monkeypatch.setattr(extract_module, "window_table", tables)
+        assert sampled_deviation(C, gen, t, 1, 4, 16, 33, 0) == want
+        assert tables.calls == 0
+
+    def test_table_path_cost(self, monkeypatch):
+        # t = 719, t // 2 = 359: lanes of L = 12 multiples, 10 steps of one
+        # inversion each, where the walks would take 3 batches * 31 steps
+        C = Curve(field(20011), 1, 2)
+        gen = subgroup_generator(C, 719)
+        want = sampled_deviation(C, gen, 719, 1, 4, 32, 70, 1)
+        inversions = []
+
+        def counting_pow(*args):
+            inversions.append(args)
+            return pow(*args)
+
+        def no_walk(*args):
+            raise AssertionError("the table path walks no sample")
+
+        monkeypatch.setattr(charsum_module, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(extract_module, "x_walks", no_walk)
+        assert sampled_deviation(C, gen, 719, 1, 4, 32, 70, 1) == want
+        assert len(inversions) == -(-359 // WALK_BATCH) - 2 == 10
+
+    def test_generator_off_the_curve(self):
+        C, _, t = _sampled_group(0)
+        for samples in (1, 33):  # the walks, then the table
+            with pytest.raises(ValueError, match="is not on"):
+                sampled_deviation(C, CurvePoint(1, 1), t, 1, 4, 16, samples, 0)
+
+    def test_checks_on_both_paths(self, monkeypatch):
+        C, gen, t = _sampled_group(0)
+        monkeypatch.setattr(extract_module, "CODE_BUDGET", 15)
+        for samples in (1, 33):
+            with pytest.raises(PreconditionError, match="support k = 1"):
+                sampled_deviation(C, gen, t, 2, 4, 16, samples, 0)
+            with pytest.raises(PreconditionError, match="gcd"):
+                sampled_deviation(C, gen, 2 * t, 1, 4, 16, samples, 0)
+            with pytest.raises(PreconditionError, match="2\\^ell"):
+                sampled_deviation(C, gen, t, 1, 14, 16, samples, 0)
+            with pytest.raises(ResourceBudgetError, match="codes per point"):
+                sampled_deviation(C, gen, t, 1, 4, 16, samples, 0)
+        with pytest.raises(PreconditionError, match="samples >= 1"):
+            sampled_deviation(C, gen, t, 1, 4, 16, 0, 0)
+
+    def test_generator_outside_the_order_t_subgroup(self):
+        # (0, 1) has order 517 on _C_1009, which does not divide t = 11:
+        # neither path may read its multiples as an order-11 subgroup
+        for samples in (1, 33):
+            with pytest.raises(PreconditionError, match="tG != O"):
+                sampled_deviation(_C_1009, CurvePoint(0, 1), 11, 1, 1, 4, samples, 0)
 
 
 class TestBitstream:
