@@ -8,11 +8,11 @@ with one inversion per step; window_table keeps the low bits of x over
 a whole cyclic subgroup, half of it walked in lanes by that step and
 the other half mirrored through x(mG) = x((t - m)G);
 orbit_tables reads one x table per cyclic subgroup that a point set
-meets, from a walk kept per process (orbit_points lists the points of
-one), and x_rows reads every point's multiples from it.  U, V and the
-bit counts of extract read a point R only through x(nR) = x(n(-R)):
-once_per_pair evaluates V's and the counts' per-point terms once per
-class {R, -R}, and U sums one column per class.  T is the
+meets, from a walk kept per process, and x_rows reads every point's
+multiples from it.  U and V read a point R only through
+x(nR) = x(n(-R)): once_per_pair evaluates V's per-point terms once per
+class {R, -R} of any point set, and U sums one column per class (the
+exact Delta of extract takes its classes as j and t - j of <G>).  T is the
 multiplicative-product additive-character sum, its psi arguments built
 level by level over [1,N]^k by prefix_sums; V aggregates |T|^2 over a
 subgroup.  The subgroup exponential sum and the product-collision
@@ -36,9 +36,9 @@ from .curve import (
     CurvePoint,
     _add_pairs,
     _bit_sum,
-    _doublings,
     multiples,
     orbit,
+    torsion_doublings,
 )
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
@@ -260,15 +260,9 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
     ord(G) < t a lane can meet O or +-G; x_multiples then walks the
     half from G instead.
     """
-    if not curve.contains(G):
-        raise ValueError(f"point {G} is not on {curve}")
     if t < 1:
         raise ValueError(f"need t >= 1, got t = {t}")
-    p, a = curve.p, curve.a
-    table = _doublings(p, a, None if G.is_infinity else (G.x, G.y),
-                       t.bit_length())
-    if _bit_sum(p, a, table, t) is not None:
-        raise PreconditionError(f"tG != O for t = {t} and G = {G}")
+    table = torsion_doublings(curve, G, t)
     typecode = next(c for c in "BHILQ" if 8 * array(c).itemsize >= ell)
     w = array(typecode, [0]) * t
     mask = (1 << ell) - 1
@@ -294,13 +288,6 @@ def _orbit_walk(curve: Curve, G: CurvePoint) -> tuple[tuple, dict]:
     of a sweep over one subgroup reads the same walk."""
     orb = orbit(curve, G)
     return tuple(map(curve.x_formal, orb)), {Q: j for j, Q in enumerate(orb)}
-
-
-def orbit_points(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
-    """[O, G, ..., (o-1)G], read from the walk _orbit_walk keeps for
-    (curve, G): orbit_tables over these points, G met before any other
-    point of <G>, walks nothing more."""
-    return list(_orbit_walk(curve, G)[1])
 
 
 def orbit_tables(curve: Curve, points: Iterable[CurvePoint],

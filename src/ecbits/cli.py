@@ -27,7 +27,6 @@ import time
 from .charsum import (
     BoundReport,
     count_product_collisions,
-    orbit_points,
     subgroup_sum,
     sum_U,
     sum_V,
@@ -420,7 +419,7 @@ def run_extract(args) -> int:
             subgroup_of_order(C, t)
     gen = subgroup_generator(C, t)
     if exact:
-        rep = delta(C, orbit_points(C, gen), args.k, args.ell, args.big_n,
+        rep = delta(C, gen, t, args.k, args.ell, args.big_n,
                     bound_constant=args.slack_delta)
         key, deviation = "deviation", {
             "total": str(rep.total),

@@ -357,6 +357,20 @@ def mul_int(curve: Curve, n: int, P: CurvePoint) -> CurvePoint:
     return INFINITY if result is None else CurvePoint._make(result)
 
 
+def torsion_doublings(curve: Curve, G: CurvePoint, t: int) -> list:
+    """The doublings 2^i G, i < t.bit_length(), of an F_p point G, after
+    the one check that every reader of <G> as an order-t table makes: G
+    off the curve is a ValueError, and tG != O a PreconditionError."""
+    if not curve.contains(G):
+        raise ValueError(f"point {G} is not on {curve}")
+    p, a = curve.p, curve.a
+    table = _doublings(p, a, None if G.is_infinity else (G.x, G.y),
+                       t.bit_length())
+    if _bit_sum(p, a, table, t) is not None:
+        raise PreconditionError(f"tG != O for t = {t} and G = {G}")
+    return table
+
+
 def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
     """[O, G, 2G, ..., (o-1)G] for o = ord(G): the walk of multiples for
     an F_p point, repeated addition for an F_p^2 one."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import islice
 from operator import lshift
 from sys import byteorder
 from typing import NamedTuple
@@ -23,21 +24,20 @@ from typing import NamedTuple
 from .charsum import (
     _t_sum,  # noqa: F401
     check_coprime_to_factorial,
-    once_per_pair,
-    orbit_tables,
     prefix_sums,
     window_table,
     x_multiples,
     x_walks,
 )
 from .curve import (
+    INFINITY,
     SUBGROUP_BUDGET,
     Curve,
     CurvePoint,
-    _point_key,
-    mul_int,
+    multiples,
     sample_scalars,
     sample_subgroup_points,
+    torsion_doublings,
 )
 from .field import PreconditionError, ResourceBudgetError
 from .poly import _unpack
@@ -95,11 +95,19 @@ def _histogram(codes: list[int], k: int, ell: int) -> list[int]:
     return counts
 
 
+def _mirrored(half: list, t: int) -> list:
+    """The list v of length t with v[i] = half[i] for i < len(half) and
+    v[t - i] = v[i]: half holds i = 0..t // 2."""
+    return half + half[t - len(half):0:-1]
+
+
 def _pattern_counts(tx: list[int], k: int, ell: int, N: int):
     """The histogram of _codes for every point of one orbit, through the
     prefix-product recursion on its x table.
 
-    tx[i] = x(iG) for i < o = ord(G), with tx[0] = x(O) = 0.  Since
+    tx[i] = x(iG) for i < o = ord(G), with tx[0] = x(O) = 0, so
+    tx[o - i] = tx[i] (x(-R) = x(R)), and every level below inherits that
+    symmetry: A_j(o - i) = A_j(i).  Since
     (n_1 n_2...n_j)(iG) = (n_2...n_j)(n_1 iG), the codes of iG over
     [1,N]^j are those of its multiples n_1 iG over [1,N]^(j-1), each
     under one more most significant window, w(x(n_1 iG)):
@@ -110,9 +118,10 @@ def _pattern_counts(tx: list[int], k: int, ell: int, N: int):
     Each A_j(i) is one int whose slot c, the smallest of 1, 2, 4 or 8
     bytes (or wider) that holds N^k, counts pattern c; "under window w"
     is a left shift by w slots of 2^((j-1) ell) each.  Levels 1..k-1 are
-    built for the whole orbit, o shifts and o*N adds each, and the last
-    level only for the indices asked of the returned function: N
-    shift-adds and one unpacking each.  Memory: o ints of at most
+    built for i = 0..o // 2, o shifts and (o // 2 + 1)*N adds each, and
+    mirrored onto the rest of the orbit; the last level only for the
+    indices asked of the returned function: N shift-adds and one
+    unpacking each.  Memory: o ints of at most
     2^((k-1) ell) slots.  At k = 1 there is no level to build, and the
     returned function counts the N windows of iG into a plain histogram.
     """
@@ -132,8 +141,8 @@ def _pattern_counts(tx: list[int], k: int, ell: int, N: int):
     level = [1] * o
     for j in range(1, k):
         lifted = list(map(lshift, level, shifts(j)))
-        level = [sum(map(lifted.__getitem__, [n * i % o for n in ns]))
-                 for i in range(o)]
+        level = _mirrored([sum(map(lifted.__getitem__, [n * i % o for n in ns]))
+                           for i in range(o // 2 + 1)], o)
     top = shifts(k)
     nbytes = width << k * ell
 
@@ -192,54 +201,56 @@ def deviation_bound(k: int, N: int, p: int, t: int, C: float) -> float:
 
 def delta(
     curve: Curve,
-    H: list[CurvePoint],
+    G: CurvePoint,
+    t: int,
     k: int,
     ell: int,
     N: int,
     bound_constant: float = 1.0,
 ) -> DeviationReport:
-    """Delta_{k,ell}(H, N): the sum over R in H of the worst deviation of
-    the pattern count from N^k / 2^(k*ell), taken over all patterns.
+    """Delta_{k,ell}(<G>, N): the sum over R in the order-t subgroup <G>
+    of the worst deviation of the pattern count from N^k / 2^(k*ell),
+    taken over all patterns.
 
-    H is treated as a set, reported with its points sorted; the sum
+    The points are reported O first, then by x, then by y; the sum
     includes the point at infinity, whose degenerate all-zero orbit is
-    also reported separately via total_excluding_infinity.  H need not
-    be a subgroup: every nR lies in the orbit of R, so the counts of R
-    read that orbit alone.
+    also reported separately via total_excluding_infinity.  G is an F_p
+    point of order t: G off the curve is a ValueError, and tG != O or
+    ord(G) < t a PreconditionError.
 
-    Cost: one walk of ord(R) additions per cyclic subgroup <R> met, from
-    the first point R of H in it (at most |H| each when H is a subgroup,
-    and none when H is charsum.orbit_points of a generator), then the
-    prefix-product recursion of _pattern_counts on its x table: at most
-    k*N shift-adds per orbit point, with one packed int of at most
-    2^((k-1) ell) slots per orbit point held at a time.  The counts of
-    R read only x(nR) = x(n(-R)), so the last level, its unpacking and
-    the worst deviation are computed once per distinct x(R) of H:
-    (t + 1) / 2 times for a subgroup of odd order t.
+    Cost: the counts of R read only x(nR) = x(n(-R)), and the classes
+    {R, -R} of <G> are {jG, (t - j)G}, so everything runs once per class.
+    One walk of curve.multiples reads the int pairs (x, y) of jG for
+    j = 1..t // 2, and tx[t - j] = tx[j] fills the x table of <G>.  Then
+    _pattern_counts builds its lower levels over the same half: at most
+    k*N shift-adds per class, with one packed int of at most
+    2^((k-1) ell) slots per point of <G> held at a time.  The last level,
+    its unpacking and the worst deviation run once per class, t // 2 + 1
+    times, and each class reports (x, y) and (x, p - y) from the walk's
+    pair, or one point when y = 0.
     """
     p = curve.p
-    met = list(dict.fromkeys(H))  # the points of H, in the order given
-    t = len(met)
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
     _check_window(p, k, ell, N)
     check_coprime_to_factorial(t, N)
+    torsion_doublings(curve, G, t)
+    half = list(islice(multiples(curve, G), t // 2))
+    if len(half) < t // 2:
+        raise PreconditionError(f"ord(G) < t = {t} for G = {G}")
+    counts_at = _pattern_counts(_mirrored([0, *(x for x, _ in half)], t),
+                                k, ell, N)
     size = 1 << (k * ell)
-    per_point = []
-    total = total_wo_o = 0  # numerators over 2^(k*ell)
-    tables = dict(zip(met, orbit_tables(
-        curve, met, lambda tx: _pattern_counts(tx, k, ell, N))))
-
-    def worst_at(R):
-        counts_at, j = tables[R]
-        return _worst_deviation(counts_at(j), N**k)
-
-    points = sorted(met, key=_point_key)
-    for R, worst in zip(points, once_per_pair(points, worst_at)):
-        per_point.append((repr(R), Fraction(worst, size)))
-        total += worst
-        if not R.is_infinity:
-            total_wo_o += worst
+    worst_o = _worst_deviation(counts_at(0), N**k)
+    per_point = [(repr(INFINITY), Fraction(worst_o, size))]
+    total_wo_o = 0  # numerator over 2^(k*ell)
+    for x, y, j in sorted((x, min(y, p - y), j)
+                          for j, (x, y) in enumerate(half, 1)):
+        worst = _worst_deviation(counts_at(j), N**k)
+        dev = Fraction(worst, size)
+        ys = (y, p - y) if y else (y,)
+        per_point += [(repr(CurvePoint(x, v)), dev) for v in ys]
+        total_wo_o += worst * len(ys)
     return DeviationReport(
         k=k,
         ell=ell,
@@ -248,7 +259,7 @@ def delta(
         t=t,
         expected=Fraction(N**k, size),
         per_point=per_point,
-        total=Fraction(total, size),
+        total=Fraction(worst_o + total_wo_o, size),
         total_excluding_infinity=Fraction(total_wo_o, size),
         bound_constant=bound_constant,
         bound_value=deviation_bound(k, N, p, t, bound_constant),
@@ -316,8 +327,7 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     check_coprime_to_factorial(t, N)
     _check_window(C.p, k, ell, N)
     _check_code_budget(k, N)
-    if not mul_int(C, t, gen).is_infinity:  # the table's mirror needs tG = O
-        raise PreconditionError(f"tG != O for t = {t} and G = {gen}")
+    torsion_doublings(C, gen, t)  # the table's mirror needs tG = O
     windows = _table_windows if _reads_table(t, N, samples) else _walk_windows
     total = top = 0
     for codes in windows(C, gen, t, ell, N, samples, seed):

@@ -12,6 +12,8 @@ does: `from oracles import ...`.
 - v_sum_expanded: V_k squared out with the summation order swapped.
 - lsb_string, BitWindow, count_A, fourier_count_A: the pattern count A
   of a bit-window query, and A through its additive-character expansion.
+- delta_over_points: Delta over any point set H, one orbit table per
+  cyclic subgroup met and one evaluation per class {R, -R} of H.
 - deviation_trend: the mean sampled deviation per prime.
 - orthogonality_indicator, incomplete_geometric_sum, geometric_sum_cap:
   the complete and incomplete geometric sums behind that expansion.
@@ -20,12 +22,35 @@ does: `from oracles import ...`.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import NamedTuple
 
-from ecbits.charsum import _t_sum, prefix_products, x_multiples, x_rows
-from ecbits.curve import Curve, CurvePoint, find_curve, subgroup_generator
+from ecbits.charsum import (
+    _t_sum,
+    check_coprime_to_factorial,
+    once_per_pair,
+    orbit_tables,
+    prefix_products,
+    x_multiples,
+    x_rows,
+)
+from ecbits.curve import (
+    Curve,
+    CurvePoint,
+    _point_key,
+    find_curve,
+    subgroup_generator,
+)
 from ecbits.divpoly import DivisionPolynomials
-from ecbits.extract import _window_codes, sampled_deviation
+from ecbits.extract import (
+    DeviationReport,
+    _check_window,
+    _pattern_counts,
+    _window_codes,
+    _worst_deviation,
+    deviation_bound,
+    sampled_deviation,
+)
 from ecbits.field import PreconditionError, PrimeField
 
 # -- character sums ---------------------------------------------------------
@@ -178,6 +203,67 @@ def fourier_count_A(curve: Curve, R: CurvePoint, spec: BitWindow) -> complex:
             term *= geo[j][cj]
         total += term
     return total / p**spec.k
+
+
+def delta_over_points(
+    curve: Curve,
+    H: list[CurvePoint],
+    k: int,
+    ell: int,
+    N: int,
+    bound_constant: float = 1.0,
+) -> DeviationReport:
+    """Delta_{k,ell}(H, N): the sum over R in H of the worst deviation of
+    the pattern count from N^k / 2^(k*ell), taken over all patterns.
+
+    H is treated as a set, reported with its points sorted; the sum
+    includes the point at infinity, whose degenerate all-zero orbit is
+    also reported separately via total_excluding_infinity.  H need not
+    be a subgroup: every nR lies in the orbit of R, so the counts of R
+    read that orbit alone.  extract.delta is this over H = <G>.
+
+    Cost: one walk of ord(R) additions per cyclic subgroup <R> met, from
+    the first point R of H in it, then the prefix-product recursion of
+    _pattern_counts on its x table.  The counts of R read only
+    x(nR) = x(n(-R)), so the last level, its unpacking and the worst
+    deviation are computed once per distinct x(R) of H.
+    """
+    p = curve.p
+    met = list(dict.fromkeys(H))  # the points of H, in the order given
+    t = len(met)
+    if p <= k:
+        raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
+    _check_window(p, k, ell, N)
+    check_coprime_to_factorial(t, N)
+    size = 1 << (k * ell)
+    per_point = []
+    total = total_wo_o = 0  # numerators over 2^(k*ell)
+    tables = dict(zip(met, orbit_tables(
+        curve, met, lambda tx: _pattern_counts(tx, k, ell, N))))
+
+    def worst_at(R):
+        counts_at, j = tables[R]
+        return _worst_deviation(counts_at(j), N**k)
+
+    points = sorted(met, key=_point_key)
+    for R, worst in zip(points, once_per_pair(points, worst_at)):
+        per_point.append((repr(R), Fraction(worst, size)))
+        total += worst
+        if not R.is_infinity:
+            total_wo_o += worst
+    return DeviationReport(
+        k=k,
+        ell=ell,
+        N=N,
+        p=p,
+        t=t,
+        expected=Fraction(N**k, size),
+        per_point=per_point,
+        total=Fraction(total, size),
+        total_excluding_infinity=Fraction(total_wo_o, size),
+        bound_constant=bound_constant,
+        bound_value=deviation_bound(k, N, p, t, bound_constant),
+    )
 
 
 def deviation_trend(primes: list[int], N: int = 32, ells: tuple[int, ...] = (1, 2),

@@ -278,7 +278,7 @@ def test_criterion_13_hand_verified_micro_oracle():
     assert x2P == 2
     assert f2(0) * C.field.inv(g2(0)) % 7 == x2P
     assert sum_S(C, P, P, 2) == 1
-    rep = delta(C, pts, 1, 1, 4)
+    rep = delta(C, P, len(pts), 1, 1, 4)  # P generates E, of order 5
     assert rep.total == Fraction(10)
     report(13, "p=7 worked example reproduces: group, x(2P) = f2/g2 = 2, "
                "S(P,P;2) = 1, Delta_{1,1}(H,4) = 10")

@@ -14,7 +14,6 @@ from ecbits.charsum import (
     _lockstep,
     _t_sum,
     count_product_collisions,
-    orbit_points,
     prefix_products,
     prefix_sums,
     subgroup_sum,
@@ -36,6 +35,7 @@ from ecbits.curve import (
     coprime_part,
     factorize,
     mul_int,
+    orbit,
     subgroup_generator,
     subgroup_of_order,
 )
@@ -345,7 +345,7 @@ class TestPlusMinusPairs:
         # the order-57 subgroup in walk order: its float total differs
         # from the same squares added in sorted order
         C = GOLDEN_CURVE
-        H = orbit_points(C, subgroup_generator(C, 57))
+        H = orbit(C, subgroup_generator(C, 57))
         for c in [(1,), (2, 7)]:
             want = v_per_point(C, H, c, 2)
             assert want != v_per_point(C, sorted(H, key=_point_key), c, 2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import deviation_trend
 
 import ecbits.curve as curve_module
+import ecbits.extract as extract_module
 from ecbits import charsum, cli
 from ecbits.charsum import BoundReport, sum_V, x_rows
 from ecbits.curve import (
@@ -309,23 +310,25 @@ class TestExtractCommand:
         assert len(payload["deviation"]["per_point"]) == 1579
 
     def test_exact_path_walks_the_subgroup_once(self, tmp_path, monkeypatch):
-        walks = []  # steps of each walk of multiples that ran to its end
+        walks = []  # [points read, ran to its end] of each walk of multiples
         multiples = curve_module.multiples
 
         def counting_multiples(curve, P):
-            steps = 0
+            walk = [0, False]
+            walks.append(walk)
             for xy in multiples(curve, P):
-                steps += 1
+                walk[0] += 1
                 yield xy
-            walks.append(steps)
+            walk[1] = True
 
-        for module in (curve_module, charsum):
+        for module in (curve_module, charsum, extract_module):
             monkeypatch.setattr(module, "multiples", counting_multiples)
         rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
                        "--ell", "2", "--big-n", "6", "--out", str(tmp_path / "e")])
         assert rc == 0
-        # t = 1579 is prime: one walk of t - 1 steps, and the empty one of O
-        assert sorted(walks) == [0, 1578]
+        # t = 1579 is prime: Delta reads t // 2 points of one walk of G, the
+        # bitstream its first N^k = 36, and neither walk runs to its end
+        assert sorted(walks) == [[36, False], [789, False]]
 
     def test_gcd_hypothesis_violation_named(self, tmp_path, capsys, monkeypatch,
                                             micro_curve, micro_points):

@@ -9,15 +9,22 @@ import pytest
 from conftest import small_curves
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import BitWindow, count_A, fourier_count_A, lsb_string
+from oracles import (
+    BitWindow,
+    count_A,
+    delta_over_points,
+    fourier_count_A,
+    lsb_string,
+)
 
 import ecbits.charsum as charsum_module
+import ecbits.curve as curve_module
 import ecbits.extract as extract_module
 from ecbits.charsum import (
     WALK_BATCH,
     BoundReport,
-    orbit_points,
     sum_V,
+    window_table,
     x_multiples,
     x_rows,
 )
@@ -33,7 +40,6 @@ from ecbits.curve import (
     mul_int,
     orbit,
     subgroup_generator,
-    subgroup_of_order,
 )
 from ecbits.extract import (
     ChiSquareReport,
@@ -219,13 +225,17 @@ class TestFourierIdentity:
                             assert abs(zero_term - main) <= cap + 1e-12
 
 
+# a generator of the micro curve's group, of prime order 5
+MICRO_G = CurvePoint(0, 1)
+
+
 class TestDelta:
     def test_degenerate_subgroup(self, micro_curve):
-        rep = delta(micro_curve, [INFINITY], 1, 1, 4)
+        rep = delta(micro_curve, INFINITY, 1, 1, 1, 4)
         assert rep.total == Fraction(4, 2)  # A("0") = N, deviation N/2
 
     def test_hand_example_total_10(self, micro_curve, micro_points):
-        rep = delta(micro_curve, micro_points, 1, 1, 4)
+        rep = delta(micro_curve, MICRO_G, 5, 1, 1, 4)
         assert rep.total == 10
         assert rep.expected == 2
         assert all(dev == 2 for _, dev in rep.per_point)
@@ -233,20 +243,20 @@ class TestDelta:
 
     def test_termwise_cap(self, micro_curve, micro_points):
         for k, ell, N in [(1, 1, 4), (1, 2, 3), (2, 1, 3)]:
-            rep = delta(micro_curve, micro_points, k, ell, N)
+            rep = delta(micro_curve, MICRO_G, 5, k, ell, N)
             assert rep.total <= len(micro_points) * N**k
 
     def test_set_semantics(self, micro_curve, micro_points):
         shuffled = list(micro_points)
         random.Random(1).shuffle(shuffled)
-        a = delta(micro_curve, micro_points, 1, 1, 4)
-        b = delta(micro_curve, shuffled + [INFINITY], 1, 1, 4)
+        a = delta_over_points(micro_curve, micro_points, 1, 1, 4)
+        b = delta_over_points(micro_curve, shuffled + [INFINITY], 1, 1, 4)
         assert a.total == b.total
         assert a.per_point == b.per_point
 
     def test_gcd_precondition_named(self, micro_curve, micro_points):
         with pytest.raises(PreconditionError, match="gcd") as from_delta:
-            delta(micro_curve, micro_points, 1, 1, 5)
+            delta(micro_curve, MICRO_G, 5, 1, 1, 5)
         with pytest.raises(PreconditionError) as from_v:
             sum_V(micro_curve, micro_points, (1,), 5)
         with pytest.raises(PreconditionError) as from_sampled:
@@ -255,12 +265,34 @@ class TestDelta:
 
     def test_p_greater_than_k_named(self, micro_curve, micro_points):
         with pytest.raises(PreconditionError, match="p > k"):
-            delta(micro_curve, micro_points, 7, 1, 4)
+            delta(micro_curve, MICRO_G, 5, 7, 1, 4)
+
+    def test_generator_off_the_curve(self, micro_curve):
+        with pytest.raises(ValueError, match="is not on"):
+            delta(micro_curve, CurvePoint(0, 0), 5, 1, 1, 4)
+
+    def test_order_not_dividing_t_named(self, micro_curve):
+        # 7G = 2G != O; the window table and the sampled deviation refuse
+        # it with the same words
+        with pytest.raises(PreconditionError, match="tG != O") as from_delta:
+            delta(micro_curve, MICRO_G, 7, 1, 1, 4)
+        with pytest.raises(PreconditionError) as from_table:
+            window_table(micro_curve, MICRO_G, 7, 1)
+        with pytest.raises(PreconditionError) as from_sampled:
+            sampled_deviation(micro_curve, MICRO_G, 7, 1, 1, 4, 1, 0)
+        assert str(from_delta.value) == str(from_table.value) == str(
+            from_sampled.value)
+
+    @pytest.mark.parametrize("G,t", [(MICRO_G, 25), (INFINITY, 5)],
+                             ids=["order-5-of-25", "O-of-5"])
+    def test_order_below_t_named(self, micro_curve, G, t):
+        # tG = O, but the walk of G ends before t // 2 points
+        with pytest.raises(PreconditionError, match="ord\\(G\\) < t"):
+            delta(micro_curve, G, t, 1, 1, 4)
 
     def test_exact_rational_arithmetic(self):
         C = Curve(field(11), 1, 1)
-        H = subgroup_of_order(C, 7)
-        rep = delta(C, H, 1, 2, 3)
+        rep = delta(C, subgroup_generator(C, 7), 7, 1, 2, 3)
         assert rep.expected == Fraction(3, 4)
         assert rep.total.denominator in (1, 2, 4)
 
@@ -498,7 +530,7 @@ class TestBitstream:
             bitstream(micro_curve, R, 1, 1, 4)
         with pytest.raises(ResourceBudgetError):
             count_A(micro_curve, R, BitWindow(1, 1, 4, ("0",)))
-        assert delta(micro_curve, micro_points, 1, 1, 4).t == 5
+        assert delta(micro_curve, MICRO_G, 5, 1, 1, 4).t == 5
 
 
 _ORACLE_CURVE = Curve(field(11), 1, 1)  # order 14: points of order 2, 7, 14
@@ -535,7 +567,7 @@ class TestWindowOracle:
         patterns = itertools.product(
             ["".join(b) for b in itertools.product("01", repeat=ell)], repeat=k)
         worst = max(abs(windows.count(sigma) - expected) for sigma in patterns)
-        rep = delta(_ORACLE_CURVE, [R], k, ell, N)
+        rep = delta_over_points(_ORACLE_CURVE, [R], k, ell, N)
         assert rep.per_point == [(repr(R), worst)]
 
     @given(small_curves(), st.data())
@@ -546,8 +578,8 @@ class TestWindowOracle:
         N = data.draw(st.integers(1, min([*factorize(len(set(H))), 5]) - 1))
         k = data.draw(st.integers(1, 2))
         ell = data.draw(st.integers(1, min(3, (C.p - 1).bit_length() - 1)))
-        assert delta(C, H, k, ell, N).per_point == _brute_force_per_point(
-            C, H, k, ell, N)
+        assert delta_over_points(C, H, k, ell, N).per_point == (
+            _brute_force_per_point(C, H, k, ell, N))
 
     @given(points, shapes, st.data())
     def test_count_A_matches_scalar_multiples(self, R, shape, data):
@@ -594,8 +626,9 @@ class TestPatternCounts:
                              ids=["255", "256", "65535", "65536"])
     def test_slot_width_boundaries(self, k, N):
         # N^k on either side of the 1- and 2-byte slot limits; index 0
-        # (the point O) puts all N^k codes in the slot of pattern 0
-        tx = [0, 5, 6]  # windows 0, 1, 0 for ell = 1
+        # (the point O) puts all N^k codes in the slot of pattern 0.  The
+        # table is that of an order-3 orbit, tx[3 - i] = tx[i]
+        tx = [0, 5, 5]  # windows 0, 1, 1 for ell = 1
         counts_at = _pattern_counts(tx, k, 1, N)
         for i in range(len(tx)):
             row = [tx[m * i % len(tx)] for m in range(1, N**k + 1)]
@@ -607,7 +640,7 @@ class TestPatternCounts:
         C = Curve(field(89), 2, 5)  # #E = 101, prime
         H = C.enumerate_points()
         k, ell, N = 3, 2, 4
-        rep = delta(C, H, k, ell, N)
+        rep = delta(C, H[1], 101, k, ell, N)
         want = _brute_force_per_point(C, H, k, ell, N)
         assert rep.per_point == want
         assert rep.total == sum(dev for _, dev in want)
@@ -628,23 +661,24 @@ class TestPatternCounts:
             monkeypatch.setattr(module, "x_multiples", per_point_walk)
             monkeypatch.setattr(module, "x_rows", per_point_walk, raising=False)
         C = Curve(field(89), 2, 5)  # prime order 101: orbits {O} and E
-        delta(C, C.enumerate_points(), 2, 1, 3)
+        delta_over_points(C, C.enumerate_points(), 2, 1, 3)
         assert walked == [INFINITY, min(C.enumerate_points()[1:],
                                         key=lambda P: (P.x, P.y))]
         # Z/14 without one point of order 2: {O}, then each orbit met once
         walked.clear()
         H = [P for P in _ORACLE_CURVE.enumerate_points()
              if P.is_infinity or _ORACLE_CURVE.mul(2, P) != INFINITY]
-        delta(_ORACLE_CURVE, H, 1, 1, 4)
+        delta_over_points(_ORACLE_CURVE, H, 1, 1, 4)
         orbits = [frozenset(orbit(_ORACLE_CURVE, G)) for G in walked]
         assert len(set(orbits)) == len(orbits)
         assert set(H) <= set().union(*orbits)
 
 
 class TestDeltaPlusMinusPairs:
-    """delta counts the patterns once per class {R, -R}, keyed by the
-    affine x, so O (x = None) stays apart from the points with x = 0,
-    and still reports every point of H."""
+    """delta counts the patterns once per class {R, -R} = {jG, (t - j)G},
+    and the oracle over any point set once per affine x, so O (x = None)
+    stays apart from the points with x = 0; both still report every
+    point."""
 
     @pytest.mark.parametrize("k,ell,N", [(1, 2, 4), (2, 2, 3)])
     def test_infinity_keyed_apart_from_x_zero(self, micro_curve, micro_points,
@@ -652,13 +686,13 @@ class TestDeltaPlusMinusPairs:
         # per_point starts O, (0, 1), (0, 6)
         want = _brute_force_per_point(micro_curve, micro_points, k, ell, N)
         assert want[0][1] != want[1][1] == want[2][1]
-        assert delta(micro_curve, micro_points, k, ell, N).per_point == want
+        assert delta(micro_curve, MICRO_G, 5, k, ell, N).per_point == want
 
     def test_points_without_their_negatives(self):
         C = Curve(field(89), 2, 5)  # #E = 101, prime
         H = [P for P in C.enumerate_points() if P.is_infinity or P.y < 45][:25]
         assert not {CurvePoint(P.x, -P.y % C.p) for P in H if P.y} & set(H)
-        rep = delta(C, H, 2, 2, 4)
+        rep = delta_over_points(C, H, 2, 2, 4)
         assert rep.per_point == _brute_force_per_point(C, H, 2, 2, 4)
 
     @pytest.mark.parametrize("p,a,b", [(5, 1, 0), (7, 0, 6)])
@@ -668,13 +702,14 @@ class TestDeltaPlusMinusPairs:
         E = C.enumerate_points()
         assert all(P.is_infinity or P.y == 0 for P in E)
         for k, ell in [(1, 1), (2, 2), (3, 1)]:
-            rep = delta(C, E, k, ell, 1)
+            rep = delta_over_points(C, E, k, ell, 1)
             assert rep.per_point == _brute_force_per_point(C, E, k, ell, 1)
 
     def test_extract_exact_counts_once_per_pair(self, monkeypatch):
         # the extract-exact benchmark: t = 1,579 = O and 789 pairs {R, -R}
         C = Curve(field(1549), 1, 3)
-        H = orbit_points(C, subgroup_generator(C, 1579))
+        G = subgroup_generator(C, 1579)
+        H = orbit(C, G)
         read = []
 
         def counting_pattern_counts(*args):
@@ -688,12 +723,81 @@ class TestDeltaPlusMinusPairs:
 
         monkeypatch.setattr(extract_module, "_pattern_counts",
                             counting_pattern_counts)
-        rep = delta(C, H, 2, 2, 24)
+        rep = delta(C, G, 1579, 2, 2, 24)
         assert len(read) == 790
         assert len(rep.per_point) == 1579
         dev = dict(rep.per_point)
         assert all(dev[repr(P)] == dev[repr(CurvePoint(P.x, -P.y % C.p))]
                    for P in H[1:])
+
+
+class TestDeltaOverTheSubgroup:
+    """delta over <G> from one half walk of G, against the oracle over the
+    points of <G>."""
+
+    @settings(deadline=None)
+    @given(small_curves(), st.data())
+    def test_matches_the_oracle_over_the_orbit(self, C, data):
+        # G drawn by its order, so orders 1, 2 and 3 come up whenever the
+        # curve has them; N <= 6 stays below every prime factor of t
+        by_order = {C.point_order(P): P for P in C.enumerate_points()}
+        t = data.draw(st.sampled_from(sorted(by_order)))
+        G = by_order[t]
+        k = data.draw(st.integers(1, 3))
+        ell = data.draw(st.integers(1, (C.p - 1).bit_length() - 1))
+        N = data.draw(st.integers(1, min([*factorize(t), 7]) - 1))
+        got = delta(C, G, t, k, ell, N)
+        want = delta_over_points(C, orbit(C, G), k, ell, N)
+        for name, a, b in zip(DeviationReport._fields, got, want, strict=True):
+            assert a == b, name
+
+    @pytest.mark.parametrize("p,a,b,t", [(7, 1, 1, 1), (11, 1, 1, 2),
+                                         (7, 0, 1, 3), (7, 1, 1, 5),
+                                         (11, 1, 1, 14)])
+    def test_small_orders_against_the_oracle(self, p, a, b, t):
+        # odd and even t, with the one point of order 2 at t = 2 and 14
+        C = Curve(field(p), a, b)
+        G = INFINITY if t == 1 else subgroup_generator(C, t)
+        for k, ell in [(1, 1), (2, 2), (3, 1)]:
+            got = delta(C, G, t, k, ell, 1)
+            assert got == delta_over_points(C, orbit(C, G), k, ell, 1)
+            assert len(got.per_point) == t
+            assert sum(s.endswith(", 0)") for s, _ in got.per_point) == 1 - t % 2
+
+    def test_extract_exact_cost(self, monkeypatch):
+        # t = 1,579: one walk of G read for t // 2 points, and the x table
+        # and the one lower level of k = 2 each built for i = 0..789
+        C = Curve(field(1549), 1, 3)
+        G = subgroup_generator(C, 1579)
+        walks = []  # [points read, ran to its end] of each walk of multiples
+        multiples = curve_module.multiples
+        halves = []  # len(half) of each _mirrored call
+        mirrored = extract_module._mirrored
+
+        def counting_multiples(curve, P):
+            walk = [0, False]
+            walks.append(walk)
+            for xy in multiples(curve, P):
+                walk[0] += 1
+                yield xy
+            walk[1] = True
+
+        def counting_mirrored(half, t):
+            halves.append(len(half))
+            return mirrored(half, t)
+
+        def no_orbit(*args):
+            raise AssertionError("delta walked an orbit of points")
+
+        monkeypatch.setattr(extract_module, "multiples", counting_multiples)
+        monkeypatch.setattr(extract_module, "_mirrored", counting_mirrored)
+        for module in (curve_module, charsum_module):
+            monkeypatch.setattr(module, "orbit", no_orbit)
+        monkeypatch.setattr(charsum_module, "_orbit_walk", no_orbit)
+        rep = delta(C, G, 1579, 2, 2, 24)
+        assert walks == [[789, False]]
+        assert halves == [790, 790]
+        assert len(rep.per_point) == 1579
 
 
 class TestPackBits:
