@@ -5,20 +5,23 @@ U aggregates |S(P, Q; N)|^2 over all point pairs, S summing the
 quadratic character of x(nP)x(nQ).  x_multiples walks the multiples of
 one point, and x_walks those of many points side by side on x alone,
 with one inversion per step; window_table keeps the low bits of x over
-a whole cyclic subgroup, half of it walked in lanes by that step and
-the other half mirrored through x(mG) = x((t - m)G);
-orbit_tables reads one x table per cyclic subgroup that a point set
-meets, from a walk kept per process, and x_rows reads every point's
-multiples from it.  U and V read a point R only through
-x(nR) = x(n(-R)): once_per_pair evaluates V's per-point terms once per
-class {R, -R} of any point set, and U sums one column per class (the
-exact Delta of extract takes its classes as j and t - j of <G>).  T is the
-multiplicative-product additive-character sum, its psi arguments built
-level by level over [1,N]^k by prefix_sums; V aggregates |T|^2 over a
-subgroup.  The subgroup exponential sum and the product-collision
-count back the two proof devices.  Every integer-valued quantity is
-computed exactly; complex accumulation uses a fixed summation order so
-results are reproducible bit for bit.
+a whole cyclic subgroup of order t, half of it built in blocks of
+multiples around giant-step centres cG, one inversion per block for
+the pairs (c +- j)G, and the other half mirrored through
+x(mG) = x((t - m)G): O(sqrt(t)) inversions, and O(sqrt(t)) ints beside
+the t-entry table; orbit_tables reads one x table per cyclic subgroup
+that a point set meets, from a walk kept per process, and x_rows reads
+every point's multiples from rows kept per point set.  U and V read a
+point R only through x(nR) = x(n(-R)): once_per_pair evaluates V's
+per-point terms once per class {R, -R} of any point set, and U sums
+one column per class (the exact Delta of extract takes its classes as
+j and t - j of <G>).  T is the multiplicative-product
+additive-character sum, its psi arguments built level by level over
+[1,N]^k by prefix_sums; V aggregates |T|^2 over a subgroup.  The
+subgroup exponential sum and the product-collision count back the two
+proof devices.  Every integer-valued quantity is computed exactly;
+complex accumulation uses a fixed summation order so results are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .curve import (
     Curve,
     CurvePoint,
     _add_pairs,
-    _bit_sum,
     multiples,
     orbit,
     torsion_doublings,
@@ -217,31 +219,41 @@ def x_walks(curve: Curve, points: Iterable[CurvePoint],
         yield from rows
 
 
-def _lane_columns(curve: Curve, table: list, starts: range,
-                  L: int) -> Iterator[list[int]]:
-    """The columns [x((s + j)G) for s in starts], j = 0..L - 1, of lanes
-    walked side by side from sG and (s + 1)G, table = _doublings(G).  They
-    stop early when a lane meets O or +-G: for m = s + j < t, only when
-    ord(G) < t."""
+def _block_columns(curve: Curve, G: CurvePoint, h: int) -> Iterator[list[int]]:
+    """[x(mG) for m = c - J .. c + J] for the centres c = J + 1,
+    J + 1 + K, ... (K = 2J + 1, J = max(1, isqrt(h // 2))), one block
+    each, until the blocks cover m = 1..h.
+
+    The baby multiples jG, j <= J, come from one walk of multiples, and
+    each centre from the last by one addition of KG.  cG + jG and
+    cG - jG have the slopes (y(jG) -+ y(cG)) / (x(jG) - x(cG)), so one
+    batch of J inverses gives the 2J values around x(cG).  The blocks
+    stop early when a centre is O or a denominator is 0: for h = t // 2
+    and ord(G) | t, exactly when ord(G) < t or t is 2 or 3.
+    """
     p, a = curve.p, curve.a
-    lanes = [_bit_sum(p, a, table, s) for s in starts]
-    if None in lanes:
+    J = max(1, math.isqrt(h // 2))
+    baby = list(itertools.islice(multiples(curve, G), J))
+    if len(baby) < J:
         return
-    cur = [x for x, _ in lanes]
-    yield cur
-    if L < 2:
-        return
-    lanes = [_add_pairs(p, a, P, table[0]) for P in lanes]
-    if None in lanes:
-        return
-    prev, cur = cur, [x for x, _ in lanes]
-    yield cur
-    step = _x_stepper(curve, [table[0][0]] * len(starts))
-    for _ in range(L - 2):
-        prev, cur = cur, step(prev, cur)
-        if cur is None:
+    centre = _add_pairs(p, a, baby[-1], baby[0])
+    step = _add_pairs(p, a, baby[-1], centre)
+    for i in range(-(-h // (2 * J + 1))):
+        if i:
+            centre = _add_pairs(p, a, centre, step)
+        if centre is None:
             return
-        yield cur
+        xc, yc = centre
+        invs = _inverses([xj - xc for xj, _ in baby], p)
+        if invs is None:
+            return
+        below, above = [], []
+        for (xj, yj), v in zip(baby, invs):
+            s, d = (yj - yc) * v % p, (yj + yc) * v % p
+            above.append((s * s - xc - xj) % p)
+            below.append((d * d - xc - xj) % p)
+        below.reverse()
+        yield below + [xc] + above
 
 
 def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
@@ -249,33 +261,33 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
     x(O) = 0), for an F_p point G whose order divides t, in the smallest
     array typecode that holds ell bits: t * w.itemsize bytes.
 
-    Cost: x(mG) = x((t - m)G), so only m = 1..t // 2 are walked, and
-    w[t - m] = w[m] fills the rest.  That half is cut into WALK_BATCH
-    lanes of L = ceil((t // 2) / WALK_BATCH) consecutive m, walked side
-    by side on x alone by the step of _lockstep with G for P: L - 2
-    steps, each one inversion mod p for all lanes.  Each lane starts
-    from sG and (s + 1)G, s its first m, read from one table of G's
-    doublings as mul_int reads nG, plus one addition.  The last lane
-    may run past t // 2, onto values the mirror writes again.  When
-    ord(G) < t a lane can meet O or +-G; x_multiples then walks the
-    half from G instead.
+    Cost: x(mG) = x((t - m)G), so only m = 1..h = t // 2 are computed,
+    and w[t - m] = w[m] fills the rest.  That half is built in blocks of
+    K = 2J + 1 consecutive m around giant-step centres, J =
+    max(1, isqrt(h // 2)) (_block_columns): J - 1 steps of the walk of
+    multiples for the baby multiples jG, then per block one addition to
+    reach its centre and one inversion mod p (Montgomery's trick) for
+    its J denominators, each of which serves both x((c + j)G) and
+    x((c - j)G): about sqrt(h / 2) blocks, so about 1.5 sqrt(t)
+    inversions in all, where a walk of the half takes t / 2.  The last
+    block may run past h, but not past t - 1, onto values the mirror
+    writes again.  When ord(G) < t, or t is 2 or 3, some centre is O or
+    some denominator 0; x_multiples then walks the half from G instead.
+    Memory: the table, plus O(sqrt(t)) ints for the baby multiples and
+    one block.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t = {t}")
-    table = torsion_doublings(curve, G, t)
+    torsion_doublings(curve, G, t)
     typecode = next(c for c in "BHILQ" if 8 * array(c).itemsize >= ell)
     w = array(typecode, [0]) * t
     mask = (1 << ell) - 1
     h = t // 2
-    if not h:
-        return w
-    L = -(-h // WALK_BATCH)
-    starts = range(1, h + 1, L)
-    walked = 0
-    for j, col in enumerate(_lane_columns(curve, table, starts, L)):
-        w[1 + j:1 + j + len(starts) * L:L] = array(typecode, [x & mask for x in col])
-        walked += 1
-    if walked < L:
+    m = 1  # the next multiple to fill
+    for col in _block_columns(curve, G, h):
+        w[m:m + len(col)] = array(typecode, [x & mask for x in col])
+        m += len(col)
+    if m <= h:
         w[1:h + 1] = array(typecode, [x & mask for x in x_multiples(curve, G, h)])
     w[t - h:] = w[h:0:-1]
     return w
@@ -309,14 +321,23 @@ def orbit_tables(curve: Curve, points: Iterable[CurvePoint],
         yield tables[R]
 
 
+@functools.lru_cache(maxsize=8)
+def _orbit_rows(curve: Curve, points: tuple[CurvePoint, ...]) -> tuple:
+    """The (tx, j) of orbit_tables(curve, points, tx -> tx), kept per
+    (curve, points) for the process, so every cell over one point set
+    reads the same rows without rebuilding the index of its orbits."""
+    return tuple(orbit_tables(curve, points, lambda tx: tx))
+
+
 def x_rows(curve: Curve, points: Iterable[CurvePoint],
            count: int) -> Iterator[list[int]]:
     """x_multiples(curve, R, count) for each R of points, in order.
 
-    Cost: that of orbit_tables, then count table lookups per point: for
+    Cost: that of _orbit_rows (nothing when this point set was read
+    before in this process), then count table lookups per point: for
     R = jG, x(mR) = x((mj mod ord(G)) G).
     """
-    for tx, j in orbit_tables(curve, points, lambda tx: tx):
+    for tx, j in _orbit_rows(curve, tuple(points)):
         o = len(tx)
         yield [tx[m * j % o] for m in range(1, count + 1)]
 
@@ -441,9 +462,8 @@ def subgroup_sum(
     increasing multipliers d with gcd(#H, d_1...d_s) = 1 and c_s != 0 on
     an ordinary curve.  Reported against s D^2 sqrt(p), D = d_s.
 
-    Cost: that of orbit_tables (no walk when H's orbit was walked before
-    in this process), then s table reads and one psi memo read per
-    point."""
+    Cost: that of _orbit_rows (nothing when H was read before in this
+    process), then s table reads and one psi memo read per point."""
     s = len(d)
     if s == 0 or len(c) != s:
         raise PreconditionError("need matching nonempty d and c tuples")
@@ -460,8 +480,7 @@ def subgroup_sum(
         raise PreconditionError("the bound requires an ordinary curve")
     D = d[-1]
     # Q = jG on the orbit table tx of G, so x(d_i Q) = tx[d_i j mod o]
-    rows = list(orbit_tables(curve, [Q for Q in H if not Q.is_infinity],
-                             lambda tx: tx))
+    rows = _orbit_rows(curve, tuple(Q for Q in H if not Q.is_infinity))
     args = [0] * len(rows)
     for ci, di in zip(c, d):
         args = [a + ci * tx[di * j % len(tx)] for a, (tx, j) in zip(args, rows)]

@@ -279,7 +279,7 @@ def bitstream(curve: Curve, R: CurvePoint, k: int, ell: int, N: int) -> str:
 
 def _reads_table(t: int, N: int, samples: int) -> bool:
     """Whether sampled_deviation reads a window table of the order-t
-    subgroup (t // 2 point steps, t bytes at ell <= 8) rather than walk
+    subgroup (t // 2 multiples, t bytes at ell <= 8) rather than walk
     each sample's first N multiples (samples * (N - 1) point steps)."""
     return t // 2 <= samples * (N - 1) and t <= SUBGROUP_BUDGET
 
@@ -313,8 +313,9 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     (_reads_table), each step a few multiplications and a share of one
     inversion mod p:
     - from one charsum.window_table of <gen>, when t // 2 <=
-      samples * (N - 1) and t <= SUBGROUP_BUDGET: t // 2 steps, a table
-      of t bytes at ell <= 8, then N reads per sample;
+      samples * (N - 1) and t <= SUBGROUP_BUDGET: t // 2 multiples, in
+      blocks of about sqrt(t) that share one inversion mod p each, a
+      table of t bytes at ell <= 8, then N reads per sample;
     - otherwise by x_walks over sample_subgroup_points: samples * (N - 1)
       steps, one batch at a time, so memory does not grow with samples.
     Both read the same k, so the result does not depend on the way.  The

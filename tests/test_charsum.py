@@ -636,6 +636,29 @@ def test_x_rows_matches_scalar_mul(C, data):
     assert list(x_rows(C, points, count)) == want
 
 
+def test_later_cells_on_a_point_set_reuse_its_rows(monkeypatch):
+    # a sweep's lemma 5 cells share H, and its U cells the points of E:
+    # the first cell on each walks its orbits and builds the index, the
+    # next ones read the kept rows and return the cold values bit for bit
+    C = Curve(field(1009), 1, 1)
+    H = subgroup_of_order(C, 517)
+    cells = [lambda: subgroup_sum(C, H, (1, 2), (1, 1)), lambda: sum_U(C, 3),
+             lambda: subgroup_sum(C, H, (2, 3), (1, 5)), lambda: sum_U(C, 4)]
+    cold = []
+    for cell in cells:
+        charsum_module._orbit_rows.cache_clear()
+        charsum_module._orbit_walk.cache_clear()
+        cold.append(cell())
+    assert [cell() for cell in cells[:2]] == cold[:2]
+
+    def no_index(*args):
+        raise AssertionError("the rows of this point set were kept")
+
+    for name in ("orbit_tables", "_orbit_walk", "orbit"):
+        monkeypatch.setattr(charsum_module, name, no_index)
+    assert [cell() for cell in cells[2:]] == cold[2:]
+
+
 class TestXWalks:
     @settings(max_examples=60, deadline=None)
     @given(small_curves(), st.data())
@@ -714,8 +737,9 @@ class TestXWalks:
 # and points of every order dividing it
 C_1009 = Curve(field(1009), 1, 1)
 
-# (curve, G, t = ord(G)): odd and even t, with WALK_BATCH lanes of
-# L = 1, 2, 3, 9 and 17 multiples, and t in {2, 3, 4}
+# (curve, G, t = ord(G)): odd and even t, with blocks of J = 1, 2, 3, 4,
+# 11 and 16 baby multiples, and t = 1..7 and 16 (t // 2 in {1, 2, 3}
+# has J = 1)
 WINDOW_GROUPS = [
     (C_1009, CurvePoint(1, 149), 1034),
     (C_1009, CurvePoint(0, 1), 517),
@@ -726,6 +750,10 @@ WINDOW_GROUPS = [
     (Curve(field(10007), 1, 2), INFINITY, 1),
     (Curve(field(7), 0, 1), CurvePoint(0, 1), 3),
     (Curve(field(17), 2, 4), CurvePoint(2, 4), 16),
+    (Curve(field(5), 1, 2), CurvePoint(1, 2), 4),
+    (Curve(field(5), 3, 0), CurvePoint(1, 2), 5),
+    (Curve(field(5), 0, 1), CurvePoint(2, 2), 6),
+    (Curve(field(5), 2, 1), CurvePoint(0, 1), 7),
 ]
 
 
@@ -752,7 +780,8 @@ class TestWindowTable:
     @settings(max_examples=60, deadline=None)
     @given(small_curves(), st.data())
     def test_any_multiple_of_the_order(self, C, data):
-        # t a multiple of ord(G), O included: a lane can meet O or +-G
+        # t a multiple of ord(G), O included: a centre can meet O, or a
+        # denominator be 0
         G = data.draw(st.sampled_from(C.enumerate_points()))
         t = C.point_order(G) * data.draw(st.integers(1, 3))
         ell = data.draw(st.sampled_from([1, 4, 9]))
@@ -767,14 +796,16 @@ class TestWindowTable:
         with pytest.raises(ValueError, match="is not on"):
             window_table(micro_curve, CurvePoint(0, 0), 5, 1)
 
-    @pytest.mark.parametrize("G,t,lane", [
-        (CurvePoint(1, 149), 1034, 17), (CurvePoint(0, 1), 517, 9),
-        (CurvePoint(92, 296), 94, 2), (CurvePoint(27, 192), 11, 1)])
-    def test_one_inversion_per_step_for_all_lanes(self, monkeypatch, G, t, lane):
-        # the lanes hold L = ceil((t // 2) / WALK_BATCH) multiples each and
-        # take L - 2 steps; the lane starts are read from G's doublings
-        assert lane == -(-(t // 2) // WALK_BATCH)
-        steps, setup = [], []
+    @pytest.mark.parametrize("G,t,blocks", [
+        (CurvePoint(1, 149), 1034, 16), (CurvePoint(0, 1), 517, 12),
+        (CurvePoint(92, 296), 94, 6), (CurvePoint(27, 192), 11, 2)])
+    def test_one_inversion_per_block(self, monkeypatch, G, t, blocks):
+        # blocks of K = 2J + 1 multiples, J = isqrt(t // 4), cover
+        # m = 1..t // 2: one batch inversion each; the baby multiples,
+        # the centres and G's doublings with the tG check take the rest
+        J = math.isqrt(t // 4)
+        assert blocks == -(-(t // 2) // (2 * J + 1))
+        batches, setup = [], []
 
         def counting(calls):
             def counting_pow(*args):
@@ -782,11 +813,57 @@ class TestWindowTable:
                 return pow(*args)
             return counting_pow
 
-        monkeypatch.setattr(charsum_module, "pow", counting(steps), raising=False)
+        monkeypatch.setattr(charsum_module, "pow", counting(batches), raising=False)
         monkeypatch.setattr(curve_module, "pow", counting(setup), raising=False)
         w = window_table(C_1009, G, t, 4)
         monkeypatch.undo()
         assert list(w) == masked_orbit(C_1009, G, t, 4)
-        assert len(steps) == max(lane - 2, 0)
-        lanes = -(-(t // 2) // lane)
-        assert len(setup) <= (lanes + 2) * t.bit_length()
+        assert len(batches) == blocks
+        assert len(setup) <= J + blocks + 2 * t.bit_length()
+
+    @pytest.mark.parametrize("C,G,t", WINDOW_GROUPS[:3])
+    def test_last_block_past_half(self, C, G, t):
+        # 16 * 33 > 517, 12 * 23 > 258 and 6 * 9 > 47 multiples
+        h, J = t // 2, math.isqrt(t // 4)
+        assert -(-h // (2 * J + 1)) * (2 * J + 1) > h
+        assert list(window_table(C, G, t, 9)) == masked_orbit(C, G, t, 9)
+
+    @pytest.mark.parametrize("C,G,t", [
+        (Curve(field(17), 2, 4), CurvePoint(2, 4), 16),
+        (Curve(field(5), 1, 2), CurvePoint(1, 2), 4)])
+    def test_point_of_order_two_as_centre(self, C, G, t):
+        # the centres J + 1 + iK meet t // 2: 3, 8 for t = 16 and 2 for t = 4
+        h, J = t // 2, math.isqrt(t // 4)
+        assert (h - J - 1) % (2 * J + 1) == 0
+        assert mul_int(C, h, G).y == 0
+        assert list(window_table(C, G, t, 4)) == masked_orbit(C, G, t, 4)
+
+    @pytest.mark.parametrize("C,G,o", WINDOW_GROUPS)
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    def test_half_walk_exactly_below_the_order(self, monkeypatch, C, G, o, times):
+        # with ord(G) < t a multiple of ord(G) in 1..t // 2 is a centre at
+        # O or a zero denominator, so the blocks stop and x_multiples
+        # walks the half; with ord(G) = t only t = 2 and 3 stop
+        walks = []
+
+        def counting_x_multiples(*args):
+            walks.append(args[2])
+            return x_multiples(*args)
+
+        monkeypatch.setattr(charsum_module, "x_multiples", counting_x_multiples)
+        t = o * times
+        assert list(window_table(C, G, t, 4)) == masked_orbit(C, G, t, 4)
+        assert walks == ([t // 2] if times > 1 or t in (2, 3) else [])
+
+    def test_large_table_takes_the_blocks(self, monkeypatch):
+        # t = 3959: 32 blocks of 63 multiples, no half walk
+        C = Curve(field(20011), 1, 1)
+        G = CurvePoint(10373, 790)
+        assert C.point_order(G) == 3959
+
+        def no_walk(*args):
+            raise AssertionError("the block path walks no half")
+
+        want = masked_orbit(C, G, 3959, 1)
+        monkeypatch.setattr(charsum_module, "x_multiples", no_walk)
+        assert list(window_table(C, G, 3959, 1)) == want

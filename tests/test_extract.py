@@ -341,8 +341,8 @@ class TestSampledDeviation:
 
 _C_1009 = Curve(field(1009), 1, 1)  # cyclic of order 1034 = 2 * 11 * 47
 
-# (curve, generator, t): odd and even t, t in {2, 3, 4}, and lanes of
-# L = 1..17 multiples in window_table
+# (curve, generator, t): odd and even t, t in {2, 3, 4}, and blocks of
+# J = 1..16 baby multiples in window_table
 _SAMPLED_GROUPS = [
     (Curve(field(10007), 1, 2), None, 181),
     (_C_1009, CurvePoint(0, 1), 517),
@@ -441,7 +441,7 @@ class TestSampledPaths:
         assert tables.calls == 0
 
     def test_table_path_cost(self, monkeypatch):
-        # t = 719, t // 2 = 359: lanes of L = 12 multiples, 10 steps of one
+        # t = 719, t // 2 = 359: 14 blocks of 2J + 1 = 27 multiples, one
         # inversion each, where the walks would take 3 batches * 31 steps
         C = Curve(field(20011), 1, 2)
         gen = subgroup_generator(C, 719)
@@ -458,7 +458,7 @@ class TestSampledPaths:
         monkeypatch.setattr(charsum_module, "pow", counting_pow, raising=False)
         monkeypatch.setattr(extract_module, "x_walks", no_walk)
         assert sampled_deviation(C, gen, 719, 1, 4, 32, 70, 1) == want
-        assert len(inversions) == -(-359 // WALK_BATCH) - 2 == 10
+        assert len(inversions) == -(-359 // (2 * math.isqrt(179) + 1)) == 14
 
     def test_generator_off_the_curve(self):
         C, _, t = _sampled_group(0)
