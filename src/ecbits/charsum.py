@@ -9,9 +9,9 @@ a whole cyclic subgroup of order t, half of it built in blocks of
 multiples around giant-step centres cG, one inversion per block for
 the pairs (c +- j)G, and the other half mirrored through
 x(mG) = x((t - m)G): O(sqrt(t)) inversions, and O(sqrt(t)) ints beside
-the t-entry table; orbit_tables reads one x table per cyclic subgroup
-that a point set meets, from a walk kept per process, and x_rows reads
-every point's multiples from rows kept per point set.  U and V read a
+the t-entry table; _orbit_rows walks each cyclic subgroup that a point
+set meets once and keeps its x table and index per point set, and
+x_rows reads every point's multiples from those rows.  U and V read a
 point R only through x(nR) = x(n(-R)): once_per_pair evaluates V's
 per-point terms once per class {R, -R} of any point set, and U sums
 one column per class (the exact Delta of extract takes its classes as
@@ -294,39 +294,22 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
 
 
 @functools.lru_cache(maxsize=8)
-def _orbit_walk(curve: Curve, G: CurvePoint) -> tuple[tuple, dict]:
-    """(tx, pos) of the orbit [O, G, ..., (o-1)G]: tx[j] = x(jG) (x(O) = 0)
-    and pos[jG] = j.  Kept per (curve, G) for the process, so every cell
-    of a sweep over one subgroup reads the same walk."""
-    orb = orbit(curve, G)
-    return tuple(map(curve.x_formal, orb)), {Q: j for j, Q in enumerate(orb)}
-
-
-def orbit_tables(curve: Curve, points: Iterable[CurvePoint],
-                 build) -> Iterator[tuple[object, int]]:
-    """(build(tx), j) for each R of points, in order, where tx[i] = x(iG)
-    (x(O) = 0) is the x table of the orbit of the first point G met of
-    <R>, and R = jG.
-
-    Cost: one build per cyclic subgroup <R> met, on a walk of ord(R)
-    additions that _orbit_walk keeps for later calls; every other point
-    of that orbit reuses its table.
-    """
-    tables = {}  # jG -> (build(tx), j)
-    for R in points:
-        if R not in tables:
-            tx, pos = _orbit_walk(curve, R)
-            table = build(tx)
-            tables.update((Q, (table, j)) for Q, j in pos.items())
-        yield tables[R]
-
-
-@functools.lru_cache(maxsize=8)
 def _orbit_rows(curve: Curve, points: tuple[CurvePoint, ...]) -> tuple:
-    """The (tx, j) of orbit_tables(curve, points, tx -> tx), kept per
-    (curve, points) for the process, so every cell over one point set
-    reads the same rows without rebuilding the index of its orbits."""
-    return tuple(orbit_tables(curve, points, lambda tx: tx))
+    """(tx, j) for each R of points, in order, where tx[i] = x(iG)
+    (x(O) = 0) is the x table of the orbit of the first point G met of
+    <R>, and R = jG.  Kept per (curve, points) for the process, so every
+    cell over one point set reads the same rows.
+
+    Cost: one orbit walk of ord(R) additions per cyclic subgroup <R>
+    met; every other point of that orbit reads its table and index.
+    """
+    index = {}  # jG -> (tx, j)
+    for R in points:
+        if R not in index:
+            orb = orbit(curve, R)
+            tx = tuple(map(curve.x_formal, orb))
+            index.update((Q, (tx, j)) for j, Q in enumerate(orb))
+    return tuple(map(index.__getitem__, points))
 
 
 def x_rows(curve: Curve, points: Iterable[CurvePoint],

@@ -302,6 +302,12 @@ def build_sum_cells(args) -> list[dict]:
                          "c": list(pattern)}
                         for N in range(2, args.n_max + 1)
                     ]
+    # a v or lemma5 cell holds c_vec exactly when its length fits
+    if c_vec is not None and not any(
+            cell["experiment"] in ("v", "lemma5") and cell["c"] == list(c_vec)
+            for cell in cells):
+        raise ConfigError(f"no cell takes c = {args.c}: v cells take 1 or 2 "
+                          "entries, lemma5 cells one per entry of d")
     return cells
 
 
@@ -619,7 +625,8 @@ _OPTIONS = {
     "delta_budget": (int, 2048),
     "d_max": (int, 8),
     "s_max": (int, 3),
-    "c": (str, None, {"help": "comma-separated coefficient vector"}),
+    "c": (str, None, {"help": "comma-separated coefficient vector of the v and "
+                            "lemma5 cells whose length it fits"}),
     "checks": (str, ",".join(VERIFY_CHECKS)),
     "experiments": (str, "u,v,lemma5,collisions"),
     "infile": (str, None, {"flag": "--in"}),

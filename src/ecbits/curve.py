@@ -712,22 +712,3 @@ def sample_scalars(t: int, count: int, seed: int) -> Iterator[int]:
     rng = random.Random(seed)
     for _ in range(count):
         yield rng.randrange(1, t)
-
-
-def sample_subgroup_points(
-    C: Curve, gen: CurvePoint, t: int, count: int, seed: int
-) -> Iterator[CurvePoint]:
-    """The multiples kG of a generator G for the k of
-    sample_scalars(t, count, seed), the points mul_int gives, drawn one
-    at a time as they are read.
-
-    Cost: the doublings 2^i G, i < t.bit_length(), once, then one
-    addition per further set bit of each k."""
-    if not C.contains(gen):
-        raise ValueError(f"point {gen} is not on {C}")
-    p, a = C.p, C.a
-    table = _doublings(p, a, None if gen.is_infinity else (gen.x, gen.y),
-                       t.bit_length())
-    for k in sample_scalars(t, count, seed):
-        kG = _bit_sum(p, a, table, k)
-        yield INFINITY if kG is None else CurvePoint._make(kG)

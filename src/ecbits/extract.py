@@ -34,9 +34,9 @@ from .curve import (
     SUBGROUP_BUDGET,
     Curve,
     CurvePoint,
+    _bit_sum,
     multiples,
     sample_scalars,
-    sample_subgroup_points,
     torsion_doublings,
 )
 from .field import PreconditionError, ResourceBudgetError
@@ -296,8 +296,16 @@ def _table_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,
 
 def _walk_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,
                   samples: int, seed: int) -> Iterator[list[int]]:
-    """_table_windows, each sampled kG walked by x_walks instead."""
-    for xs in x_walks(C, sample_subgroup_points(C, gen, t, samples, seed), N):
+    """_table_windows, each sampled kG walked by x_walks instead.
+
+    Cost: torsion_doublings checks tG = O and gives the doublings 2^i G,
+    i < t.bit_length(); each kG then takes one addition per further set
+    bit of k, drawn as x_walks reads it."""
+    p, a = C.p, C.a
+    table = torsion_doublings(C, gen, t)
+    kGs = (_bit_sum(p, a, table, k) for k in sample_scalars(t, samples, seed))
+    points = (INFINITY if kG is None else CurvePoint._make(kG) for kG in kGs)
+    for xs in x_walks(C, points, N):
         yield _codes(xs, 1, ell, N)
 
 
@@ -307,7 +315,8 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     kG, k from curve.sample_scalars(t, samples, seed) and gen of order t
     (the exhaustive Delta is out of reach for large t); k = 1 only, and
     like delta it needs gcd(N!, t) = 1.  A gen off the curve is a
-    ValueError, and one with tG != O a PreconditionError.
+    ValueError, and one with tG != O a PreconditionError, from the one
+    torsion_doublings check that the chosen way makes.
 
     Cost: x(n kG), n = 1..N, is read the way with fewer point steps
     (_reads_table), each step a few multiplications and a share of one
@@ -316,7 +325,8 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
       samples * (N - 1) and t <= SUBGROUP_BUDGET: t // 2 multiples, in
       blocks of about sqrt(t) that share one inversion mod p each, a
       table of t bytes at ell <= 8, then N reads per sample;
-    - otherwise by x_walks over sample_subgroup_points: samples * (N - 1)
+    - otherwise by x_walks over the sampled kG, each read from the
+      doublings of the order check (_walk_windows): samples * (N - 1)
       steps, one batch at a time, so memory does not grow with samples.
     Both read the same k, so the result does not depend on the way.  The
     mean is the integer sum of the worst deviations divided once.
@@ -328,7 +338,6 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     check_coprime_to_factorial(t, N)
     _check_window(C.p, k, ell, N)
     _check_code_budget(k, N)
-    torsion_doublings(C, gen, t)  # the table's mirror needs tG = O
     windows = _table_windows if _reads_table(t, N, samples) else _walk_windows
     total = top = 0
     for codes in windows(C, gen, t, ell, N, samples, seed):

@@ -288,9 +288,6 @@ class Fp2:
             return o
         return self * o.inv()
 
-    def in_base_field(self) -> bool:
-        return self.im == 0
-
     def sqrt(self) -> "Fp2 | None":
         """Canonical square root in F_p^2, or None when no root exists.
 

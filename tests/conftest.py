@@ -16,8 +16,8 @@ def cold_caches():
     counts walks, searches or psi evaluations does not see an earlier
     test's work.  Clearing field() drops the shared PrimeField instances,
     and with them their chi tables and psi memos."""
-    for cache in (charsum._orbit_walk, charsum._orbit_rows, index_table,
-                  cli._subgroup, Curve.order, Curve._points, field):
+    for cache in (charsum._orbit_rows, index_table, cli._subgroup,
+                  Curve.order, Curve._points, field):
         cache.cache_clear()
 
 

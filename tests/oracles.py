@@ -26,10 +26,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ecbits.charsum import (
+    _orbit_rows,
     _t_sum,
     check_coprime_to_factorial,
     once_per_pair,
-    orbit_tables,
     prefix_products,
     x_multiples,
     x_rows,
@@ -223,10 +223,11 @@ def delta_over_points(
     read that orbit alone.  extract.delta is this over H = <G>.
 
     Cost: one walk of ord(R) additions per cyclic subgroup <R> met, from
-    the first point R of H in it, then the prefix-product recursion of
-    _pattern_counts on its x table.  The counts of R read only
-    x(nR) = x(n(-R)), so the last level, its unpacking and the worst
-    deviation are computed once per distinct x(R) of H.
+    the first point R of H in it (charsum._orbit_rows), then the
+    prefix-product recursion of _pattern_counts on its x table.  The
+    counts of R read only x(nR) = x(n(-R)), so the last level, its
+    unpacking and the worst deviation are computed once per distinct
+    x(R) of H.
     """
     p = curve.p
     met = list(dict.fromkeys(H))  # the points of H, in the order given
@@ -238,12 +239,14 @@ def delta_over_points(
     size = 1 << (k * ell)
     per_point = []
     total = total_wo_o = 0  # numerators over 2^(k*ell)
-    tables = dict(zip(met, orbit_tables(
-        curve, met, lambda tx: _pattern_counts(tx, k, ell, N))))
+    rows = dict(zip(met, _orbit_rows(curve, tuple(met))))
+    # one _pattern_counts per orbit table: the points of an orbit share it
+    distinct = {id(tx): tx for tx, _ in rows.values()}
+    counts = {i: _pattern_counts(tx, k, ell, N) for i, tx in distinct.items()}
 
     def worst_at(R):
-        counts_at, j = tables[R]
-        return _worst_deviation(counts_at(j), N**k)
+        tx, j = rows[R]
+        return _worst_deviation(counts[id(tx)](j), N**k)
 
     points = sorted(met, key=_point_key)
     for R, worst in zip(points, once_per_pair(points, worst_at)):

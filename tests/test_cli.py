@@ -189,6 +189,21 @@ class TestSumsCommand:
                        "--experiments", "v", "--c", "0,0"])
         assert rc == 2
 
+    def test_c_that_no_cell_takes_rejected(self, tmp_path, capsys):
+        # v takes c of length 1 or 2 and lemma5 one per entry of d; a
+        # vector some cell takes is used there, the other cells keep 1s
+        base = ["sums", "--p", "1009", "--a", "1", "--b", "1", "--big-n", "3",
+                "--d-max", "2", "--jobs", "1", "--out", str(tmp_path / "c")]
+        for experiments, c in [("v", "1,2,3"), ("u", "1"), ("collisions", "1,1"),
+                               ("lemma5", "1,2,3")]:
+            assert cli.main(base + ["--experiments", experiments, "--c", c]) == 2
+            assert f"no cell takes c = {c}" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+        assert cli.main(base + ["--experiments", "v,lemma5", "--c", "1,5"]) == 0
+        records = json.loads((tmp_path / "c.json").read_text())
+        assert [r["inputs"]["c"] for r in records] == [
+            [1], [1], [1, 5], [1, 5], [1], [1], [1, 5]]
+
     def test_unknown_experiment_rejected(self):
         rc = cli.main(["sums", "--p", "7", "--a", "1", "--b", "1",
                        "--experiments", "nope"])

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecbits.curve as curve_module
-from ecbits.charsum import x_multiples
+import ecbits.extract as extract_module
+from ecbits.charsum import WALK_BATCH, x_multiples
 from ecbits.curve import (
     INFINITY,
     Curve,
@@ -25,10 +26,10 @@ from ecbits.curve import (
     order_over,
     rational_division_points,
     sample_scalars,
-    sample_subgroup_points,
     subgroup_generator,
     subgroup_of_order,
 )
+from ecbits.extract import _walk_windows
 from ecbits.field import (
     Fp2,
     PreconditionError,
@@ -417,12 +418,33 @@ class TestMulInt:
         with pytest.raises(ValueError):
             mul_int(micro_curve, 3, CurvePoint(0, 0))
 
-    def test_samples_are_the_seeded_multiples(self):
+    def test_samples_are_the_seeded_multiples(self, monkeypatch):
+        # the walk path of the sampled deviation reads each kG off the
+        # doublings of its order check with mul_int's additions
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
         rng = random.Random(7)
         want = [C.mul(rng.randrange(1, 517), gen) for _ in range(50)]
-        assert list(sample_subgroup_points(C, gen, 517, 50, 7)) == want
+        fed = fed_to_x_walks(monkeypatch)
+        list(_walk_windows(C, gen, 517, 1, 4, 50, 7))
+        assert fed == want
+
+
+def fed_to_x_walks(monkeypatch) -> list:
+    """The points extract._walk_windows hands x_walks, in the order
+    x_walks draws them, collected into the returned list."""
+    fed = []
+    x_walks = extract_module.x_walks
+
+    def recording(curve, points, count):
+        def drawn():
+            for P in points:
+                fed.append(P)
+                yield P
+        return x_walks(curve, drawn(), count)
+
+    monkeypatch.setattr(extract_module, "x_walks", recording)
+    return fed
 
 
 def seeded_mul_int(C, gen, t, count, seed):
@@ -436,55 +458,76 @@ CYCLIC_16 = Curve(field(17), 2, 4)
 
 
 class TestSampleSubgroupPoints:
+    """The sampled multiples kG of a generator that the walk path of the
+    sampled deviation (extract._walk_windows) feeds x_walks: read from
+    the doublings 2^i G of its tG = O check, for the k of sample_scalars,
+    and equal to mul_int's."""
+
     @pytest.mark.parametrize("t", [2, 4, 8, 16])
-    def test_power_of_two_orders(self, t):
+    def test_power_of_two_orders(self, monkeypatch, t):
         gen = mul_int(CYCLIC_16, 16 // t, CurvePoint(2, 4))
         assert CYCLIC_16.point_order(gen) == t
+        fed = fed_to_x_walks(monkeypatch)
         for seed in range(4):
-            got = list(sample_subgroup_points(CYCLIC_16, gen, t, 40, seed))
-            assert got == seeded_mul_int(CYCLIC_16, gen, t, 40, seed)
-            assert len(got) == 40 and INFINITY not in got
+            fed.clear()
+            rows = list(_walk_windows(CYCLIC_16, gen, t, 1, 3, 40, seed))
+            assert fed == seeded_mul_int(CYCLIC_16, gen, t, 40, seed)
+            assert len(rows) == 40 and INFINITY not in fed
 
-    def test_order_517(self):
+    def test_order_517(self, monkeypatch):
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
+        fed = fed_to_x_walks(monkeypatch)
         for seed in range(3):
-            got = list(sample_subgroup_points(C, gen, 517, 70, seed))
-            assert got == seeded_mul_int(C, gen, 517, 70, seed)
+            fed.clear()
+            list(_walk_windows(C, gen, 517, 4, 8, 70, seed))
+            assert fed == seeded_mul_int(C, gen, 517, 70, seed)
+            assert all(type(Q) is CurvePoint and type(Q.x) is type(Q.y) is int
+                       for Q in fed)
 
     @settings(max_examples=40, deadline=None)
     @given(small_curves(), st.data())
     def test_equals_mul_int_for_any_t(self, C, data):
-        """t need not be the order of G: k past ord(G) wraps, and the
-        doubling table may reach O part way."""
+        """t need only be a multiple of ord(G): k past ord(G) wraps, kG
+        may be O, and the doubling table may reach O part way; a t that
+        ord(G) does not divide is refused."""
         gen = data.draw(st.sampled_from(C.enumerate_points()))
-        t = data.draw(st.integers(2, 3 * C.order()))
+        o = C.point_order(gen)
+        t = o * data.draw(st.integers(1 if o > 1 else 2, 3))
         seed = data.draw(st.integers(0, 100))
-        got = list(sample_subgroup_points(C, gen, t, 20, seed))
-        assert got == seeded_mul_int(C, gen, t, 20, seed)
-        assert all(type(Q.x) is int for Q in got if not Q.is_infinity)
+        with pytest.MonkeyPatch.context() as mp:
+            fed = fed_to_x_walks(mp)
+            list(_walk_windows(C, gen, t, 1, 2, 20, seed))
+        assert fed == seeded_mul_int(C, gen, t, 20, seed)
+        bad = data.draw(st.integers(2, 3 * C.order()).filter(lambda u: u % o))
+        with pytest.raises(PreconditionError, match="tG != O"):
+            next(_walk_windows(C, gen, bad, 1, 2, 20, seed))
 
-    def test_scalars_of_the_points(self):
+    def test_scalars_of_the_points(self, monkeypatch):
         """The points are mul_int of the scalars sample_scalars draws."""
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
+        fed = fed_to_x_walks(monkeypatch)
         for seed in range(3):
             rng = random.Random(seed)
             ks = list(sample_scalars(517, 40, seed))
             assert ks == [rng.randrange(1, 517) for _ in range(40)]
-            assert list(sample_subgroup_points(C, gen, 517, 40, seed)) == [
-                mul_int(C, k, gen) for k in ks]
+            fed.clear()
+            list(_walk_windows(C, gen, 517, 1, 4, 40, seed))
+            assert fed == [mul_int(C, k, gen) for k in ks]
 
-    def test_streams(self):
-        """Points are drawn as they are read, from one doubling table."""
+    def test_streams(self, monkeypatch):
+        """Points are drawn as they are read: at 10^12 samples, the first
+        row needs only the first batch of kG."""
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
-        stream = sample_subgroup_points(C, gen, 517, 10**12, 0)
-        assert next(stream) == seeded_mul_int(C, gen, 517, 1, 0)[0]
+        fed = fed_to_x_walks(monkeypatch)
+        next(_walk_windows(C, gen, 517, 1, 4, 10**12, 0))
+        assert fed == seeded_mul_int(C, gen, 517, WALK_BATCH, 0)
 
     def test_rejects_generator_off_curve(self, micro_curve):
-        with pytest.raises(ValueError):
-            next(sample_subgroup_points(micro_curve, CurvePoint(0, 0), 5, 1, 0))
+        with pytest.raises(ValueError, match="is not on"):
+            next(_walk_windows(micro_curve, CurvePoint(0, 0), 5, 1, 4, 1, 0))
 
 
 class TestDivisionPoints:
@@ -723,11 +766,11 @@ class TestSqrtInBaseOrExt:
 
     def test_residue_stays_in_base(self):
         r = Fp2(field(7), 2).sqrt()
-        assert r.in_base_field() and r.re == 3
+        assert r.im == 0 and r.re == 3
 
     def test_nonresidue_goes_to_extension(self):
         r = Fp2(field(7), 3).sqrt()
-        assert not r.in_base_field() and r.re == 0
+        assert r.im != 0 and r.re == 0
         assert r * r == 3
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -736,7 +779,7 @@ class TestSqrtInBaseOrExt:
         for u in range(p):
             r = Fp2(F, u).sqrt()
             assert r * r == u
-            assert r.in_base_field() == (F.chi(u) >= 0)
+            assert (r.im == 0) == (F.chi(u) >= 0)
 
 
 def test_factorize():

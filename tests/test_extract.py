@@ -488,6 +488,20 @@ class TestSampledPaths:
             with pytest.raises(PreconditionError, match="tG != O"):
                 sampled_deviation(_C_1009, CurvePoint(0, 1), 11, 1, 1, 4, samples, 0)
 
+    @pytest.mark.parametrize("samples,table", [(1, False), (33, True)])
+    def test_one_order_check_per_run(self, monkeypatch, samples, table):
+        # tG = O is checked once: by window_table on the table path, by
+        # _walk_windows, whose doublings then give the kG, on the walks
+        C, gen, t = _sampled_group(0)
+        want = sampled_deviation(C, gen, t, 1, 4, 16, samples, 0)
+        checks = _Spy(curve_module.torsion_doublings)
+        for module in (charsum_module, extract_module):
+            monkeypatch.setattr(module, "torsion_doublings", checks)
+        tables = _Spy(extract_module.window_table)
+        monkeypatch.setattr(extract_module, "window_table", tables)
+        assert sampled_deviation(C, gen, t, 1, 4, 16, samples, 0) == want
+        assert (checks.calls, tables.calls) == (1, int(table))
+
 
 class TestBitstream:
     def test_single_bit_parity(self, micro_curve):
@@ -793,7 +807,6 @@ class TestDeltaOverTheSubgroup:
         monkeypatch.setattr(extract_module, "_mirrored", counting_mirrored)
         for module in (curve_module, charsum_module):
             monkeypatch.setattr(module, "orbit", no_orbit)
-        monkeypatch.setattr(charsum_module, "_orbit_walk", no_orbit)
         rep = delta(C, G, 1579, 2, 2, 24)
         assert walks == [[789, False]]
         assert halves == [790, 790]

@@ -249,7 +249,7 @@ class TestFp2:
     def test_base_field_roots_stay_in_base(self):
         F = field(7)
         r = Fp2(F, 2).sqrt()
-        assert r.in_base_field() and r.re == 3  # 3^2 = 2 mod 7, canonical min
+        assert r.im == 0 and r.re == 3  # 3^2 = 2 mod 7, canonical min
 
     def test_nonresidue_root_is_proportional_to_sqrt_d(self):
         F = field(7)
