@@ -2,26 +2,26 @@
 against the proved bounds.
 
 U aggregates |S(P, Q; N)|^2 over all point pairs, S summing the
-quadratic character of x(nP)x(nQ).  x_multiples walks the multiples of
-one point, and x_walks those of many points side by side on x alone,
-with one inversion per step; window_table keeps the low bits of x over
-a whole cyclic subgroup of order t, half of it built in blocks of
+quadratic character of x(nP)x(nQ).  x_multiples reads x of the first
+multiples of one point: from BLOCK_MIN of them on in blocks of
 multiples around giant-step centres cG, one inversion per block for
-the pairs (c +- j)G, and the other half mirrored through
-x(mG) = x((t - m)G): O(sqrt(t)) inversions, and O(sqrt(t)) ints beside
-the t-entry table; _orbit_rows walks each cyclic subgroup that a point
-set meets once and keeps its x table and index per point set, and
-x_rows reads every point's multiples from those rows.  U and V read a
-point R only through x(nR) = x(n(-R)): once_per_pair evaluates V's
-per-point terms once per class {R, -R} of any point set, and U sums
-one column per class (the exact Delta of extract takes its classes as
-j and t - j of <G>).  T is the multiplicative-product
-additive-character sum, its psi arguments built level by level over
-[1,N]^k by prefix_sums; V aggregates |T|^2 over a subgroup.  The
-subgroup exponential sum and the product-collision count back the two
-proof devices.  Every integer-valued quantity is computed exactly;
-complex accumulation uses a fixed summation order so results are
-reproducible bit for bit.
+the pairs (c +- j)G, and below that by the walk of multiples, one
+inversion per step; window_table keeps the low bits of x over a whole
+cyclic subgroup of order t, half of it built from the same blocks and
+the other half mirrored through x(mG) = x((t - m)G): O(sqrt(t))
+inversions, and O(sqrt(t)) ints beside the t-entry table; _orbit_rows
+walks each cyclic subgroup that a point set meets once and keeps its x
+table and index per point set, and x_rows reads every point's
+multiples from those rows.  U and V read a point R only through
+x(nR) = x(n(-R)): once_per_pair evaluates V's per-point terms once per
+class {R, -R} of any point set, and U sums one column per class (the
+exact Delta of extract takes its classes as j and t - j of <G>).  T is
+the multiplicative-product additive-character sum, its psi arguments
+built level by level over [1,N]^k by prefix_sums; V aggregates |T|^2
+over a subgroup.  The subgroup exponential sum and the
+product-collision count back the two proof devices.  Every
+integer-valued quantity is computed exactly; complex accumulation uses
+a fixed summation order so results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -105,21 +105,28 @@ def prefix_sums(tables: list[list[int]], N: int) -> list[int]:
     return sums
 
 
+# x_multiples reads giant-step blocks from this many multiples on: per
+# point they took 0.8-1.2 times the walk's time at 32 multiples and
+# 0.7-1.0 at 64, for p from 1009 to 2^31 - 1 (CPython 3.11, x86-64)
+BLOCK_MIN = 64
+
+
 def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
     """[x(P), x(2P), ..., x(count*P)] with the x(O) = 0 convention, for
-    an F_p point P: at most count steps of the walk of multiples, and
-    when ord(P) <= count its period x(P), ..., x((o-1)P), 0 repeated."""
+    an F_p point P: from BLOCK_MIN multiples on the blocks of
+    _block_columns, about sqrt(2 count) multiples per inversion mod p;
+    below that, or when a block meets O, at most count steps of the walk
+    of multiples, one inversion each, and when ord(P) <= count its
+    period x(P), ..., x((o-1)P), 0 repeated."""
+    if count >= BLOCK_MIN:
+        xs = list(itertools.chain.from_iterable(_block_columns(curve, P, count)))
+        if len(xs) >= count:
+            return xs[:count]
     xs = [x for x, _ in itertools.islice(multiples(curve, P), count)]
     if len(xs) < count:
         period = xs + [0]
         xs = (period * (count // len(period) + 1))[:count]
     return xs
-
-
-# points x_walks takes side by side: one inversion serves this many
-# point steps, and a batch's WALK_BATCH * count x values stay small
-# beside the rest of the process
-WALK_BATCH = 32
 
 
 def _inverses(dens: list[int], p: int) -> list[int] | None:
@@ -142,94 +149,18 @@ def _inverses(dens: list[int], p: int) -> list[int] | None:
     return invs
 
 
-def _x_stepper(curve: Curve, x1s: list[int]):
-    """step(prev, xs): the column x(Q + P) of one side-by-side step of
-    lanes, lane i adding the point P with x(P) = x1s[i] to its Q, from
-    xs = x(Q) and prev = x(Q - P) with one inversion mod p for all
-    lanes; None when a denominator is 0 (some Q = +-P).
-
-    x(Q + P) = 2((x + x1)(x x1 + a) + 2b) / (x - x1)^2 - x(Q - P) for
-    x = x(Q), x1 = x(P); the numerator is kept as c2 x^2 + c1 x + c0,
-    its coefficients fixed per lane.
-    """
-    p, a, b = curve.p, curve.a, curve.b
-    c2s = [2 * x1 for x1 in x1s]
-    c1s = [2 * (x1 * x1 + a) % p for x1 in x1s]
-    c0s = [(2 * a * x1 + 4 * b) % p for x1 in x1s]
-
-    def step(prev: list[int], xs: list[int]) -> list[int] | None:
-        invs = _inverses([x - x1 for x, x1 in zip(xs, x1s)], p)
-        if invs is None:
-            return None
-        return [(((c2 * x + c1) * x + c0) * v * v - xq) % p
-                for x, c2, c1, c0, xq, v in zip(xs, c2s, c1s, c0s, prev, invs)]
-
-    return step
-
-
-def _lockstep(curve: Curve, batch: list[CurvePoint],
-              count: int) -> list[list[int]] | None:
-    """x_multiples for each point of batch, the walks of multiples taken
-    side by side on x-coordinates alone, with one inversion mod p per
-    step for the whole batch.  None when count < 1, a point is O, or a
-    denominator is 0 (y(P) = 0, or the walk of P meets -P): when some
-    point's order is at most count.
-
-    x(2P) = ((x^2 - a)^2 - 8bx) / 4y^2 with y^2 = x^3 + ax + b, then the
-    steps of _x_stepper with Q = nP for n = 2..count - 1.
-    """
-    if count < 1 or any(P.is_infinity for P in batch):
-        return None
-    p, a, b = curve.p, curve.a, curve.b
-    x1s = [P.x for P in batch]
-    cols = [x1s]
-    if count > 1:
-        invs = _inverses([4 * (x * x * x + a * x + b) for x in x1s], p)
-        if invs is None:
-            return None
-        cols.append([((x * x - a) ** 2 - 8 * b * x) * v % p
-                     for x, v in zip(x1s, invs)])
-    step = _x_stepper(curve, x1s)
-    for _ in range(count - 2):
-        col = step(cols[-2], cols[-1])
-        if col is None:
-            return None
-        cols.append(col)
-    return [list(row) for row in zip(*cols)]
-
-
-def x_walks(curve: Curve, points: Iterable[CurvePoint],
-            count: int) -> Iterator[list[int]]:
-    """x_multiples(curve, P, count) for each F_p point P of points, in
-    order, reading points WALK_BATCH at a time.
-
-    Cost: per batch, count - 1 lockstep steps, each one inversion mod p
-    for the batch and a few multiplications per point; a batch with a
-    point of order at most count (O, a 2-torsion point, or a walk that
-    meets -P) is walked by x_multiples point by point instead.  One
-    batch's rows are held at a time.  That is len(points) * (count - 1)
-    point steps in all; when the points are multiples of one G, and that
-    is more than ord(G) / 2, window_table reads them for fewer.
-    """
-    points = iter(points)
-    while batch := list(itertools.islice(points, WALK_BATCH)):
-        rows = _lockstep(curve, batch, count)
-        if rows is None:
-            rows = [x_multiples(curve, P, count) for P in batch]
-        yield from rows
-
-
 def _block_columns(curve: Curve, G: CurvePoint, h: int) -> Iterator[list[int]]:
     """[x(mG) for m = c - J .. c + J] for the centres c = J + 1,
     J + 1 + K, ... (K = 2J + 1, J = max(1, isqrt(h // 2))), one block
-    each, until the blocks cover m = 1..h.
+    each, until the blocks cover m = 1..h: the last one may run past h.
 
     The baby multiples jG, j <= J, come from one walk of multiples, and
     each centre from the last by one addition of KG.  cG + jG and
     cG - jG have the slopes (y(jG) -+ y(cG)) / (x(jG) - x(cG)), so one
     batch of J inverses gives the 2J values around x(cG).  The blocks
-    stop early when a centre is O or a denominator is 0: for h = t // 2
-    and ord(G) | t, exactly when ord(G) < t or t is 2 or 3.
+    stop early when a centre is O or a denominator is 0: exactly when
+    some multiple they reach is O, that is when ord(G) is at most the
+    last one, ceil(h / K) K.
     """
     p, a = curve.p, curve.a
     J = max(1, math.isqrt(h // 2))
@@ -262,19 +193,14 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
     array typecode that holds ell bits: t * w.itemsize bytes.
 
     Cost: x(mG) = x((t - m)G), so only m = 1..h = t // 2 are computed,
-    and w[t - m] = w[m] fills the rest.  That half is built in blocks of
-    K = 2J + 1 consecutive m around giant-step centres, J =
-    max(1, isqrt(h // 2)) (_block_columns): J - 1 steps of the walk of
-    multiples for the baby multiples jG, then per block one addition to
-    reach its centre and one inversion mod p (Montgomery's trick) for
-    its J denominators, each of which serves both x((c + j)G) and
-    x((c - j)G): about sqrt(h / 2) blocks, so about 1.5 sqrt(t)
-    inversions in all, where a walk of the half takes t / 2.  The last
-    block may run past h, but not past t - 1, onto values the mirror
-    writes again.  When ord(G) < t, or t is 2 or 3, some centre is O or
-    some denominator 0; x_multiples then walks the half from G instead.
-    Memory: the table, plus O(sqrt(t)) ints for the baby multiples and
-    one block.
+    in the blocks of _block_columns, each written into w as it comes,
+    and w[t - m] = w[m] fills the rest: about 1.5 sqrt(t) inversions
+    mod p, where a walk of the half takes t / 2.  The last block may
+    run past h, but not past t - 1, onto values the mirror writes
+    again.  When ord(G) < t, or t is 2 or 3, the blocks meet O, and
+    x_multiples reads the half from G instead: its own blocks meet the
+    same O, so it walks.  Memory: the table, plus O(sqrt(t)) ints for
+    the baby multiples and one block.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t = {t}")

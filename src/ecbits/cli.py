@@ -130,13 +130,19 @@ def _check_count_budget(args) -> None:
 def _curve_and_t(args) -> tuple[Curve, int]:
     """The --p/--a/--b curve with its --t-policy subgroup order, or the
     first admissible curve with p in --p-min..--p-max (its group
-    structure is not built: nothing here reads it)."""
+    structure is not built: nothing here reads it).  The order-t
+    subgroup is unique either way: find_curve admits no other curve,
+    and _subgroup refuses a --p curve's t otherwise."""
     if args.p is None:
         fc = find_curve(_p_range(args), args.big_n, args.t_policy,
                         structure_budget=0)
         return fc.curve, fc.t
     C = _flag_curve(args)
-    return C, subgroup_order_for_policy(C.order(), args.big_n, args.t_policy)
+    n = C.order()
+    t = subgroup_order_for_policy(n, args.big_n, args.t_policy)
+    if not _torsion_cyclic(C, n, t):
+        _subgroup(C, t)
+    return C, t
 
 
 # -- verify suite --------------------------------------------------------
@@ -206,7 +212,7 @@ def run_lemma_suite(
 @functools.lru_cache(maxsize=8)
 def _subgroup(C: Curve, t: int) -> tuple:
     """The order-t subgroup of C, built once per process for all the v and
-    lemma5 cells of a sweep."""
+    lemma5 cells of a sweep (and for _curve_and_t's uniqueness check)."""
     return tuple(subgroup_of_order(C, t))
 
 
@@ -269,8 +275,14 @@ def build_sum_cells(args) -> list[dict]:
         if kind == "lemma5":
             _check_lemma5_cells(args.d_max, args.s_max)
     c_vec = _parse_c(args.c) if args.c is not None else None
-    if c_vec is not None and not any(c_vec):
-        raise ConfigError("coefficient vector c must be nonzero")
+    if c_vec is not None:  # the rules that need no curve, before the search
+        if not any(c_vec):
+            raise ConfigError("coefficient vector c must be nonzero")
+        s = len(c_vec)
+        if not ("v" in experiments and s <= 2
+                or "lemma5" in experiments and s <= min(args.d_max, args.s_max)):
+            raise ConfigError(f"no cell takes c = {args.c}: v cells take 1 or 2 "
+                              "entries, lemma5 cells one per entry of d")
     cells = []
     if {"u", "v", "lemma5"} & set(experiments):
         _check_count_budget(args)
@@ -302,12 +314,17 @@ def build_sum_cells(args) -> list[dict]:
                          "c": list(pattern)}
                         for N in range(2, args.n_max + 1)
                     ]
-    # a v or lemma5 cell holds c_vec exactly when its length fits
-    if c_vec is not None and not any(
-            cell["experiment"] in ("v", "lemma5") and cell["c"] == list(c_vec)
-            for cell in cells):
-        raise ConfigError(f"no cell takes c = {args.c}: v cells take 1 or 2 "
-                          "entries, lemma5 cells one per entry of d")
+    if c_vec is not None:
+        # a v or lemma5 cell holds c_vec exactly when its length fits,
+        # unless the gcd(t, prod d) filter leaves no lemma5 cell that long
+        takers = {cell["experiment"] for cell in cells
+                  if cell["experiment"] in ("v", "lemma5")
+                  and cell["c"] == list(c_vec)}
+        if not takers:
+            raise ConfigError(f"no cell takes c = {args.c}: no lemma5 d of "
+                              f"{len(c_vec)} entries has gcd(t, d_1...d_s) = 1")
+        if "lemma5" in takers and c_vec[-1] % C.p == 0:
+            raise PreconditionError("the last coefficient c_s must be nonzero")
     return cells
 
 
@@ -417,12 +434,9 @@ def run_extract(args) -> int:
         if not in_range:
             raise ConfigError(f"--slack-delta {args.slack_delta} takes the deviation "
                               "bound or the ratio to it out of the float range")
-        # Delta runs over the orbit of the generator, which is the order-t
-        # subgroup when that is unique; subgroup_of_order refuses t otherwise
+        # Delta runs over the orbit of the generator: t points
         if t > SUBGROUP_BUDGET:
             raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
-        if not _torsion_cyclic(C, C.order(), t):
-            subgroup_of_order(C, t)
     gen = subgroup_generator(C, t)
     if exact:
         rep = delta(C, gen, t, args.k, args.ell, args.big_n,

@@ -27,7 +27,6 @@ from .charsum import (
     prefix_sums,
     window_table,
     x_multiples,
-    x_walks,
 )
 from .curve import (
     INFINITY,
@@ -296,17 +295,17 @@ def _table_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,
 
 def _walk_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,
                   samples: int, seed: int) -> Iterator[list[int]]:
-    """_table_windows, each sampled kG walked by x_walks instead.
+    """_table_windows, each sampled kG read by its own x_multiples instead.
 
     Cost: torsion_doublings checks tG = O and gives the doublings 2^i G,
     i < t.bit_length(); each kG then takes one addition per further set
-    bit of k, drawn as x_walks reads it."""
+    bit of k, and x_multiples reads its N multiples."""
     p, a = C.p, C.a
     table = torsion_doublings(C, gen, t)
-    kGs = (_bit_sum(p, a, table, k) for k in sample_scalars(t, samples, seed))
-    points = (INFINITY if kG is None else CurvePoint._make(kG) for kG in kGs)
-    for xs in x_walks(C, points, N):
-        yield _codes(xs, 1, ell, N)
+    for k in sample_scalars(t, samples, seed):
+        kG = _bit_sum(p, a, table, k)
+        P = INFINITY if kG is None else CurvePoint._make(kG)
+        yield _codes(x_multiples(C, P, N), 1, ell, N)
 
 
 def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
@@ -319,15 +318,15 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     torsion_doublings check that the chosen way makes.
 
     Cost: x(n kG), n = 1..N, is read the way with fewer point steps
-    (_reads_table), each step a few multiplications and a share of one
-    inversion mod p:
+    (_reads_table), each step a few multiplications and one inversion
+    mod p, or in a block a share of one:
     - from one charsum.window_table of <gen>, when t // 2 <=
       samples * (N - 1) and t <= SUBGROUP_BUDGET: t // 2 multiples, in
       blocks of about sqrt(t) that share one inversion mod p each, a
       table of t bytes at ell <= 8, then N reads per sample;
-    - otherwise by x_walks over the sampled kG, each read from the
-      doublings of the order check (_walk_windows): samples * (N - 1)
-      steps, one batch at a time, so memory does not grow with samples.
+    - otherwise by x_multiples of each sampled kG (_walk_windows), read
+      from the doublings of the order check: samples * (N - 1) steps,
+      in blocks from N = BLOCK_MIN on, held one sample at a time.
     Both read the same k, so the result does not depend on the way.  The
     mean is the integer sum of the worst deviations divided once.
     """

@@ -10,8 +10,7 @@ from oracles import chi_pair_sum_direct, chi_pair_sum_phi_psi, sum_S, v_sum_expa
 
 import ecbits.charsum as charsum_module
 from ecbits.charsum import (
-    WALK_BATCH,
-    _lockstep,
+    BLOCK_MIN,
     _t_sum,
     count_product_collisions,
     prefix_products,
@@ -23,7 +22,6 @@ from ecbits.charsum import (
     window_table,
     x_multiples,
     x_rows,
-    x_walks,
 )
 import ecbits.curve as curve_module
 from ecbits.cli import run_sum_cell
@@ -657,78 +655,92 @@ def test_later_cells_on_a_point_set_reuse_its_rows(monkeypatch):
     assert [cell() for cell in cells[2:]] == cold[2:]
 
 
+# y^2 = x^3 + x + 1 over F_500009, the curve of the extract-sampled
+# benchmark: #E = 499,013 = 569 * 877, cyclic, with (0, 1) a generator
+C_500K = Curve(field(500009), 1, 1)
+G_500K = CurvePoint(0, 1)
+P569 = CurvePoint(317888, 397327)  # 877 G, of order 569
+P877 = CurvePoint(92266, 191659)  # 569 G, of order 877
+
+
 class TestXWalks:
+    """x_multiples, the walks of x along the multiples of each point:
+    giant-step blocks from BLOCK_MIN multiples on, the walk of multiples
+    below that or when a block meets O."""
+
     @settings(max_examples=60, deadline=None)
     @given(small_curves(), st.data())
     def test_equals_x_multiples_and_add_walk(self, C, data):
-        # lists longer than a batch, with O and every 2-torsion point put
-        # in at drawn places, and counts below, at and above the order of
-        # a drawn point: a zero denominator can meet a batch part way
+        # lists with O and every 2-torsion point put in at drawn places,
+        # and counts below, at and above the order of a drawn point
         pts = C.enumerate_points()
-        points = data.draw(st.lists(st.sampled_from(pts), min_size=WALK_BATCH + 1,
-                                    max_size=3 * WALK_BATCH))
+        points = data.draw(st.lists(st.sampled_from(pts), min_size=33, max_size=96))
         for P in pts:
             if P.is_infinity or P.y == 0:
                 points.insert(data.draw(st.integers(0, len(points))), P)
         o = C.point_order(data.draw(st.sampled_from(pts)))
         count = max(1, o + data.draw(st.integers(-1, 1)))
-        rows = list(x_walks(C, points, count))
-        assert rows == [x_multiples(C, P, count) for P in points]
+        rows = [x_multiples(C, P, count) for P in points]
         assert rows == [add_walk_x_multiples(C, P, count) for P in points]
 
     @settings(max_examples=80, deadline=None)
-    @given(small_curves(), st.data())
-    def test_lockstep_refuses_exactly_the_short_orders(self, C, data):
-        # None exactly when count < 1 or some point's order is at most
-        # count; the lockstep rows equal the group-law walk otherwise
-        count = data.draw(st.integers(0, 12))
-        pts = C.enumerate_points()
-        long = [P for P in pts if C.point_order(P) > count]
-        pool = long if long and data.draw(st.booleans()) else pts
-        batch = data.draw(st.lists(st.sampled_from(pool), min_size=1,
-                                   max_size=WALK_BATCH))
-        rows = _lockstep(C, batch, count)
-        short = count < 1 or any(C.point_order(P) <= count for P in batch)
-        assert (rows is None) == short
-        if rows is not None:
-            assert rows == [add_walk_x_multiples(C, P, count) for P in batch]
+    @given(st.data())
+    def test_blocks_equal_the_add_walk(self, data):
+        # counts BLOCK_MIN - 1, BLOCK_MIN and past it, and counts near
+        # ord(P) on both sides: P = O, 2-torsion points and every order
+        # of the small curves, and orders 569, 877 and #E at p = 500009
+        C = data.draw(st.one_of(small_curves(), st.just(C_500K)))
+        if C is C_500K:
+            P, o = data.draw(st.sampled_from([
+                (INFINITY, 1), (P569, 569), (P877, 877), (G_500K, 499013)]))
+        else:
+            P = data.draw(st.sampled_from(C.enumerate_points()))
+            o = C.point_order(P)
+        counts = [st.sampled_from([BLOCK_MIN - 1, BLOCK_MIN]),
+                  st.integers(BLOCK_MIN, 4 * BLOCK_MIN)]
+        if o < 1000:
+            counts.append(st.integers(max(0, o - 3), o + 3))
+        count = data.draw(st.one_of(counts))
+        assert x_multiples(C, P, count) == add_walk_x_multiples(C, P, count)
 
-    def test_one_inversion_per_step_per_batch(self, monkeypatch):
-        C = Curve(field(1009), 1, 1)
-        gen = subgroup_generator(C, 517)
-        points = [mul_int(C, k, gen) for k in range(1, 71)]  # batches 32, 32, 6
-        inversions = []
+    @pytest.mark.parametrize("P,count,blocks,steps", [
+        # the walk of multiples: count - 1 steps, one inversion each
+        (G_500K, BLOCK_MIN - 1, 0, BLOCK_MIN - 2),
+        # blocks of K = 2J + 1, J = isqrt(count // 2): one inversion per
+        # block, J - 1 steps for the baby multiples jG, two additions
+        # for the first centre and KG, one per further centre
+        (G_500K, BLOCK_MIN, 6, 5 + 6),
+        (G_500K, 256, 12, 11 + 12),
+        # a block meets O: the blocks before it (J = 16 and 17, block
+        # (o - 1) // K), J + 1 additions and one per later centre, then
+        # the walk to -P, 567 steps; ord(P) just past count, where only
+        # the last block, m = 562..594, meets O, and ord(P) <= count
+        (P569, 568, 17, 16 + 1 + 17 + 567),
+        (P569, 600, 16, 17 + 1 + 16 + 567),
+        (P877, 876, 21, 20 + 1 + 21 + 875),
+        # O: no baby multiple, no step
+        (INFINITY, BLOCK_MIN, 0, 0),
+    ])
+    def test_inversions_per_branch(self, monkeypatch, P, count, blocks, steps):
+        want = add_walk_x_multiples(C_500K, P, count)
+        inversions, point_steps = [], []
 
-        def counting_pow(*args):
-            inversions.append(args)
-            return pow(*args)
+        def counting(calls):
+            def counting_pow(*args):
+                calls.append(args)
+                return pow(*args)
+            return counting_pow
 
-        monkeypatch.setattr(charsum_module, "pow", counting_pow, raising=False)
-        rows = list(x_walks(C, points, 10))
+        monkeypatch.setattr(charsum_module, "pow", counting(inversions), raising=False)
+        monkeypatch.setattr(curve_module, "pow", counting(point_steps), raising=False)
+        xs = x_multiples(C_500K, P, count)
         monkeypatch.undo()
-        assert rows == [x_multiples(C, P, 10) for P in points]
-        assert len(inversions) == 3 * 9
-
-    def test_reads_one_batch_ahead(self):
-        C = Curve(field(1009), 1, 1)
-        gen = subgroup_generator(C, 517)
-        read = []
-
-        def points():
-            for k in itertools.count(1):
-                read.append(k)
-                yield mul_int(C, k, gen)
-
-        rows = x_walks(C, points(), 5)
-        assert next(rows) == x_multiples(C, gen, 5)
-        assert len(read) == WALK_BATCH
-        for _ in range(WALK_BATCH):
-            next(rows)
-        assert len(read) == 2 * WALK_BATCH
+        assert xs == want
+        assert (len(inversions), len(point_steps)) == (blocks, steps)
 
     def test_empty_and_zero_count(self, micro_curve, micro_points):
-        assert list(x_walks(micro_curve, [], 4)) == []
-        assert list(x_walks(micro_curve, micro_points, 0)) == [[]] * len(micro_points)
+        assert [x_multiples(micro_curve, P, 0) for P in micro_points] == [[]] * 5
+        assert x_multiples(micro_curve, INFINITY, BLOCK_MIN) == [0] * BLOCK_MIN
 
 
 # #E = 1034 = 2 * 11 * 47, cyclic: a generator (1, 149) of order 1034

@@ -204,6 +204,66 @@ class TestSumsCommand:
         assert [r["inputs"]["c"] for r in records] == [
             [1], [1], [1, 5], [1, 5], [1], [1], [1, 5]]
 
+    def test_c_length_refused_before_curve_search(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("curve search before the --c length check")
+
+        monkeypatch.setattr(cli, "find_curve", no_search)
+        for experiments, c in [("v", "1,2,3"), ("lemma5", "1,2,3,4"),
+                               ("v,lemma5,u", "1,2,3,4")]:
+            rc = cli.main(["sums", "--p-min", "500000", "--p-max", "500200",
+                           "--experiments", experiments, "--c", c, "--d-max", "3",
+                           "--out", str(tmp_path / "c")])
+            assert rc == 2
+            assert f"no cell takes c = {c}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_c_whose_lemma5_cells_the_gcd_filter_drops(self, tmp_path, capsys):
+        # N = 1 keeps t = #E = 1034 even, so d = (1, 2), the one d of
+        # two entries at d-max 2, fails gcd(t, d_1 d_2) = 1
+        rc = cli.main(["sums", "--p", "1009", "--a", "1", "--b", "1",
+                       "--big-n", "1", "--experiments", "lemma5", "--d-max", "2",
+                       "--c", "1,1", "--jobs", "1", "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: no cell takes c = 1,1: no lemma5 d of 2 entries has "
+            "gcd(t, d_1...d_s) = 1\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("c", ["1,0", "1,1009", "0,2,-1009"])
+    def test_zero_last_coefficient_refused_before_any_cell(self, tmp_path, capsys,
+                                                          monkeypatch, c):
+        # lemma5 cells need c_s != 0 mod p; the U cells listed first
+        # must not run before a lemma5 cell refuses c
+        def no_cell(cell):
+            raise AssertionError("a cell ran before the c_s check")
+
+        monkeypatch.setattr(cli, "run_sum_cell", no_cell)
+        rc = cli.main(["sums", "--p", "1009", "--a", "1", "--b", "1",
+                       "--experiments", "u,lemma5", "--c", c, "--big-n", "6",
+                       "--jobs", "1", "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("precondition violated: the last "
+                                           "coefficient c_s must be nonzero\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_non_unique_subgroup_refused_before_any_cell(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # E = Z/2 x Z/2 under --t-policy prime: t = 2 has three subgroups,
+        # refused where t is chosen, before the collisions cells listed
+        # first and the lemma5 cells that would read one of them
+        def no_cell(cell):
+            raise AssertionError("a cell ran before the subgroup check")
+
+        monkeypatch.setattr(cli, "run_sum_cell", no_cell)
+        rc = cli.main(["sums", "--p", "7", "--a", "0", "--b", "6", "--t-policy",
+                       "prime", "--big-n", "1", "--experiments", "collisions,lemma5",
+                       "--n-max", "3", "--jobs", "1", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "no unique subgroup of order 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_experiment_rejected(self):
         rc = cli.main(["sums", "--p", "7", "--a", "1", "--b", "1",
                        "--experiments", "nope"])
@@ -556,6 +616,11 @@ class TestBadInput:
          "need N >= 1, got N = 0"),
         (["find-curve", "--p-min", "100", "--p-max", "200", "--big-n", "-2"],
          "need N >= 1, got N = -2"),
+        # the sampled path refuses the three subgroups of order 2 as well
+        (["extract", "--p", "7", "--a", "0", "--b", "6", "--t-policy", "prime",
+          "--big-n", "1", "--k", "1", "--ell", "1", "--samples", "3",
+          "--delta-budget", "1", "--out", "{tmp}/x"],
+         "no unique subgroup of order 2: kernel of [t] has 4 points"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",

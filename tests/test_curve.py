@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ecbits.curve as curve_module
 import ecbits.extract as extract_module
-from ecbits.charsum import WALK_BATCH, x_multiples
+from ecbits.charsum import x_multiples
 from ecbits.curve import (
     INFINITY,
     Curve,
@@ -425,25 +425,23 @@ class TestMulInt:
         gen = subgroup_generator(C, 517)
         rng = random.Random(7)
         want = [C.mul(rng.randrange(1, 517), gen) for _ in range(50)]
-        fed = fed_to_x_walks(monkeypatch)
+        fed = fed_to_x_multiples(monkeypatch)
         list(_walk_windows(C, gen, 517, 1, 4, 50, 7))
         assert fed == want
 
 
-def fed_to_x_walks(monkeypatch) -> list:
-    """The points extract._walk_windows hands x_walks, in the order
-    x_walks draws them, collected into the returned list."""
+def fed_to_x_multiples(monkeypatch) -> list:
+    """The points extract._walk_windows hands x_multiples, one per
+    sample in the order they are read, collected into the returned
+    list."""
     fed = []
-    x_walks = extract_module.x_walks
+    x_multiples = extract_module.x_multiples
 
-    def recording(curve, points, count):
-        def drawn():
-            for P in points:
-                fed.append(P)
-                yield P
-        return x_walks(curve, drawn(), count)
+    def recording(curve, P, count):
+        fed.append(P)
+        return x_multiples(curve, P, count)
 
-    monkeypatch.setattr(extract_module, "x_walks", recording)
+    monkeypatch.setattr(extract_module, "x_multiples", recording)
     return fed
 
 
@@ -459,7 +457,7 @@ CYCLIC_16 = Curve(field(17), 2, 4)
 
 class TestSampleSubgroupPoints:
     """The sampled multiples kG of a generator that the walk path of the
-    sampled deviation (extract._walk_windows) feeds x_walks: read from
+    sampled deviation (extract._walk_windows) feeds x_multiples: read from
     the doublings 2^i G of its tG = O check, for the k of sample_scalars,
     and equal to mul_int's."""
 
@@ -467,7 +465,7 @@ class TestSampleSubgroupPoints:
     def test_power_of_two_orders(self, monkeypatch, t):
         gen = mul_int(CYCLIC_16, 16 // t, CurvePoint(2, 4))
         assert CYCLIC_16.point_order(gen) == t
-        fed = fed_to_x_walks(monkeypatch)
+        fed = fed_to_x_multiples(monkeypatch)
         for seed in range(4):
             fed.clear()
             rows = list(_walk_windows(CYCLIC_16, gen, t, 1, 3, 40, seed))
@@ -477,7 +475,7 @@ class TestSampleSubgroupPoints:
     def test_order_517(self, monkeypatch):
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
-        fed = fed_to_x_walks(monkeypatch)
+        fed = fed_to_x_multiples(monkeypatch)
         for seed in range(3):
             fed.clear()
             list(_walk_windows(C, gen, 517, 4, 8, 70, seed))
@@ -496,7 +494,7 @@ class TestSampleSubgroupPoints:
         t = o * data.draw(st.integers(1 if o > 1 else 2, 3))
         seed = data.draw(st.integers(0, 100))
         with pytest.MonkeyPatch.context() as mp:
-            fed = fed_to_x_walks(mp)
+            fed = fed_to_x_multiples(mp)
             list(_walk_windows(C, gen, t, 1, 2, 20, seed))
         assert fed == seeded_mul_int(C, gen, t, 20, seed)
         bad = data.draw(st.integers(2, 3 * C.order()).filter(lambda u: u % o))
@@ -507,7 +505,7 @@ class TestSampleSubgroupPoints:
         """The points are mul_int of the scalars sample_scalars draws."""
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
-        fed = fed_to_x_walks(monkeypatch)
+        fed = fed_to_x_multiples(monkeypatch)
         for seed in range(3):
             rng = random.Random(seed)
             ks = list(sample_scalars(517, 40, seed))
@@ -518,12 +516,16 @@ class TestSampleSubgroupPoints:
 
     def test_streams(self, monkeypatch):
         """Points are drawn as they are read: at 10^12 samples, the first
-        row needs only the first batch of kG."""
+        row needs only the first kG, and each further row one more."""
         C = Curve(field(1009), 1, 1)
         gen = subgroup_generator(C, 517)
-        fed = fed_to_x_walks(monkeypatch)
-        next(_walk_windows(C, gen, 517, 1, 4, 10**12, 0))
-        assert fed == seeded_mul_int(C, gen, 517, WALK_BATCH, 0)
+        fed = fed_to_x_multiples(monkeypatch)
+        rows = _walk_windows(C, gen, 517, 1, 4, 10**12, 0)
+        next(rows)
+        assert fed == seeded_mul_int(C, gen, 517, 1, 0)
+        for _ in range(40):
+            next(rows)
+        assert fed == seeded_mul_int(C, gen, 517, 41, 0)
 
     def test_rejects_generator_off_curve(self, micro_curve):
         with pytest.raises(ValueError, match="is not on"):

@@ -21,7 +21,7 @@ import ecbits.charsum as charsum_module
 import ecbits.curve as curve_module
 import ecbits.extract as extract_module
 from ecbits.charsum import (
-    WALK_BATCH,
+    BLOCK_MIN,
     BoundReport,
     sum_V,
     window_table,
@@ -392,7 +392,7 @@ class TestSampledPaths:
         C, gen, t = _sampled_group(data.draw(st.integers(0, len(_SAMPLED_GROUPS) - 1)))
         ell = data.draw(st.sampled_from([1, 4, 9]))
         N = data.draw(st.integers(1, 40))
-        samples = data.draw(st.integers(1, 3 * WALK_BATCH))
+        samples = data.draw(st.integers(1, 96))
         seed = data.draw(st.integers(0, 10**6))
         args = (C, gen, t, ell, N, samples, seed)
         # the same windows of the same sampled points, in the same order
@@ -404,6 +404,16 @@ class TestSampledPaths:
                     mp.setattr(extract_module, "_reads_table", _forced(rule))
                     got[rule] = sampled_deviation(C, gen, t, 1, ell, N, samples, seed)
             assert got[True] == got[False]
+
+    @pytest.mark.parametrize("N", [BLOCK_MIN - 1, BLOCK_MIN, 3 * BLOCK_MIN])
+    def test_table_path_equals_walk_path_past_block_min(self, N):
+        # from BLOCK_MIN multiples on, x_multiples reads each walked kG
+        # in giant-step blocks: the kG of order 517 and 1034 take them,
+        # and one of order at most 94 meets O in a block and walks
+        for i in (1, 2):  # t = 517 and 1034
+            C, gen, t = _sampled_group(i)
+            args = (C, gen, t, 4, N, 60, i)
+            assert list(_table_windows(*args)) == list(_walk_windows(*args))
 
     def test_rule_at_the_crossover(self):
         # t // 2 = 90 against samples * (N - 1)
@@ -425,11 +435,11 @@ class TestSampledPaths:
         C, gen, t = _sampled_group(0)
         want = sampled_deviation(C, gen, t, 1, 4, N, samples, 2)
         tables = _Spy(extract_module.window_table)
-        walks = _Spy(extract_module.x_walks)
+        walks = _Spy(extract_module.x_multiples)
         monkeypatch.setattr(extract_module, "window_table", tables)
-        monkeypatch.setattr(extract_module, "x_walks", walks)
+        monkeypatch.setattr(extract_module, "x_multiples", walks)
         assert sampled_deviation(C, gen, t, 1, 4, N, samples, 2) == want
-        assert (tables.calls, walks.calls) == ((1, 0) if table else (0, 1))
+        assert (tables.calls, walks.calls) == ((1, 0) if table else (0, samples))
 
     def test_subgroup_budget_sends_a_large_t_to_the_walks(self, monkeypatch):
         C, gen, t = _sampled_group(0)
@@ -442,7 +452,7 @@ class TestSampledPaths:
 
     def test_table_path_cost(self, monkeypatch):
         # t = 719, t // 2 = 359: 14 blocks of 2J + 1 = 27 multiples, one
-        # inversion each, where the walks would take 3 batches * 31 steps
+        # inversion each, where the walks would take 70 * 31 steps
         C = Curve(field(20011), 1, 2)
         gen = subgroup_generator(C, 719)
         want = sampled_deviation(C, gen, 719, 1, 4, 32, 70, 1)
@@ -456,7 +466,7 @@ class TestSampledPaths:
             raise AssertionError("the table path walks no sample")
 
         monkeypatch.setattr(charsum_module, "pow", counting_pow, raising=False)
-        monkeypatch.setattr(extract_module, "x_walks", no_walk)
+        monkeypatch.setattr(extract_module, "x_multiples", no_walk)
         assert sampled_deviation(C, gen, 719, 1, 4, 32, 70, 1) == want
         assert len(inversions) == -(-359 // (2 * math.isqrt(179) + 1)) == 14
 
