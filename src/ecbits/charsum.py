@@ -5,9 +5,10 @@ U aggregates |S(P, Q; N)|^2 over all point pairs, S summing the
 quadratic character of x(nP)x(nQ).  x_multiples reads x of the first
 multiples of one point: from BLOCK_MIN of them on in blocks of
 multiples around giant-step centres cG, one inversion per block for
-the pairs (c +- j)G, and below that by the walk of multiples, one
-inversion per step; window_table keeps the low bits of x over a whole
-cyclic subgroup of order t, half of it built from the same blocks and
+the pairs (c +- j)G, and below that, or when a block meets O, by
+_walk_x, the walk of multiples, one inversion per step; window_table
+keeps the low bits of x over a whole cyclic subgroup of order t, half
+of it built from the same blocks (from _walk_x when they meet O) and
 the other half mirrored through x(mG) = x((t - m)G): O(sqrt(t))
 inversions, and O(sqrt(t)) ints beside the t-entry table; _orbit_rows
 walks each cyclic subgroup that a point set meets once and keeps its x
@@ -115,13 +116,18 @@ def x_multiples(curve: Curve, P: CurvePoint, count: int) -> list[int]:
     """[x(P), x(2P), ..., x(count*P)] with the x(O) = 0 convention, for
     an F_p point P: from BLOCK_MIN multiples on the blocks of
     _block_columns, about sqrt(2 count) multiples per inversion mod p;
-    below that, or when a block meets O, at most count steps of the walk
-    of multiples, one inversion each, and when ord(P) <= count its
-    period x(P), ..., x((o-1)P), 0 repeated."""
+    below that, or when a block meets O, _walk_x."""
     if count >= BLOCK_MIN:
         xs = list(itertools.chain.from_iterable(_block_columns(curve, P, count)))
         if len(xs) >= count:
             return xs[:count]
+    return _walk_x(curve, P, count)
+
+
+def _walk_x(curve: Curve, P: CurvePoint, count: int) -> list[int]:
+    """x_multiples(curve, P, count) from at most count steps of the walk
+    of multiples, one inversion each: when ord(P) <= count the walk
+    stops at O and its period x(P), ..., x((o-1)P), 0 is repeated."""
     xs = [x for x, _ in itertools.islice(multiples(curve, P), count)]
     if len(xs) < count:
         period = xs + [0]
@@ -198,9 +204,9 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
     mod p, where a walk of the half takes t / 2.  The last block may
     run past h, but not past t - 1, onto values the mirror writes
     again.  When ord(G) < t, or t is 2 or 3, the blocks meet O, and
-    x_multiples reads the half from G instead: its own blocks meet the
-    same O, so it walks.  Memory: the table, plus O(sqrt(t)) ints for
-    the baby multiples and one block.
+    _walk_x reads the half from G instead, with no block built again.
+    Memory: the table, plus O(sqrt(t)) ints for the baby multiples and
+    one block.
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got t = {t}")
@@ -214,7 +220,7 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
         w[m:m + len(col)] = array(typecode, [x & mask for x in col])
         m += len(col)
     if m <= h:
-        w[1:h + 1] = array(typecode, [x & mask for x in x_multiples(curve, G, h)])
+        w[1:h + 1] = array(typecode, [x & mask for x in _walk_x(curve, G, h)])
     w[t - h:] = w[h:0:-1]
     return w
 

@@ -56,7 +56,6 @@ from .extract import (
 from .field import (
     PreconditionError,
     ResourceBudgetError,
-    check_chi_table_budget,
     field,
 )
 from .poly import rational_square_test
@@ -76,9 +75,17 @@ class ConfigError(ValueError):
 # -- report records -----------------------------------------------------
 
 
-def write_records(records: list[dict], out_prefix: str) -> None:
+def write_records(records: list[dict], out_prefix: str, skipped=()) -> None:
+    """The records to PREFIX.json and PREFIX.csv.  A partial run, whose
+    skipped cells went over their budget, keeps its completed records
+    in the .csv and writes {"incomplete": true, "skipped": ...,
+    "records": ...} to the .json."""
+    if skipped:
+        doc = {"incomplete": True, "skipped": skipped, "records": records}
+    else:
+        doc = records
     with open(out_prefix + ".json", "w") as fh:
-        json.dump(records, fh, indent=2)
+        json.dump(doc, fh, indent=2)
     with open(out_prefix + ".csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["schema", "experiment", "inputs", "lhs", "rhs_total",
@@ -117,14 +124,6 @@ def _p_range(args) -> range:
     if args.p_max < args.p_min:
         raise ConfigError("empty prime range")
     return range(args.p_min, args.p_max + 1)
-
-
-def _check_count_budget(args) -> None:
-    """A --p/--a/--b curve above the point-counting budget is refused
-    before the curve search; a --p-min..--p-max search meets that
-    budget at its first #E count above it."""
-    if args.p is not None:
-        check_chi_table_budget(_flag_curve(args).p)
 
 
 def _curve_and_t(args) -> tuple[Curve, int]:
@@ -285,7 +284,6 @@ def build_sum_cells(args) -> list[dict]:
                               "entries, lemma5 cells one per entry of d")
     cells = []
     if {"u", "v", "lemma5"} & set(experiments):
-        _check_count_budget(args)
         C, t = _curve_and_t(args)
         curve = {"p": C.p, "a": C.a, "b": C.b}
     for kind in experiments:
@@ -387,12 +385,7 @@ def run_sums(args) -> int:
     skipped = [o for o in outcomes if "budget_error" in o]
     recs = [o for o in outcomes if "budget_error" not in o]
     if args.out:
-        write_records(recs, args.out)
-        if skipped:
-            # partial run: keep the completed records, flag the rest
-            with open(args.out + ".json", "w") as fh:
-                json.dump({"incomplete": True, "skipped": skipped,
-                           "records": recs}, fh, indent=2)
+        write_records(recs, args.out, skipped)
     slacks = {"u": args.slack_u, "v": args.slack_v, "lemma5": args.slack_l5,
               "collisions": 1.0}
     for r in recs:
@@ -417,7 +410,6 @@ def run_extract(args) -> int:
     if args.out is None:
         raise ConfigError("--out is required for extract")
     _check_code_budget(args.k, args.big_n)  # before the curve search
-    _check_count_budget(args)
     C, t = _curve_and_t(args)
     if t < 2:
         raise ConfigError(f"subgroup policy produced trivial t = {t}")
@@ -596,6 +588,13 @@ def _parse_c(text: str) -> tuple[int, ...]:
 
 
 def load_config(path: str) -> dict:
+    """{option name: value text} from a flat key=value file.  A key is an
+    option's flag without its dashes (big-n, in) or its name (big_n,
+    infile); a key that names no option, or a second key for one
+    option, is a configuration error."""
+    names = {}
+    for name in _OPTIONS:
+        names[name] = names[_flag(name)[2:]] = name
     cfg = {}
     try:
         with open(path) as fh:
@@ -609,14 +608,21 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"bad config line {line!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip()
+        if key not in names:
+            raise ConfigError(f"config key {key!r} names no option")
+        if names[key] in cfg:
+            raise ConfigError(f"config key {key!r} sets {_flag(names[key])} "
+                              "a second time")
+        cfg[names[key]] = value.strip()
     return cfg
 
 
 # Every option but --config, in --help order: name (the argparse dest and
-# the config-file key), type, default, and optional extra argparse
-# keywords ("flag" overrides the flag "--" + name with dashes).  A flag
-# beats the config file, which beats the default.
+# a config-file key, as is its flag without the dashes), type, default,
+# and optional extra argparse keywords ("flag" overrides the flag
+# "--" + name with dashes).  A flag beats the config file, which beats
+# the default.
 _OPTIONS = {
     "p": (int, None),
     "a": (int, None),
@@ -647,6 +653,12 @@ _OPTIONS = {
 }
 
 
+def _flag(name: str) -> str:
+    """The command-line flag of an option."""
+    extra = _OPTIONS[name][2] if len(_OPTIONS[name]) > 2 else {}
+    return extra.get("flag", "--" + name.replace("_", "-"))
+
+
 def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     cfg = load_config(args.config) if args.config else {}
     for key, (typ, default, *_) in _OPTIONS.items():
@@ -671,8 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     for key, (typ, _, *extra) in _OPTIONS.items():
         kwargs = dict(extra[0]) if extra else {}
-        flag = kwargs.pop("flag", "--" + key.replace("_", "-"))
-        parser.add_argument(flag, dest=key, type=typ, **kwargs)
+        kwargs.pop("flag", None)
+        parser.add_argument(_flag(key), dest=key, type=typ, **kwargs)
     return parser
 
 
@@ -692,7 +704,7 @@ def _check_slacks(args) -> None:
     for key in ("slack_u", "slack_v", "slack_l5", "slack_delta"):
         value = getattr(args, key)
         if not 0 < value < math.inf:
-            raise ConfigError(f"--{key.replace('_', '-')} must be positive "
+            raise ConfigError(f"{_flag(key)} must be positive "
                               f"and finite, got {value}")
 
 

@@ -30,13 +30,6 @@ class ResourceBudgetError(RuntimeError):
     """An exhaustive computation would exceed its configured budget."""
 
 
-def check_chi_table_budget(p: int) -> None:
-    """p <= CHI_TABLE_BUDGET: the point-counting budget."""
-    if p > CHI_TABLE_BUDGET:
-        raise ResourceBudgetError(
-            f"p = {p} exceeds the point-counting budget {CHI_TABLE_BUDGET}")
-
-
 _MR_BASES = (2, 3, 5, 7)  # deterministic for n < 3_215_031_751
 
 
@@ -136,7 +129,9 @@ class PrimeField:
         above the point-counting budget is refused before any of it."""
         if self._chi_table is None:
             p = self.p
-            check_chi_table_budget(p)
+            if p > CHI_TABLE_BUDGET:
+                raise ResourceBudgetError(f"p = {p} exceeds the point-counting "
+                                          f"budget {CHI_TABLE_BUDGET}")
             t = [-1] * p
             t[0] = 0
             for y in range(1, (p - 1) // 2 + 1):

@@ -12,6 +12,7 @@ import ecbits.charsum as charsum_module
 from ecbits.charsum import (
     BLOCK_MIN,
     _t_sum,
+    _walk_x,
     count_product_collisions,
     prefix_products,
     prefix_sums,
@@ -852,18 +853,37 @@ class TestWindowTable:
     @pytest.mark.parametrize("times", [1, 2, 3])
     def test_half_walk_exactly_below_the_order(self, monkeypatch, C, G, o, times):
         # with ord(G) < t a multiple of ord(G) in 1..t // 2 is a centre at
-        # O or a zero denominator, so the blocks stop and x_multiples
-        # walks the half; with ord(G) = t only t = 2 and 3 stop
+        # O or a zero denominator, so the blocks stop and _walk_x walks
+        # the half; with ord(G) = t only t = 2 and 3 stop
+        t = o * times
+        want = masked_orbit(C, G, t, 4)
         walks = []
 
-        def counting_x_multiples(*args):
+        def counting_walk_x(*args):
             walks.append(args[2])
-            return x_multiples(*args)
+            return _walk_x(*args)
 
-        monkeypatch.setattr(charsum_module, "x_multiples", counting_x_multiples)
-        t = o * times
-        assert list(window_table(C, G, t, 4)) == masked_orbit(C, G, t, 4)
+        monkeypatch.setattr(charsum_module, "_walk_x", counting_walk_x)
+        assert list(window_table(C, G, t, 4)) == want
         assert walks == ([t // 2] if times > 1 or t in (2, 3) else [])
+
+    def test_blocks_that_meet_o_are_not_built_again(self, monkeypatch):
+        # G = (0, 1) of order 517 in t = 1034: blocks of 33 multiples
+        # around 17, 50, ..., the 16th of which reaches 517G = O without
+        # an inversion, and the half walk builds none of the 15 again
+        G = CurvePoint(0, 1)
+        want = masked_orbit(C_1009, G, 1034, 4)
+        inversions = []
+
+        def counting_pow(*args):
+            inversions.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(charsum_module, "pow", counting_pow, raising=False)
+        w = window_table(C_1009, G, 1034, 4)
+        monkeypatch.undo()
+        assert list(w) == want
+        assert len(inversions) == 15
 
     def test_large_table_takes_the_blocks(self, monkeypatch):
         # t = 3959: 32 blocks of 63 multiples, no half walk
@@ -875,5 +895,5 @@ class TestWindowTable:
             raise AssertionError("the block path walks no half")
 
         want = masked_orbit(C, G, 3959, 1)
-        monkeypatch.setattr(charsum_module, "x_multiples", no_walk)
+        monkeypatch.setattr(charsum_module, "_walk_x", no_walk)
         assert list(window_table(C, G, 3959, 1)) == want

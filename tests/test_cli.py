@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -512,6 +513,48 @@ class TestConfigFile:
         rc = cli.main(["verify", "--config", str(cfg)])
         assert rc == 2
 
+    @pytest.mark.parametrize("lines,message", [
+        ("big_nn=6", "config key 'big_nn' names no option"),
+        ("config=other.cfg", "config key 'config' names no option"),
+        ("big-n=3\nbig-n=3", "config key 'big-n' sets --big-n a second time"),
+        ("big-n=3\nbig_n=3", "config key 'big_n' sets --big-n a second time"),
+        ("in=a.json\ninfile=a.json", "config key 'infile' sets --in a second time"),
+    ], ids=["misspelt", "config", "repeated", "two-spellings", "in-infile"])
+    def test_bad_key_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                            lines, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the config check")
+
+        monkeypatch.setattr(cli, "_curve_and_t", no_work)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"p=7\na=1\nb=1\n{lines}\n")
+        rc = cli.main(["sums", "--config", str(cfg), "--experiments", "u",
+                       "--jobs", "1", "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["exp.cfg"]
+
+    @pytest.mark.parametrize("key", ["big-n", "big_n"])
+    def test_flag_and_name_spellings(self, tmp_path, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"p=7\na=1\nb=1\n{key}=3\n")
+        rc = cli.main(["sums", "--config", str(cfg), "--experiments", "u",
+                       "--jobs", "1", "--out", str(tmp_path / "s")])
+        assert rc == 0
+        records = json.loads((tmp_path / "s.json").read_text())
+        assert [r["inputs"]["N"] for r in records] == [2, 3]
+
+    @pytest.mark.parametrize("key", ["in", "infile"])
+    def test_in_replays_a_report(self, tmp_path, capsys, key):
+        assert cli.main(["sums", "--p", "7", "--a", "1", "--b", "1", "--big-n", "3",
+                         "--experiments", "u", "--jobs", "1",
+                         "--out", str(tmp_path / "s")]) == 0
+        cfg = tmp_path / "r.conf"
+        cfg.write_text(f"{key}={tmp_path / 's.json'}\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.count("OK   u") == 2
+
 
 class TestBadInput:
     @pytest.mark.parametrize("argv,message", [
@@ -690,12 +733,18 @@ class TestBadInput:
         def no_work(*args, **kwargs):
             raise AssertionError("curve search before the budget check")
 
-        monkeypatch.setattr(cli, "_curve_and_t", no_work)
+        p = int(argv[argv.index("--p") + 1])
+        if p <= field_module.CHI_TABLE_BUDGET:
+            # the code and lemma5 budgets come before the curve is built;
+            # the point-count budget is field's, at the first #E count
+            monkeypatch.setattr(cli, "_curve_and_t", no_work)
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
         err = capsys.readouterr().err
         assert rc == 3
         assert err.count("\n") == 1 and message in err
         assert not list(tmp_path.iterdir())
+        if p > field_module.CHI_TABLE_BUDGET:
+            assert field(p)._chi_table is None
 
     def test_subgroup_budget_exit_3_before_any_work(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -891,6 +940,52 @@ class TestBudgetExit:
         assert rc == 3
         data = json.loads((tmp_path / "b.json").read_text())
         assert data["incomplete"] is True
+
+    def test_partial_run_keeps_the_completed_records(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # one of the 20 collisions cells up to N = 6 is over its budget
+        real = cli.count_product_collisions
+        over = {"experiment": "collisions", "N": 5, "k": 2, "c": [1, 1]}
+
+        def one_over_budget(N, k, c):
+            if (N, k, list(c)) == (over["N"], over["k"], over["c"]):
+                raise ResourceBudgetError("collision enumeration exceeds budget")
+            return real(N, k, c)
+
+        json_writes = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if str(path).endswith(".json") and "w" in mode:
+                json_writes.append(str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "count_product_collisions", one_over_budget)
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        out = str(tmp_path / "part")
+        rc = cli.main(["sums", "--experiments", "collisions", "--n-max", "6",
+                       "--jobs", "1", "--out", out])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == (f"skipped {over}: collision enumeration exceeds budget\n")
+        assert json_writes == [out + ".json"]
+
+        data = json.loads((tmp_path / "part.json").read_text())
+        assert list(data) == ["incomplete", "skipped", "records"]
+        assert data["incomplete"] is True
+        assert data["skipped"] == [{"budget_error": "collision enumeration "
+                                    "exceeds budget", "cell": over}]
+        records = data["records"]
+        assert len(records) == 19
+        assert all(dict(r["inputs"], experiment="collisions") != over
+                   for r in records)
+        with open(out + ".csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header[:4] == ["schema", "experiment", "inputs", "lhs"]
+        assert [(json.loads(row[2]), int(row[3])) for row in rows] == \
+            [(r["inputs"], r["lhs"]) for r in records]
+
+        assert cli.main(["report", "--in", out + ".json"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestLemmaSuiteLibrary:
