@@ -10,10 +10,11 @@ _walk_x, the walk of multiples, one inversion per step; window_table
 keeps the low bits of x over a whole cyclic subgroup of order t, half
 of it built from the same blocks (from _walk_x when they meet O) and
 the other half mirrored through x(mG) = x((t - m)G): O(sqrt(t))
-inversions, and O(sqrt(t)) ints beside the t-entry table; _orbit_rows
-walks each cyclic subgroup that a point set meets once and keeps its x
-table and index per point set, and x_rows reads every point's
-multiples from those rows.  U and V read a point R only through
+inversions, and O(sqrt(t)) ints beside the t-entry table; x_columns
+reads x(mR) for every point R of a set, one column per multiplier m,
+each filled on its first read from the x tables of the orbits that
+_orbit_rows walks once per cyclic subgroup met, and kept per point set
+for U and lemma 5.  U and V read a point R only through
 x(nR) = x(n(-R)): once_per_pair evaluates V's per-point terms once per
 class {R, -R} of any point set, and U sums one column per class (the
 exact Delta of extract takes its classes as j and t - j of <G>).  T is
@@ -225,12 +226,10 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
     return w
 
 
-@functools.lru_cache(maxsize=8)
 def _orbit_rows(curve: Curve, points: tuple[CurvePoint, ...]) -> tuple:
     """(tx, j) for each R of points, in order, where tx[i] = x(iG)
     (x(O) = 0) is the x table of the orbit of the first point G met of
-    <R>, and R = jG.  Kept per (curve, points) for the process, so every
-    cell over one point set reads the same rows.
+    <R>, and R = jG.
 
     Cost: one orbit walk of ord(R) additions per cyclic subgroup <R>
     met; every other point of that orbit reads its table and index.
@@ -244,17 +243,35 @@ def _orbit_rows(curve: Curve, points: tuple[CurvePoint, ...]) -> tuple:
     return tuple(map(index.__getitem__, points))
 
 
-def x_rows(curve: Curve, points: Iterable[CurvePoint],
-           count: int) -> Iterator[list[int]]:
-    """x_multiples(curve, R, count) for each R of points, in order.
+class XColumns(dict):
+    """Column m = [x(mR) for R in points], x(O) = 0, by multiplier
+    m >= 0, each filled on first use from the orbit rows of the points:
+    for R = jG, x(mR) = x((mj mod ord(G)) G)."""
 
-    Cost: that of _orbit_rows (nothing when this point set was read
-    before in this process), then count table lookups per point: for
-    R = jG, x(mR) = x((mj mod ord(G)) G).
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, m: int) -> list[int]:
+        column = self[m] = [tx[m * j % len(tx)] for tx, j in self.rows]
+        return column
+
+
+@functools.lru_cache(maxsize=8)
+def x_columns(curve: Curve, points: tuple[CurvePoint, ...]) -> XColumns:
+    """The x columns of a point set: x_columns(curve, points)[m][i] is
+    x(m points[i]).  Kept per (curve, points) for the process, so every
+    cell over one point set reads the same columns; readers share them
+    and must not change them.
+
+    Cost: that of _orbit_rows on the first call, then |points| table
+    reads per column on its first read, and nothing on the next.
+    Memory: at most 8 point sets, each holding its orbit rows and
+    (largest m read) * |points| list slots.
     """
-    for tx, j in _orbit_rows(curve, tuple(points)):
-        o = len(tx)
-        yield [tx[m * j % o] for m in range(1, count + 1)]
+    return XColumns(_orbit_rows(curve, points))
 
 
 def once_per_pair(points: Iterable[CurvePoint], value) -> list:
@@ -280,6 +297,10 @@ def sum_U(
     #E[2] in {1, 2, 4} counting O and the points of order 2.
 
     Reported against the N^6 q + N q^2 bound.
+
+    Cost: columns 1..N of x_columns over those (#E + #E[2]) / 2 points,
+    filled once per process (a sweep over N = 2..6 fills 6 columns, not
+    20), then the N(N + 1) / 2 column products and chi table reads.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -293,7 +314,8 @@ def sum_U(
     # point of each other pair {P, -P} stands for both
     fixed = [P for P in points if not P.y]
     paired = list({P.x: P for P in points if P.y}.values())
-    cols = list(zip(*x_rows(curve, fixed + paired, N)))
+    columns = x_columns(curve, tuple(fixed + paired))
+    cols = [columns[m] for m in range(1, N + 1)]
     nf = len(fixed)
     total = 0
     for m, xm in enumerate(cols):
@@ -377,8 +399,10 @@ def subgroup_sum(
     increasing multipliers d with gcd(#H, d_1...d_s) = 1 and c_s != 0 on
     an ordinary curve.  Reported against s D^2 sqrt(p), D = d_s.
 
-    Cost: that of _orbit_rows (nothing when H was read before in this
-    process), then s table reads and one psi memo read per point."""
+    Cost: columns d_1..d_s of x_columns over the affine points of H,
+    each filled once per process (the 63 cells of d <= 7 fill 7), then
+    s column reads and one psi memo read per point, in H's order, so the
+    sum is the per-point loop's bit for bit."""
     s = len(d)
     if s == 0 or len(c) != s:
         raise PreconditionError("need matching nonempty d and c tuples")
@@ -394,11 +418,12 @@ def subgroup_sum(
     if not curve.is_ordinary():
         raise PreconditionError("the bound requires an ordinary curve")
     D = d[-1]
-    # Q = jG on the orbit table tx of G, so x(d_i Q) = tx[d_i j mod o]
-    rows = _orbit_rows(curve, tuple(Q for Q in H if not Q.is_infinity))
-    args = [0] * len(rows)
-    for ci, di in zip(c, d):
-        args = [a + ci * tx[di * j % len(tx)] for a, (tx, j) in zip(args, rows)]
+    # the affine points of H, in H's order (only O has x = None)
+    columns = x_columns(curve, tuple([Q for Q in H if Q.x is not None]))
+    first, *rest = [columns[di] for di in d]
+    args = [c[0] * x for x in first]
+    for ci, col in zip(c[1:], rest):
+        args = [a + ci * x for a, x in zip(args, col)]
     total = 0j
     for value in map(curve.field.psi_memo.__getitem__, [a % p for a in args]):
         total += value

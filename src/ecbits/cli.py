@@ -323,6 +323,8 @@ def build_sum_cells(args) -> list[dict]:
                               f"{len(c_vec)} entries has gcd(t, d_1...d_s) = 1")
         if "lemma5" in takers and c_vec[-1] % C.p == 0:
             raise PreconditionError("the last coefficient c_s must be nonzero")
+    if "lemma5" in experiments and not C.is_ordinary():
+        raise PreconditionError("the bound requires an ordinary curve")
     return cells
 
 

@@ -16,7 +16,7 @@ def cold_caches():
     counts walks, searches or psi evaluations does not see an earlier
     test's work.  Clearing field() drops the shared PrimeField instances,
     and with them their chi tables and psi memos."""
-    for cache in (charsum._orbit_rows, index_table, cli._subgroup,
+    for cache in (charsum.x_columns, index_table, cli._subgroup,
                   Curve.order, Curve._points, field):
         cache.cache_clear()
 

@@ -5,6 +5,8 @@ writes it, and the tests pin the library's fast paths (or the proof's
 identities themselves) against them.  They import the way conftest
 does: `from oracles import ...`.
 
+- x_rows: x of the first multiples of each point of a set, one walk per
+  point: the per-point form of charsum.x_columns.
 - sum_S: S(P, Q; N), the point character sum that U aggregates.
 - chi_pair_sum_direct, chi_pair_sum_phi_psi: the chi pair sum over the
   rational points, and the same sum through the division-polynomial
@@ -32,7 +34,6 @@ from ecbits.charsum import (
     once_per_pair,
     prefix_products,
     x_multiples,
-    x_rows,
 )
 from ecbits.curve import (
     Curve,
@@ -54,6 +55,13 @@ from ecbits.extract import (
 from ecbits.field import PreconditionError, PrimeField
 
 # -- character sums ---------------------------------------------------------
+
+
+def x_rows(curve: Curve, points, count: int) -> list[list[int]]:
+    """x_multiples(curve, R, count) = [x(R), ..., x(count R)] (x(O) = 0)
+    for each R of points, in order: one walk of multiples per point,
+    where charsum.x_columns reads each column from the orbit tables."""
+    return [x_multiples(curve, R, count) for R in points]
 
 
 def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:

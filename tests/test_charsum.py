@@ -6,7 +6,13 @@ import pytest
 from conftest import add_walk_x_multiples, small_curves
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import chi_pair_sum_direct, chi_pair_sum_phi_psi, sum_S, v_sum_expanded
+from oracles import (
+    chi_pair_sum_direct,
+    chi_pair_sum_phi_psi,
+    sum_S,
+    v_sum_expanded,
+    x_rows,
+)
 
 import ecbits.charsum as charsum_module
 from ecbits.charsum import (
@@ -21,8 +27,8 @@ from ecbits.charsum import (
     sum_U,
     sum_V,
     window_table,
+    x_columns,
     x_multiples,
-    x_rows,
 )
 import ecbits.curve as curve_module
 from ecbits.cli import run_sum_cell
@@ -635,17 +641,34 @@ def test_x_rows_matches_scalar_mul(C, data):
     assert list(x_rows(C, points, count)) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_curves(), st.data())
+def test_x_columns_match_scalar_mul(C, data):
+    # point sets spanning several cyclic subgroups, with O, every point
+    # with y = 0 and repeats put in, read at multipliers from 0 to past
+    # the order of every point, in any order and more than once
+    pts = C.enumerate_points()
+    points = data.draw(st.lists(st.sampled_from(pts), max_size=12))
+    for P in pts:
+        if P.is_infinity or P.y == 0:
+            points.insert(data.draw(st.integers(0, len(points))), P)
+    columns = x_columns(C, tuple(points))
+    for m in data.draw(st.lists(st.integers(0, C.order() + 3), max_size=8)):
+        assert columns[m] == [C.x_formal(C.mul(m, Q)) for Q in points]
+
+
 def test_later_cells_on_a_point_set_reuse_its_rows(monkeypatch):
     # a sweep's lemma 5 cells share H, and its U cells the points of E:
-    # the first cell on each walks its orbits and builds the index, the
-    # next ones read the kept rows and return the cold values bit for bit
+    # the first cell on each walks its orbits and fills its columns, the
+    # next ones read the kept columns (filling the new multipliers d = 3
+    # and N = 4) and return the cold values bit for bit
     C = Curve(field(1009), 1, 1)
     H = subgroup_of_order(C, 517)
     cells = [lambda: subgroup_sum(C, H, (1, 2), (1, 1)), lambda: sum_U(C, 3),
              lambda: subgroup_sum(C, H, (2, 3), (1, 5)), lambda: sum_U(C, 4)]
     cold = []
     for cell in cells:
-        charsum_module._orbit_rows.cache_clear()
+        x_columns.cache_clear()
         cold.append(cell())
     assert [cell() for cell in cells[:2]] == cold[:2]
 

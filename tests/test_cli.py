@@ -9,12 +9,12 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import deviation_trend
+from oracles import deviation_trend, x_rows
 
 import ecbits.curve as curve_module
 import ecbits.extract as extract_module
 from ecbits import charsum, cli
-from ecbits.charsum import BoundReport, sum_V, x_rows
+from ecbits.charsum import BoundReport, sum_V
 from ecbits.curve import (
     Curve,
     ExhaustionError,
@@ -249,6 +249,27 @@ class TestSumsCommand:
                                            "coefficient c_s must be nonzero\n")
         assert not list(tmp_path.iterdir())
 
+    def test_supersingular_curve_refused_before_any_cell(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # y^2 = x^3 + x over F_1019 (p = 3 mod 4) has #E = p + 1: lemma 5
+        # needs an ordinary curve, so the seven U cells listed first must
+        # not run before the lemma5 cells are refused
+        u_calls = []
+
+        def counting_sum_U(*args):
+            u_calls.append(args)
+            return charsum.sum_U(*args)
+
+        monkeypatch.setattr(cli, "sum_U", counting_sum_U)
+        rc = cli.main(["sums", "--p", "1019", "--a", "1", "--b", "0",
+                       "--experiments", "u,lemma5", "--big-n", "8", "--jobs", "1",
+                       "--out", str(tmp_path / "ss")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("precondition violated: the bound "
+                                           "requires an ordinary curve\n")
+        assert u_calls == []
+        assert not list(tmp_path.iterdir())
+
     def test_non_unique_subgroup_refused_before_any_cell(self, tmp_path, capsys,
                                                          monkeypatch):
         # E = Z/2 x Z/2 under --t-policy prime: t = 2 has three subgroups,
@@ -281,13 +302,19 @@ class TestSumsCommand:
         assert kinds == {"v", "lemma5"}
 
     def test_lemma5_sweep_walks_the_subgroup_once(self, tmp_path, monkeypatch):
-        walked = []
+        walked, filled = [], []
+        fill = charsum.XColumns.__missing__
 
         def counting_orbit(curve, G):
             walked.append(G)
             return orbit(curve, G)
 
+        def counting_fill(columns, m):  # (point set size, multiplier)
+            filled.append((len(columns.rows), m))
+            return fill(columns, m)
+
         monkeypatch.setattr(charsum, "orbit", counting_orbit)
+        monkeypatch.setattr(charsum.XColumns, "__missing__", counting_fill)
         rc = cli.main(["sums", "--p", "1009", "--a", "1", "--b", "1",
                        "--experiments", "lemma5", "--d-max", "7", "--jobs", "1",
                        "--out", str(tmp_path / "l5")])
@@ -295,16 +322,30 @@ class TestSumsCommand:
         records = json.loads((tmp_path / "l5.json").read_text())
         assert len(records) == 63  # t = 517 = 11 * 47 admits every d <= 7
         assert len(walked) == 1
+        # one column per multiplier d <= 7 over the 516 affine points of H
+        assert filled == [(516, d) for d in range(1, 8)]
         assert Curve.order.cache_info().misses == 1  # #E counted once
         # the lhs is bit for bit the per-point x_rows formulation
         C = Curve(field(1009), 1, 1)
         H = [Q for Q in cli._subgroup(C, 517) if not Q.is_infinity]
+        rows = x_rows(C, H, 7)
         for rec in records:
             d, c = rec["inputs"]["d"], rec["inputs"]["c"]
             total = 0j
-            for xs in x_rows(C, H, d[-1]):
+            for xs in rows:
                 total += C.field.psi(sum(ci * xs[di - 1] for ci, di in zip(c, d)))
             assert rec["lhs"] == abs(total)
+        # the five U cells, N = 2..6, read columns 1..N of E's 518 classes
+        # {P, -P} (O, the one point of order 2 and 516 pairs): 6 fills
+        # for the sweep, where a fill per cell would make 2 + 3 + ... + 6
+        # = 20
+        filled.clear()
+        rc = cli.main(["sums", "--p", "1009", "--a", "1", "--b", "1",
+                       "--experiments", "u", "--big-n", "6", "--jobs", "1",
+                       "--out", str(tmp_path / "u")])
+        assert rc == 0
+        assert len(json.loads((tmp_path / "u.json").read_text())) == 5
+        assert filled == [(518, n) for n in range(1, 7)]
 
     def test_range_sweep_counts_the_found_curve_once(self, tmp_path, monkeypatch):
         counted = []

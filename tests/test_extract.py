@@ -5,6 +5,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 
+import oracles
 import pytest
 from conftest import small_curves
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from oracles import (
     delta_over_points,
     fourier_count_A,
     lsb_string,
+    x_rows,
 )
 
 import ecbits.charsum as charsum_module
@@ -26,7 +28,6 @@ from ecbits.charsum import (
     sum_V,
     window_table,
     x_multiples,
-    x_rows,
 )
 from ecbits.curve import (
     INFINITY,
@@ -681,9 +682,9 @@ class TestPatternCounts:
             raise AssertionError("delta read multiples point by point")
 
         monkeypatch.setattr(charsum_module, "orbit", counting_orbit)
-        for module in (charsum_module, extract_module):
+        for module in (charsum_module, extract_module, oracles):
             monkeypatch.setattr(module, "x_multiples", per_point_walk)
-            monkeypatch.setattr(module, "x_rows", per_point_walk, raising=False)
+        monkeypatch.setattr(oracles, "x_rows", per_point_walk)
         C = Curve(field(89), 2, 5)  # prime order 101: orbits {O} and E
         delta_over_points(C, C.enumerate_points(), 2, 1, 3)
         assert walked == [INFINITY, min(C.enumerate_points()[1:],
