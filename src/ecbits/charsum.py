@@ -436,10 +436,10 @@ def subgroup_sum(
 
 def count_product_collisions(
     N: int, k: int, c: tuple[int, ...], budget: int = 10_000_000
-) -> int:
+) -> tuple[int, BoundReport]:
     """Exact count of index pairs (m_1..m_k), (n_1..n_k) in [2,N]^2k whose
     partial-product vectors collide at some position with a nonzero
-    coefficient; the proof shows this is at most k N^(2k-1).
+    coefficient, reported against the proof's bound k N^(2k-1).
 
     By inclusion-exclusion over the nonempty subsets S of the support,
     the count is sum_S (-1)^(|S|+1) sum_key cnt_S[key]^2, where cnt_S
@@ -453,8 +453,6 @@ def count_product_collisions(
     support = [j for j in range(k) if c[j]]
     if not support:
         raise PreconditionError("coefficient vector must be nonzero")
-    if N < 2:
-        return 0
     if 2 ** len(support) * (N - 1) ** k > budget:
         raise ResourceBudgetError("collision enumeration exceeds budget")
     prods = prefix_products(N, k, lo=2)
@@ -467,4 +465,5 @@ def count_product_collisions(
     if count > bound:
         raise RuntimeError(f"{count} collisions exceed the proved bound "
                            f"k*N^(2k-1) = {bound}")
-    return count
+    return count, BoundReport(lhs=float(count),
+                              rhs_terms=[("k*N^(2k-1)", float(bound))])

@@ -25,7 +25,6 @@ import time
 # per-layer tracer (bench/spans.py) looks them up, like the other
 # library names below, as attributes of this module.
 from .charsum import (
-    BoundReport,
     count_product_collisions,
     subgroup_sum,
     sum_U,
@@ -36,7 +35,7 @@ from .curve import (
     SUBGROUP_BUDGET,
     Curve,
     ExhaustionError,
-    _torsion_cyclic,
+    check_unique_subgroup,
     find_curve,
     group_structure,  # noqa: F401
     subgroup_generator,
@@ -131,7 +130,7 @@ def _curve_and_t(args) -> tuple[Curve, int]:
     first admissible curve with p in --p-min..--p-max (its group
     structure is not built: nothing here reads it).  The order-t
     subgroup is unique either way: find_curve admits no other curve,
-    and _subgroup refuses a --p curve's t otherwise."""
+    and check_unique_subgroup refuses a --p curve's t otherwise."""
     if args.p is None:
         fc = find_curve(_p_range(args), args.big_n, args.t_policy,
                         structure_budget=0)
@@ -139,8 +138,7 @@ def _curve_and_t(args) -> tuple[Curve, int]:
     C = _flag_curve(args)
     n = C.order()
     t = subgroup_order_for_policy(n, args.big_n, args.t_policy)
-    if not _torsion_cyclic(C, n, t):
-        _subgroup(C, t)
+    check_unique_subgroup(C, n, t)
     return C, t
 
 
@@ -211,7 +209,7 @@ def run_lemma_suite(
 @functools.lru_cache(maxsize=8)
 def _subgroup(C: Curve, t: int) -> tuple:
     """The order-t subgroup of C, built once per process for all the v and
-    lemma5 cells of a sweep (and for _curve_and_t's uniqueness check)."""
+    lemma5 cells of a sweep."""
     return tuple(subgroup_of_order(C, t))
 
 
@@ -224,26 +222,17 @@ def run_sum_cell(cell: dict) -> dict:
     kind = cell["experiment"]
     if kind == "u":
         lhs, report = sum_U(_curve_from_inputs(cell), cell["N"])
-        exact = True
     elif kind == "v":
         C = _curve_from_inputs(cell)
         H = _subgroup(C, cell["t"])
         lhs, report = sum_V(C, H, tuple(cell["c"]), cell["N"])
-        exact = False
     elif kind == "lemma5":
         C = _curve_from_inputs(cell)
         H = _subgroup(C, cell["t"])
         value, report = subgroup_sum(C, H, tuple(cell["d"]), tuple(cell["c"]))
         lhs = abs(value)
-        exact = False
     elif kind == "collisions":
-        lhs = count_product_collisions(cell["N"], cell["k"], tuple(cell["c"]))
-        k, N = cell["k"], cell["N"]
-        report = BoundReport(
-            lhs=float(lhs),
-            rhs_terms=[("k*N^(2k-1)", float(k * N ** (2 * k - 1)))],
-        )
-        exact = True
+        lhs, report = count_product_collisions(cell["N"], cell["k"], tuple(cell["c"]))
     else:
         raise ConfigError(f"unknown experiment {kind!r}")
     wall_ms = (time.perf_counter() - start) * 1000
@@ -251,11 +240,12 @@ def run_sum_cell(cell: dict) -> dict:
         "schema": SCHEMA_VERSION,
         "experiment": kind,
         "inputs": {k: v for k, v in cell.items() if k != "experiment"},
-        # an exact lhs is a JSON int: a float stops being exact above 2^53
-        "lhs": lhs if exact else float(lhs),
+        "lhs": lhs,
         "bound_terms": [{"name": n, "value": v} for n, v in report.rhs_terms],
         "ratio": report.ratio,
-        "exact": exact,
+        # the U and collision counts are ints, written as JSON ints: a
+        # float stops being exact above 2^53
+        "exact": isinstance(lhs, int),
         "wall_ms": wall_ms,
     }
 
@@ -267,6 +257,8 @@ def build_sum_cells(args) -> list[dict]:
     for kind in experiments:  # before the curve search, which can be slow
         if kind not in _NO_CELLS:
             raise ConfigError(f"unknown experiment {kind!r}")
+        if experiments.count(kind) > 1:
+            raise ConfigError(f"experiment {kind} is listed more than once")
         why, empty = _NO_CELLS[kind]
         if empty(args):
             raise ConfigError(f"experiment {kind} builds no cells: "
@@ -321,6 +313,8 @@ def build_sum_cells(args) -> list[dict]:
         if not takers:
             raise ConfigError(f"no cell takes c = {args.c}: no lemma5 d of "
                               f"{len(c_vec)} entries has gcd(t, d_1...d_s) = 1")
+        if "v" in takers and not any(v % C.p for v in c_vec):
+            raise PreconditionError("coefficient vector must be nonzero")
         if "lemma5" in takers and c_vec[-1] % C.p == 0:
             raise PreconditionError("the last coefficient c_s must be nonzero")
     if "lemma5" in experiments and not C.is_ordinary():

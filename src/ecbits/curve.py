@@ -426,6 +426,15 @@ def subgroup_of_order(curve: Curve, t: int) -> list[CurvePoint]:
     return H
 
 
+def check_unique_subgroup(curve: Curve, n: int, t: int) -> None:
+    """Raise what subgroup_of_order raises unless E, of order n, has
+    exactly one subgroup of order t: the one that the bounds average
+    over.  Shown by _torsion_cyclic when it can, else by counting the
+    kernel of [t]."""
+    if not _torsion_cyclic(curve, n, t):
+        subgroup_of_order(curve, t)
+
+
 def order_over(curve: Curve, ext: int) -> int:
     """#E(F_p^ext) for ext in (1, 2); with a_p = p + 1 - #E(F_p),
     #E(F_p^2) = p^2 + 1 - (a_p^2 - 2p)."""
@@ -644,17 +653,20 @@ def find_curve(
                     rejected["singular"] += 1
                     continue
                 C = Curve(F, a, b)
-                n = C.order()
-                if n == p + 1:
+                if not C.is_ordinary():
                     rejected["supersingular"] += 1
                     continue
-                t = subgroup_order_for_policy(n, big_n, t_policy)
+                n = C.order()
+                t =subgroup_order_for_policy(n, big_n, t_policy)
                 if t * t < p:
                     rejected["subgroup_small"] += 1
                     continue
-                if t_policy == "prime" and not _prime_subgroup_unique(C, n, t):
-                    rejected["subgroup_ambiguous"] += 1
-                    continue
+                if t_policy == "prime":
+                    try:
+                        check_unique_subgroup(C, n, t)
+                    except (PreconditionError, ResourceBudgetError):
+                        rejected["subgroup_ambiguous"] += 1
+                        continue
                 structure = None
                 if n <= structure_budget:
                     structure = group_structure(C, structure_budget)
@@ -662,16 +674,6 @@ def find_curve(
     raise ExhaustionError(
         f"no admissible curve for p in {primes}, N = {big_n}; rejected: {rejected}"
     )
-
-
-def _prime_subgroup_unique(C: Curve, n: int, ell: int) -> bool:
-    if _torsion_cyclic(C, n, ell):
-        return True
-    try:
-        subgroup_of_order(C, ell)
-        return True
-    except (PreconditionError, ResourceBudgetError):
-        return False
 
 
 GENERATOR_TRIES = 500

@@ -187,12 +187,12 @@ def test_criterion_09_product_collision_cap():
     worst = 0.0
     for N in range(2, 13):
         for k, c in ((1, (1,)), (2, (1, 1)), (2, (1, 0)), (2, (0, 1))):
-            M = count_product_collisions(N, k, c)
+            M = count_product_collisions(N, k, c)[0]
             cap = k * N ** (2 * k - 1)
             assert M <= cap
             worst = max(worst, M / cap)
     # the c = (1, 0) pattern achieves the bound's order: M = (N-1)^3
-    equality_orders = [count_product_collisions(N, 2, (1, 0)) / (2 * N**3)
+    equality_orders = [count_product_collisions(N, 2, (1, 0))[0] / (2 * N**3)
                        for N in (4, 8, 12)]
     assert all(a < b for a, b in zip(equality_orders, equality_orders[1:]))
     assert equality_orders[-1] > 0.38  # approaching the 1/2 limit

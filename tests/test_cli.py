@@ -5,8 +5,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
+from conftest import small_curves
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import deviation_trend, x_rows
@@ -249,6 +251,23 @@ class TestSumsCommand:
                                            "coefficient c_s must be nonzero\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("c", ["211", "211,422"])
+    def test_v_c_zero_mod_p_refused_before_any_cell(self, tmp_path, capsys,
+                                                    monkeypatch, c):
+        # sum_T reads c mod p: a c that a v cell takes must not vanish
+        # there, refused before the U cells listed first
+        def no_cell(cell):
+            raise AssertionError("a cell ran before the c mod p check")
+
+        monkeypatch.setattr(cli, "run_sum_cell", no_cell)
+        rc = cli.main(["sums", "--p", "211", "--a", "1", "--b", "1",
+                       "--experiments", "u,v", "--c", c, "--big-n", "3",
+                       "--jobs", "1", "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert capsys.readouterr().err == ("precondition violated: coefficient "
+                                           "vector must be nonzero\n")
+        assert not list(tmp_path.iterdir())
+
     def test_supersingular_curve_refused_before_any_cell(self, tmp_path, capsys,
                                                          monkeypatch):
         # y^2 = x^3 + x over F_1019 (p = 3 mod 4) has #E = p + 1: lemma 5
@@ -285,6 +304,18 @@ class TestSumsCommand:
         assert rc == 2
         assert "no unique subgroup of order 2" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_cyclic_kernel_that_the_weil_test_misses_runs(self, tmp_path):
+        # y^2 = x^3 + 2x + 4 over F_43: E = Z/49, so under --t-policy prime
+        # t = 7 has one subgroup, found by counting the kernel of [7]
+        rc = cli.main(["sums", "--p", "43", "--a", "2", "--b", "4", "--t-policy",
+                       "prime", "--big-n", "6", "--experiments", "v,lemma5",
+                       "--d-max", "2", "--s-max", "2", "--jobs", "1",
+                       "--out", str(tmp_path / "s")])
+        assert rc == 0
+        records = json.loads((tmp_path / "s.json").read_text())
+        assert len(records) == 10 + 3
+        assert {r["inputs"]["t"] for r in records} == {7}
 
     def test_unknown_experiment_rejected(self):
         rc = cli.main(["sums", "--p", "7", "--a", "1", "--b", "1",
@@ -705,6 +736,13 @@ class TestBadInput:
           "--big-n", "1", "--k", "1", "--ell", "1", "--samples", "3",
           "--delta-budget", "1", "--out", "{tmp}/x"],
          "no unique subgroup of order 2: kernel of [t] has 4 points"),
+        # E = Z/7 x Z/7 over F_43: eight subgroups of order 7
+        (["sums", "--p", "43", "--a", "0", "--b", "3", "--t-policy", "prime",
+          "--big-n", "6", "--out", "{tmp}/x"],
+         "no unique subgroup of order 7: kernel of [t] has 49 points"),
+        (["sums", "--p", "211", "--a", "1", "--b", "1", "--experiments", "u,u",
+          "--big-n", "3", "--out", "{tmp}/x"],
+         "experiment u is listed more than once"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -970,6 +1008,54 @@ class TestMainProperty:
             except SystemExit as exc:  # argparse rejects a malformed flag
                 rc = exc.code
         assert rc in (0, 1, 2, 3)
+
+
+@st.composite
+def sums_argv(draw):
+    """A sums run on a small --p/--a/--b curve, with any experiment list,
+    small ranges, either t-policy and an optional --c."""
+    C = draw(small_curves())
+    experiments = draw(st.lists(st.sampled_from(["u", "v", "lemma5", "collisions"]),
+                                min_size=1, max_size=4, unique=True))
+    if draw(st.sampled_from([False, False, False, True])):
+        experiments.append(draw(st.sampled_from(experiments)))  # refused
+    argv = ["sums", "--p", str(C.p), "--a", str(C.a), "--b", str(C.b),
+            "--experiments", ",".join(experiments),
+            "--big-n", str(draw(st.integers(2, 4))),
+            "--d-max", str(draw(st.integers(1, 3))),
+            "--s-max", str(draw(st.integers(1, 3))),
+            "--n-max", str(draw(st.integers(2, 4))),
+            "--t-policy", draw(st.sampled_from(["largest", "prime"]))]
+    # entries in [-2p, 2p], half of them the multiples of p that a
+    # kernel reads as zero
+    entry = st.sampled_from(range(-2 * C.p, 2 * C.p + 1, C.p)) \
+        | st.integers(-2 * C.p, 2 * C.p)
+    c = draw(st.none() | st.lists(entry, min_size=1, max_size=3))
+    if c is not None:  # --c=...: argparse reads a bare -5 as a flag
+        argv.append("--c=" + ",".join(map(str, c)))
+    return argv
+
+
+class TestSumsFailFast:
+    @settings(max_examples=150, deadline=None)
+    @given(sums_argv())
+    def test_exit_2_runs_no_cell_and_writes_no_file(self, argv):
+        # cli refuses before the first cell whatever a kernel would refuse
+        # in one: a run that exits 2 ran no cell and wrote no file
+        calls = []
+        real = cli.run_sum_cell
+
+        def recording(cell):
+            calls.append(cell)
+            return real(cell)
+
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "run_sum_cell", recording):
+            rc = cli.main(argv + ["--jobs", "1", "--out", os.path.join(tmp, "s")])
+            written = os.listdir(tmp)
+        assert rc in (0, 2, 3)
+        if rc == 2:
+            assert calls == [] and written == []
 
 
 class TestBudgetExit:

@@ -17,7 +17,9 @@ from ecbits.curve import (
     Curve,
     CurvePoint,
     _point_key,
+    check_unique_subgroup,
     factorize,
+    find_curve,
     group_structure,
     index_table,
     multiples,
@@ -274,6 +276,36 @@ class TestSubgroup:
         assert G != INFINITY and C.mul(2, G) == INFINITY
         with pytest.raises(PreconditionError):
             subgroup_of_order(C, 2)
+
+    def test_unique_subgroup_check_on_49_points(self):
+        # #E = 49 over F_43 with 7 | p - 1: the Weil-pairing test cannot
+        # show E[7] cyclic on either curve, so the kernel of [7] decides
+        for a, b in ((0, 3), (2, 4)):
+            assert not curve_module._torsion_cyclic(Curve(field(43), a, b), 49, 7)
+        # E = Z/7 x Z/7: eight subgroups of order 7
+        with pytest.raises(PreconditionError, match=r"^no unique subgroup of "
+                           r"order 7: kernel of \[t\] has 49 points$"):
+            check_unique_subgroup(Curve(field(43), 0, 3), 49, 7)
+        # E = Z/49: one subgroup of order 7
+        check_unique_subgroup(Curve(field(43), 2, 4), 49, 7)
+
+    def test_find_curve_counts_an_ambiguous_subgroup(self, monkeypatch):
+        # no curve of the a, b >= 1 scan has E[t] = Z/t x Z/t with t^2 >= p
+        # (at p = 7, 43 and 157 all such curves have a = 0), so the first
+        # check is made to refuse its curve
+        refused = []
+
+        def refuse_first(C, n, t):
+            if not refused:
+                refused.append(C)
+                raise PreconditionError("no unique subgroup")
+            check_unique_subgroup(C, n, t)
+
+        monkeypatch.setattr(curve_module, "check_unique_subgroup", refuse_first)
+        fc = find_curve([11, 13], 4, t_policy="prime")
+        assert fc.rejected["subgroup_ambiguous"] == 1
+        assert fc.curve != refused[0]
+        assert fc.t in factorize(fc.order)
 
 
 # E = Z/2 x Z/2 over F_7, and E = Z/12 over F_7, where subgroup_of_order
