@@ -16,8 +16,10 @@ each filled on its first read from the x tables of the orbits that
 _orbit_rows walks once per cyclic subgroup met, and kept per point set
 for U and lemma 5.  U and V read a point R only through
 x(nR) = x(n(-R)): once_per_pair evaluates V's per-point terms once per
-class {R, -R} of any point set, and U sums one column per class (the
-exact Delta of extract takes its classes as j and t - j of <G>).  T is
+class {R, -R} of any point set, and U takes one x column entry per
+class (the exact Delta of extract takes its classes as j and t - j of
+<G>); as chi is completely multiplicative, U reads chi once per class
+and multiplier and sums W(m, n) as dot products of chi columns.  T is
 the multiplicative-product additive-character sum, its psi arguments
 built level by level over [1,N]^k by prefix_sums; V aggregates |T|^2
 over a subgroup.  The subgroup exponential sum and the
@@ -34,14 +36,15 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .curve import (
+    INFINITY,
     Curve,
     CurvePoint,
     _add_pairs,
     multiples,
-    orbit,
     torsion_doublings,
 )
 from .field import PreconditionError, ResourceBudgetError, primes_upto
@@ -231,15 +234,20 @@ def _orbit_rows(curve: Curve, points: tuple[CurvePoint, ...]) -> tuple:
     (x(O) = 0) is the x table of the orbit of the first point G met of
     <R>, and R = jG.
 
-    Cost: one orbit walk of ord(R) additions per cyclic subgroup <R>
-    met; every other point of that orbit reads its table and index.
+    Cost: one walk of multiples, ord(R) - 1 additions on int pairs, per
+    cyclic subgroup <R> met, after the check that R is on the curve;
+    every other point of that orbit reads its table and index, keyed by
+    its (x, y) pair, which a CurvePoint equals and hashes as.
     """
-    index = {}  # jG -> (tx, j)
+    index = {}  # (x, y) of jG -> (tx, j)
     for R in points:
         if R not in index:
-            orb = orbit(curve, R)
-            tx = tuple(map(curve.x_formal, orb))
-            index.update((Q, (tx, j)) for j, Q in enumerate(orb))
+            if not curve.contains(R):
+                raise ValueError(f"point {R} is not on {curve}")
+            walk = list(multiples(curve, R))
+            tx = (0, *map(itemgetter(0), walk))
+            index[INFINITY] = (tx, 0)
+            index.update(zip(walk, zip(itertools.repeat(tx), itertools.count(1))))
     return tuple(map(index.__getitem__, points))
 
 
@@ -290,17 +298,21 @@ def sum_U(
     """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exactly, through
     the proof's rearrangement: expanding the square and swapping the sums
     gives sum_{m,n<=N} W(m, n)^2 with W(m, n) = sum_P chi(x(mP)x(nP)).
-    W is symmetric, so only the N(N+1)/2 pairs m <= n are summed, and the
-    off-diagonal squares count twice.  x(n(-P)) = x(nP), so W sums twice
-    over one point of each pair {P, -P} with y != 0, plus once over O
-    and the points of order 2: (#E + #E[2]) / 2 lookups per pair (m, n),
-    #E[2] in {1, 2, 4} counting O and the points of order 2.
+    chi is completely multiplicative (chi(0) = 0 included), so
+    W(m, n) = sum_P chi(x(mP)) chi(x(nP)), the dot product of the chi
+    columns of m and n.  W is symmetric, so only the N(N+1)/2 pairs
+    m <= n are summed, and the off-diagonal squares count twice.
+    x(n(-P)) = x(nP), so W sums twice over one point of each pair
+    {P, -P} with y != 0, plus once over O and the points of order 2:
+    (#E + #E[2]) / 2 class points, #E[2] in {1, 2, 4} counting O and the
+    points of order 2.
 
     Reported against the N^6 q + N q^2 bound.
 
-    Cost: columns 1..N of x_columns over those (#E + #E[2]) / 2 points,
-    filled once per process (a sweep over N = 2..6 fills 6 columns, not
-    20), then the N(N + 1) / 2 column products and chi table reads.
+    Cost: columns 1..N of x_columns over the class points, filled once
+    per process (a sweep over N = 2..6 fills 6 columns, not 20), one chi
+    table read per class point and multiplier, then N(N + 1) / 2 integer
+    dot products of the chi columns, summed in C (sum(map(mul, ...))).
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -315,13 +327,14 @@ def sum_U(
     fixed = [P for P in points if not P.y]
     paired = list({P.x: P for P in points if P.y}.values())
     columns = x_columns(curve, tuple(fixed + paired))
-    cols = [columns[m] for m in range(1, N + 1)]
+    chis = [list(map(lookup, columns[m])) for m in range(1, N + 1)]
     nf = len(fixed)
     total = 0
-    for m, xm in enumerate(cols):
+    for m, cm in enumerate(chis):
         for n in range(m, N):
-            chis = list(map(lookup, [a * b % q for a, b in zip(xm, cols[n])]))
-            w = sum(chis[:nf]) + 2 * sum(chis[nf:])
+            cn = chis[n]
+            # the paired points weigh 2, the fixed ones 1
+            w = 2 * sum(map(mul, cm, cn)) - sum(map(mul, cm[:nf], cn[:nf]))
             total += w * w if m == n else 2 * w * w
     report = BoundReport(
         lhs=float(total),

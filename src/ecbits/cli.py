@@ -125,12 +125,14 @@ def _p_range(args) -> range:
     return range(args.p_min, args.p_max + 1)
 
 
-def _curve_and_t(args) -> tuple[Curve, int]:
+def _curve_and_t(args, reads_t: bool = True) -> tuple[Curve, int]:
     """The --p/--a/--b curve with its --t-policy subgroup order, or the
     first admissible curve with p in --p-min..--p-max (its group
     structure is not built: nothing here reads it).  The order-t
     subgroup is unique either way: find_curve admits no other curve,
-    and check_unique_subgroup refuses a --p curve's t otherwise."""
+    and check_unique_subgroup refuses a --p curve's t otherwise.  A run
+    that reads_t refuses t = 1, as H = {O} measures no sum; find_curve
+    admits only t >= sqrt(p)."""
     if args.p is None:
         fc = find_curve(_p_range(args), args.big_n, args.t_policy,
                         structure_budget=0)
@@ -139,6 +141,8 @@ def _curve_and_t(args) -> tuple[Curve, int]:
     n = C.order()
     t = subgroup_order_for_policy(n, args.big_n, args.t_policy)
     check_unique_subgroup(C, n, t)
+    if reads_t and t < 2:
+        raise ConfigError(f"subgroup policy produced trivial t = {t}")
     return C, t
 
 
@@ -276,7 +280,8 @@ def build_sum_cells(args) -> list[dict]:
                               "entries, lemma5 cells one per entry of d")
     cells = []
     if {"u", "v", "lemma5"} & set(experiments):
-        C, t = _curve_and_t(args)
+        # u reads no subgroup, so only v and lemma5 refuse t = 1
+        C, t = _curve_and_t(args, reads_t=bool({"v", "lemma5"} & set(experiments)))
         curve = {"p": C.p, "a": C.a, "b": C.b}
     for kind in experiments:
         if kind == "u":
@@ -407,8 +412,6 @@ def run_extract(args) -> int:
         raise ConfigError("--out is required for extract")
     _check_code_budget(args.k, args.big_n)  # before the curve search
     C, t = _curve_and_t(args)
-    if t < 2:
-        raise ConfigError(f"subgroup policy produced trivial t = {t}")
     _check_window(C.p, args.k, args.ell, args.big_n)
     exact = t <= args.delta_budget
     if exact:

@@ -226,15 +226,26 @@ class Curve:
 
     @functools.lru_cache(maxsize=8)
     def _points(self) -> tuple[CurvePoint, ...]:
+        """Cost: one pass over the squares y^2, y <= (p - 1) / 2, fills a
+        transient table of the smaller root, and one pass over u reads
+        it at u^3 + a*u + b: no square root or chi evaluated."""
         if self.order() > ENUMERATION_BUDGET:
             raise ResourceBudgetError(
                 f"#E = {self.order()} exceeds enumeration budget {ENUMERATION_BUDGET}"
             )
+        p, a, b = self.p, self.a, self.b
+        # root[w] = the smaller square root of w for a nonzero square w,
+        # else 0: y <= (p - 1) / 2 is the smaller of y and p - y
+        root = [0] * p
+        for y in range(1, (p + 1) // 2):
+            root[y * y % p] = y
         pts = [INFINITY]
-        for u in range(self.p):
-            row = self.points_by_x(u)
-            row.sort(key=lambda P: P.y)
-            pts.extend(row)
+        for u in range(p):
+            w = (u * u % p * u + a * u + b) % p
+            if not w:
+                pts.append(CurvePoint(u, 0))
+            elif y := root[w]:
+                pts += (CurvePoint(u, y), CurvePoint(u, p - y))
         return tuple(pts)
 
     def point_order(self, P: CurvePoint, _factors=None, order: int | None = None) -> int:

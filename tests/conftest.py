@@ -33,11 +33,15 @@ def micro_points(micro_curve):
 
 
 @st.composite
-def small_curves(draw):
-    """Nonsingular curves y^2 = x^3 + a*x + b over F_p, 3 < p < 60."""
+def small_curves(draw, b=None):
+    """Nonsingular curves y^2 = x^3 + a*x + b over F_p, 3 < p < 60, with
+    the given b, or any."""
     p = draw(st.sampled_from([q for q in primes_upto(59) if q > 3]))
-    a = draw(st.integers(0, p - 1))
-    b = draw(st.integers(0, p - 1).filter(lambda b: (4 * a**3 + 27 * b * b) % p))
+    if b is None:
+        a = draw(st.integers(0, p - 1))
+        b = draw(st.integers(0, p - 1).filter(lambda b: (4 * a**3 + 27 * b * b) % p))
+    else:  # a = 0 is singular with b = 0 only
+        a = draw(st.integers(0 if b % p else 1, p - 1))
     return Curve(field(p), a, b)
 
 

@@ -7,7 +7,11 @@ does: `from oracles import ...`.
 
 - x_rows: x of the first multiples of each point of a set, one walk per
   point: the per-point form of charsum.x_columns.
+- points_by_scan: the rational points from one points_by_x per u, a chi
+  and a square root per x: the per-x form of Curve.enumerate_points.
 - sum_S: S(P, Q; N), the point character sum that U aggregates.
+- u_by_pairs: U(N) with chi read of the product x(mP) x(nP) for every
+  point and every pair (m, n): the per-pair form of charsum.sum_U.
 - chi_pair_sum_direct, chi_pair_sum_phi_psi: the chi pair sum over the
   rational points, and the same sum through the division-polynomial
   side Phi, Psi.
@@ -36,6 +40,7 @@ from ecbits.charsum import (
     x_multiples,
 )
 from ecbits.curve import (
+    INFINITY,
     Curve,
     CurvePoint,
     _point_key,
@@ -62,6 +67,28 @@ def x_rows(curve: Curve, points, count: int) -> list[list[int]]:
     for each R of points, in order: one walk of multiples per point,
     where charsum.x_columns reads each column from the orbit tables."""
     return [x_multiples(curve, R, count) for R in points]
+
+
+def points_by_scan(curve: Curve) -> list[CurvePoint]:
+    """O, then points_by_x(u) for u = 0..p-1 (y ascending): one chi and
+    one square root per x, where Curve.enumerate_points reads a table of
+    roots."""
+    return [INFINITY, *itertools.chain.from_iterable(
+        map(curve.points_by_x, range(curve.p)))]
+
+
+def u_by_pairs(curve: Curve, N: int) -> int:
+    """U(N) over all N^2 pairs (m, n) and every point P, with no class
+    {P, -P} taken once: W(m, n) = sum_P chi(x(mP) x(nP) mod q), one chi
+    read of the product per point and pair, where charsum.sum_U reads
+    one chi column per multiplier and takes dot products."""
+    q = curve.p
+    chi = curve.field.chi_table()
+    pairs = [(m, n) for m in range(N) for n in range(N)]
+    inner = [0] * len(pairs)
+    for xs in x_rows(curve, curve.enumerate_points(), N):
+        inner = [s + chi[xs[m] * xs[n] % q] for s, (m, n) in zip(inner, pairs)]
+    return sum(s * s for s in inner)
 
 
 def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:

@@ -10,6 +10,7 @@ from oracles import (
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
     sum_S,
+    u_by_pairs,
     v_sum_expanded,
     x_rows,
 )
@@ -87,26 +88,32 @@ def u_by_definition(C, N):
     return sum(sum_S(C, P, Q, N) ** 2 for P in pts for Q in pts)
 
 
-def u_by_pairs(C, N):
-    """U(N) over all N^2 pairs (m, n), W(m, n) accumulated point by point:
-    the form that the symmetric column kernel replaced, kept as its oracle."""
-    q = C.p
-    chi = C.field.chi_table()
-    pairs = [(m, n) for m in range(N) for n in range(N)]
-    inner = [0] * len(pairs)
-    for xs in x_rows(C, C.enumerate_points(), N):
-        inner = [s + chi[xs[m] * xs[n] % q] for s, (m, n) in zip(inner, pairs)]
-    return sum(s * s for s in inner)
-
-
 class TestSumU:
-    @settings(max_examples=25, deadline=None)
-    @given(small_curves(), st.integers(min_value=1, max_value=7))
+    # b = 0 curves have full 2-torsion over p = 1 mod 4 and the point
+    # (0, 0), whose x(nP) = 0 reads chi(0) = 0
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves() | small_curves(b=0), st.integers(min_value=1, max_value=8))
     def test_symmetric_columns_equal_all_pairs(self, C, N):
         got, report = sum_U(C, N)
         assert type(got) is int
         assert got == u_by_pairs(C, N)
         assert report.lhs == float(got)
+
+    def test_one_chi_column_per_multiplier(self, monkeypatch):
+        # #E = 1034 with one point of order 2: 518 classes {P, -P}, each
+        # read once per multiplier, not once per pair (m, n) <= 6
+        C = Curve(field(1009), 1, 1)
+        want = u_by_pairs(C, 6)
+        reads = []
+
+        class CountingTable(list):
+            def __getitem__(self, u):
+                reads.append(u)
+                return super().__getitem__(u)
+
+        monkeypatch.setattr(C.field, "_chi_table", CountingTable(C.field.chi_table()))
+        assert sum_U(C, 6)[0] == want
+        assert len(reads) == 6 * 518
 
     def test_micro_brute_force(self, micro_curve, micro_points):
         # 25-pair enumeration with the independent per-term oracle
@@ -657,6 +664,13 @@ def test_x_columns_match_scalar_mul(C, data):
         assert columns[m] == [C.x_formal(C.mul(m, Q)) for Q in points]
 
 
+def test_x_columns_refuse_a_point_off_the_curve(micro_curve):
+    # (0, 0) is not on y^2 = x^3 + x + 1 over F_7: its walk of multiples
+    # would follow the group law of another curve
+    with pytest.raises(ValueError, match=r"point \(0, 0\) is not on"):
+        x_columns(micro_curve, (CurvePoint(0, 1), CurvePoint(0, 0)))
+
+
 def test_later_cells_on_a_point_set_reuse_its_rows(monkeypatch):
     # a sweep's lemma 5 cells share H, and its U cells the points of E:
     # the first cell on each walks its orbits and fills its columns, the
@@ -675,7 +689,7 @@ def test_later_cells_on_a_point_set_reuse_its_rows(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the rows of this point set were kept")
 
-    monkeypatch.setattr(charsum_module, "orbit", no_walk)
+    monkeypatch.setattr(charsum_module, "multiples", no_walk)
     assert [cell() for cell in cells[2:]] == cold[2:]
 
 

@@ -23,7 +23,7 @@ from ecbits.curve import (
     coprime_part,
     factorize,
     find_curve,
-    orbit,
+    multiples,
     subgroup_order_for_policy,
 )
 from ecbits.divpoly import DivisionPolynomials
@@ -336,15 +336,15 @@ class TestSumsCommand:
         walked, filled = [], []
         fill = charsum.XColumns.__missing__
 
-        def counting_orbit(curve, G):
+        def counting_walk(curve, G):
             walked.append(G)
-            return orbit(curve, G)
+            return multiples(curve, G)
 
         def counting_fill(columns, m):  # (point set size, multiplier)
             filled.append((len(columns.rows), m))
             return fill(columns, m)
 
-        monkeypatch.setattr(charsum, "orbit", counting_orbit)
+        monkeypatch.setattr(charsum, "multiples", counting_walk)
         monkeypatch.setattr(charsum.XColumns, "__missing__", counting_fill)
         rc = cli.main(["sums", "--p", "1009", "--a", "1", "--b", "1",
                        "--experiments", "lemma5", "--d-max", "7", "--jobs", "1",
@@ -743,6 +743,10 @@ class TestBadInput:
         (["sums", "--p", "211", "--a", "1", "--b", "1", "--experiments", "u,u",
           "--big-n", "3", "--out", "{tmp}/x"],
          "experiment u is listed more than once"),
+        # #E = 5 has no prime factor above N = 6: H = {O}
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--t-policy", "prime",
+          "--big-n", "6", "--experiments", "v,lemma5", "--jobs", "1",
+          "--out", "{tmp}/x"], "subgroup policy produced trivial t = 1"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -775,9 +779,7 @@ class TestBadInput:
         assert rc == 2
         assert err.count("\n") == 1 and message in err
         assert not list(tmp_path.glob("*.bits"))
-        if argv[0] == "extract":
-            assert not (tmp_path / "x.bits").exists()
-            assert not (tmp_path / "x.json").exists()
+        assert not list(tmp_path.glob("x.*"))
 
     @pytest.mark.parametrize("flags", [
         ["--experiments", "u", "--big-n", "1"],
@@ -1021,7 +1023,7 @@ def sums_argv(draw):
         experiments.append(draw(st.sampled_from(experiments)))  # refused
     argv = ["sums", "--p", str(C.p), "--a", str(C.a), "--b", str(C.b),
             "--experiments", ",".join(experiments),
-            "--big-n", str(draw(st.integers(2, 4))),
+            "--big-n", str(draw(st.integers(2, 6))),
             "--d-max", str(draw(st.integers(1, 3))),
             "--s-max", str(draw(st.integers(1, 3))),
             "--n-max", str(draw(st.integers(2, 4))),
@@ -1056,6 +1058,9 @@ class TestSumsFailFast:
         assert rc in (0, 2, 3)
         if rc == 2:
             assert calls == [] and written == []
+        # no v or lemma5 cell runs over H = {O}: a t-policy giving t = 1
+        # (no prime factor of #E above N) exits 2
+        assert all(cell["t"] > 1 for cell in calls if "t" in cell)
 
 
 class TestBudgetExit:

@@ -8,6 +8,7 @@ import pytest
 from conftest import add_walk_orbit, small_curves
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import points_by_scan
 
 import ecbits.curve as curve_module
 import ecbits.extract as extract_module
@@ -134,6 +135,39 @@ class TestOrderViaCharacter:
         again = Curve(field(11), 1, 1).enumerate_points()  # an equal curve
         assert again == want and again is not pts
         assert Curve._points.cache_info().misses == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_curves() | small_curves(b=0))
+    def test_enumeration_equals_the_per_x_scan(self, C):
+        assert C.enumerate_points() == points_by_scan(C)
+
+    # p = 1 and 3 mod 4: Tonelli-Shanks and the (p + 1) / 4 power in the
+    # scan's square roots; b = 0 puts (0, 0) on the curve
+    @pytest.mark.parametrize("p", [1009, 1019])
+    @pytest.mark.parametrize("a,b", [(1, 1), (0, 7), (3, 0)])
+    def test_enumeration_equals_the_per_x_scan_mod_4(self, p, a, b):
+        C = Curve(field(p), a, b)
+        assert C.enumerate_points() == points_by_scan(C)
+
+    def test_enumeration_takes_no_square_root(self, monkeypatch):
+        # the per-x scan takes 516 square roots and 1,535 chi on this curve:
+        # 1,009 by x, one in each root, 10 finding the non-residue
+        calls = []
+
+        def counting(name):
+            real = getattr(PrimeField, name)
+
+            def wrapper(self, u):
+                calls.append(name)
+                return real(self, u)
+            return wrapper
+
+        for name in ("sqrt", "chi"):
+            monkeypatch.setattr(PrimeField, name, counting(name))
+        C = Curve(field(1009), 1, 1)
+        C.order()
+        assert len(C.enumerate_points()) == 1034
+        assert calls == []
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_all_curves_against_brute_force(self, p):

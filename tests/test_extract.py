@@ -39,6 +39,7 @@ from ecbits.curve import (
     IndexTable,
     factorize,
     mul_int,
+    multiples,
     orbit,
     subgroup_generator,
 )
@@ -674,14 +675,14 @@ class TestPatternCounts:
     def test_delta_walks_each_cyclic_subgroup_once(self, monkeypatch):
         walked = []
 
-        def counting_orbit(curve, G):
+        def counting_walk(curve, G):
             walked.append(G)
-            return orbit(curve, G)
+            return multiples(curve, G)
 
         def per_point_walk(*args, **kwargs):
             raise AssertionError("delta read multiples point by point")
 
-        monkeypatch.setattr(charsum_module, "orbit", counting_orbit)
+        monkeypatch.setattr(charsum_module, "multiples", counting_walk)
         for module in (charsum_module, extract_module, oracles):
             monkeypatch.setattr(module, "x_multiples", per_point_walk)
         monkeypatch.setattr(oracles, "x_rows", per_point_walk)
@@ -816,8 +817,8 @@ class TestDeltaOverTheSubgroup:
 
         monkeypatch.setattr(extract_module, "multiples", counting_multiples)
         monkeypatch.setattr(extract_module, "_mirrored", counting_mirrored)
-        for module in (curve_module, charsum_module):
-            monkeypatch.setattr(module, "orbit", no_orbit)
+        monkeypatch.setattr(curve_module, "orbit", no_orbit)
+        monkeypatch.setattr(charsum_module, "_orbit_rows", no_orbit)
         rep = delta(C, G, 1579, 2, 2, 24)
         assert walks == [[789, False]]
         assert halves == [790, 790]
