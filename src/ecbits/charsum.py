@@ -49,6 +49,10 @@ from .curve import (
 )
 from .field import PreconditionError, ResourceBudgetError, primes_upto
 
+U_BUDGET = 50_000_000  # #E * N^2 of one U: points times multiplier pairs
+TERM_BUDGET = 1_000_000  # N^k index tuples of one T
+COLLISION_BUDGET = 10_000_000  # 2^|support| N^k table entries of one collision count
+
 
 class BoundReport(NamedTuple):
     """Measured left-hand side next to the bound's summands.
@@ -83,25 +87,14 @@ def check_coprime_to_factorial(t: int, N: int) -> None:
             )
 
 
-def prefix_products(N: int, k: int, lo: int = 1) -> list[tuple[int, ...]]:
-    """The partial-product vector (n_1, n_1 n_2, ..., n_1...n_k) of every
-    index tuple (n_1..n_k) in [lo, N]^k, in itertools.product order."""
-    walk = [()]
-    for _ in range(k):
-        walk = [w + (w[-1] * n if w else n,)
-                for w in walk for n in range(lo, N + 1)]
-    return walk
-
-
-def prefix_sums(tables: list[list[int]], N: int) -> list[int]:
+def prefix_sums(tables: list[list[int]], ns: range) -> list[int]:
     """sum_j tables[j][n_1...n_(j+1) - 1] for every index tuple
-    (n_1..n_k) in [1,N]^k, k = len(tables), in itertools.product order;
-    tables[j] needs its first N^(j+1) entries.
+    (n_1..n_k) in ns^k, k = len(tables), in itertools.product order;
+    tables[j] needs its first max(ns)^(j+1) entries.
 
-    Built level by level: the sums and products n_1...n_j of [1,N]^j,
-    N^j of each, extended by one index per level, with no k-tuple built.
+    Built level by level: the len(ns)^j sums and products n_1...n_j of
+    ns^j, extended by one index per level, with no k-tuple built.
     """
-    ns = range(1, N + 1)
     sums, prods = [0], [1]
     for j, table in enumerate(tables):
         sums = [s + table[m * n - 1] for s, m in zip(sums, prods) for n in ns]
@@ -292,9 +285,7 @@ def once_per_pair(points: Iterable[CurvePoint], value) -> list:
             for R in points]
 
 
-def sum_U(
-    curve: Curve, N: int, budget: int = 50_000_000
-) -> tuple[int, BoundReport]:
+def sum_U(curve: Curve, N: int) -> tuple[int, BoundReport]:
     """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exactly, through
     the proof's rearrangement: expanding the square and swapping the sums
     gives sum_{m,n<=N} W(m, n)^2 with W(m, n) = sum_P chi(x(mP)x(nP)).
@@ -318,8 +309,8 @@ def sum_U(
         raise ValueError("N must be positive")
     q = curve.p
     ne = curve.order()
-    if ne * N * N > budget:
-        raise ResourceBudgetError(f"#E * N^2 = {ne * N * N} exceeds budget {budget}")
+    if ne * N * N > U_BUDGET:
+        raise ResourceBudgetError(f"#E * N^2 = {ne * N * N} exceeds budget {U_BUDGET}")
     lookup = curve.field.chi_table().__getitem__
     points = curve.enumerate_points()
     # O (y = None) and the points with y = 0 are their own negatives; one
@@ -347,13 +338,13 @@ def _t_sum(curve: Curve, c: tuple[int, ...], R: CurvePoint, N: int) -> complex:
     """T_k kernel without the nonzero-vector check (the Fourier identity
     for the bit counts needs the c = 0 term as well)."""
     k = len(c)
-    if N**k > 1_000_000:
+    if N**k > TERM_BUDGET:
         raise ResourceBudgetError(f"N^k = {N**k} exceeds the term budget")
     p = curve.p
     xs = x_multiples(curve, R, N**k)
     # tables[j][m - 1] = c_(j+1) x(mR) mod p, read at m = n_1...n_(j+1)
     tables = [[cj % p * x % p for x in xs[:N ** (j + 1)]] for j, cj in enumerate(c)]
-    args = [a % p for a in prefix_sums(tables, N)]
+    args = [a % p for a in prefix_sums(tables, range(1, N + 1))]
     total = 0j
     for value in map(curve.field.psi_memo.__getitem__, args):
         total += value
@@ -448,7 +439,7 @@ def subgroup_sum(
 
 
 def count_product_collisions(
-    N: int, k: int, c: tuple[int, ...], budget: int = 10_000_000
+    N: int, k: int, c: tuple[int, ...]
 ) -> tuple[int, BoundReport]:
     """Exact count of index pairs (m_1..m_k), (n_1..n_k) in [2,N]^2k whose
     partial-product vectors collide at some position with a nonzero
@@ -457,7 +448,9 @@ def count_product_collisions(
     By inclusion-exclusion over the nonempty subsets S of the support,
     the count is sum_S (-1)^(|S|+1) sum_key cnt_S[key]^2, where cnt_S
     counts the index tuples by their partial products at the positions
-    of S.  Cost: 2^|support| (N-1)^k, held to the budget.
+    of S, keyed by one int: prefix_sums over [2,N]^k of the tables
+    m B^rank(j) on S and 0 off it, B = N^k + 1 above every product.
+    Cost: 2^|support| N^k table entries, held to COLLISION_BUDGET.
     """
     if k < 1 or len(c) != k:
         raise ValueError("need a length-k coefficient tuple")
@@ -466,13 +459,16 @@ def count_product_collisions(
     support = [j for j in range(k) if c[j]]
     if not support:
         raise PreconditionError("coefficient vector must be nonzero")
-    if 2 ** len(support) * (N - 1) ** k > budget:
+    if 2 ** len(support) * N**k > COLLISION_BUDGET:
         raise ResourceBudgetError("collision enumeration exceeds budget")
-    prods = prefix_products(N, k, lo=2)
+    B = N**k + 1
     count = 0
     for size in range(1, len(support) + 1):
         for S in itertools.combinations(support, size):
-            cnt = Counter(tuple(v[j] for j in S) for v in prods)
+            weight = [B ** S.index(j) if j in S else 0 for j in range(k)]
+            tables = [[m * w for m in range(1, N ** (j + 1) + 1)]
+                      for j, w in enumerate(weight)]
+            cnt = Counter(prefix_sums(tables, range(2, N + 1)))
             count += (-1) ** (size + 1) * sum(n * n for n in cnt.values())
     bound = k * N ** (2 * k - 1)
     if count > bound:

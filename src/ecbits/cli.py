@@ -32,7 +32,6 @@ from .charsum import (
     x_multiples,  # noqa: F401
 )
 from .curve import (
-    SUBGROUP_BUDGET,
     Curve,
     ExhaustionError,
     check_unique_subgroup,
@@ -45,6 +44,7 @@ from .curve import (
 from .divpoly import DivisionPolynomials
 from .extract import (
     _check_code_budget,
+    _check_delta_budget,
     _check_window,
     bitstream,
     delta,
@@ -425,9 +425,7 @@ def run_extract(args) -> int:
         if not in_range:
             raise ConfigError(f"--slack-delta {args.slack_delta} takes the deviation "
                               "bound or the ratio to it out of the float range")
-        # Delta runs over the orbit of the generator: t points
-        if t > SUBGROUP_BUDGET:
-            raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
+        _check_delta_budget(t)  # before the generator search
     gen = subgroup_generator(C, t)
     if exact:
         rep = delta(C, gen, t, args.k, args.ell, args.big_n,

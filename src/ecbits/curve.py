@@ -270,17 +270,14 @@ class GroupStructure(NamedTuple):
     gen2: CurvePoint
 
 
-def group_structure(curve: Curve, budget: int = 50_000) -> GroupStructure:
+def group_structure(curve: Curve) -> GroupStructure:
     """Invariant factors and generators, read from index_table(curve, 1):
     gen1 = rows[1][0] (O when d1 = 1) and gen2 = rows[0][1].  The table
     holds exactly #E distinct points i*gen1 + j*gen2, which certifies
     them; it costs #E additions and a few sampled point orders."""
-    n = curve.order()
-    if n > budget:
-        raise ResourceBudgetError(f"#E = {n} exceeds structure budget {budget}")
     T = index_table(curve, 1)
     gen1 = T.rows[1][0] if T.d1 > 1 else INFINITY
-    return GroupStructure(n, T.d1, T.d2, gen1, T.rows[0][1])
+    return GroupStructure(curve.order(), T.d1, T.d2, gen1, T.rows[0][1])
 
 
 def _rows(curve: Curve, G1: CurvePoint, d1: int, row: list) -> list[list]:
@@ -415,8 +412,8 @@ def subgroup_of_order(curve: Curve, t: int) -> list[CurvePoint]:
     When E[t] is provably cyclic of order t (see _torsion_cyclic) it is
     the orbit of a point of order t: t <= SUBGROUP_BUDGET additions.
     Otherwise it is E[t](F_p), read from the index table by
-    rational_division_points (#E <= SUBGROUP_BUDGET), and t is accepted
-    only when that kernel has exactly t elements.
+    rational_division_points (#E <= 10^6, index_table's budget), and t
+    is accepted only when that kernel has exactly t elements.
     """
     if t < 1:
         raise ValueError("subgroup order must be positive")
@@ -429,7 +426,7 @@ def subgroup_of_order(curve: Curve, t: int) -> list[CurvePoint]:
         if t > SUBGROUP_BUDGET:
             raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
         return sorted(orbit(curve, subgroup_generator(curve, t)), key=_point_key)
-    H = rational_division_points(curve, t, INFINITY, budget=SUBGROUP_BUDGET)
+    H = rational_division_points(curve, t, INFINITY)
     if len(H) != t:
         raise PreconditionError(
             f"no unique subgroup of order {t}: kernel of [t] has {len(H)} points"
@@ -469,6 +466,7 @@ class IndexTable(NamedTuple):
 
 
 TABLE_SAMPLES = 1000
+TABLE_BUDGET = {1: 1_000_000, 2: 100_000}  # the most points of E(F_p^ext), by ext
 
 
 @functools.lru_cache(maxsize=8)
@@ -481,9 +479,12 @@ def index_table(curve: Curve, ext: int = 1) -> IndexTable:
     G1 = R - (j/d1)*G2.  The table costs one walk of <G2> and d1 - 1
     shifted rows: #E(F_p^ext) additions.  It is certified by holding
     exactly #E(F_p^ext) distinct points, and raises RuntimeError when
-    TABLE_SAMPLES samples run out first.
+    TABLE_SAMPLES samples run out first.  #E(F_p^ext) above
+    TABLE_BUDGET[ext] is refused before any point is sampled.
     """
     n = order_over(curve, ext)
+    if n > TABLE_BUDGET[ext]:
+        raise ResourceBudgetError(f"#E(F_p^{ext}) = {n} exceeds budget {TABLE_BUDGET[ext]}")
     q = curve.p**ext
     factors = factorize(n)
     rng = random.Random(f"{curve.p},{curve.a},{curve.b},{ext}")
@@ -571,7 +572,7 @@ def _point_key(P: CurvePoint) -> tuple:
 
 
 def rational_division_points(
-    curve: Curve, n: int, Q: CurvePoint, ext: int = 1, budget: int = 100_000
+    curve: Curve, n: int, Q: CurvePoint, ext: int = 1
 ) -> list[CurvePoint]:
     """All P with nP = Q and coordinates in F_p (ext=1) or F_p^2 (ext=2),
     O first, then affine points by x, then y.
@@ -579,13 +580,10 @@ def rational_division_points(
     Read from index_table(curve, ext): with Q = i0*G1 + j0*G2, they are
     the points i*G1 + j*G2 with n*i = i0 (mod d1) and n*j = j0 (mod d2),
     so no point is multiplied.  The table is built once per curve and
-    ext, at #E(F_p^ext) additions, which must not exceed budget.
+    ext, at #E(F_p^ext) additions, within index_table's budget.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    size = order_over(curve, ext)
-    if size > budget:
-        raise ResourceBudgetError(f"#E(F_p^{ext}) = {size} exceeds budget {budget}")
     if not curve.contains(Q):
         raise ValueError(f"point {Q} is not on {curve}")
     T = index_table(curve, ext)
@@ -680,7 +678,7 @@ def find_curve(
                         continue
                 structure = None
                 if n <= structure_budget:
-                    structure = group_structure(C, structure_budget)
+                    structure = group_structure(C)
                 return FoundCurve(C, n, factorize(n), t, structure, rejected)
     raise ExhaustionError(
         f"no admissible curve for p in {primes}, N = {big_n}; rejected: {rejected}"

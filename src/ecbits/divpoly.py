@@ -12,10 +12,8 @@ torsion/division-point statements directly against the group law.
 from __future__ import annotations
 
 from .curve import INFINITY, Curve, CurvePoint, index_table, rational_division_points
-from .field import Fp2, PreconditionError, ResourceBudgetError
+from .field import Fp2, PreconditionError
 from .poly import Poly, poly_gcd, pth_power_root, squarefree_part
-
-RATIONAL_BUDGET = 1_000_000  # the most points of E(F_p) the rational checks read
 
 
 class DivisionPolynomials:
@@ -142,8 +140,6 @@ class DivisionPolynomials:
         f, g, _ = self.f_g_h(n)
         C = self.curve
         p = C.p
-        if C.order() > RATIONAL_BUDGET:
-            raise ResourceBudgetError(f"#E = {C.order()} exceeds budget {RATIONAL_BUDGET}")
         T = index_table(C, 1)
         for P, (i, j) in T.index.items():
             if P.is_infinity:
@@ -161,7 +157,7 @@ class DivisionPolynomials:
             raise ValueError("torsion-root check needs n >= 2")
         C = self.curve
         g = self.g(n)
-        for P in rational_division_points(C, n, INFINITY, budget=RATIONAL_BUDGET):
+        for P in rational_division_points(C, n, INFINITY):
             if not P.is_infinity and g(P.x) != 0:
                 return False
         for u in g.roots():

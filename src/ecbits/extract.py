@@ -64,6 +64,12 @@ def _check_code_budget(k: int, N: int) -> None:
             f"N^k = {N}^{k} codes per point exceed the budget {CODE_BUDGET}")
 
 
+def _check_delta_budget(t: int) -> None:
+    """t <= SUBGROUP_BUDGET: the exact Delta walks every point of <G>."""
+    if t > SUBGROUP_BUDGET:
+        raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
+
+
 def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
     """The k*ell-bit code of every index tuple (n_1..n_k) in [1,N]^k, in
     itertools.product order, from xs[m - 1] = x(mR), m = 1..N^k: its j-th
@@ -75,7 +81,7 @@ def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
         return windows
     # the fields do not overlap, so the code is the sum of the shifted windows
     return prefix_sums([[w << (k - 1 - j) * ell for w in windows[:N ** (j + 1)]]
-                        for j in range(k)], N)
+                        for j in range(k)], range(1, N + 1))
 
 
 def _window_codes(curve: Curve, R: CurvePoint, k: int, ell: int,
@@ -215,7 +221,7 @@ def delta(
     includes the point at infinity, whose degenerate all-zero orbit is
     also reported separately via total_excluding_infinity.  G is an F_p
     point of order t: G off the curve is a ValueError, and tG != O or
-    ord(G) < t a PreconditionError.
+    ord(G) < t a PreconditionError; t > SUBGROUP_BUDGET is refused first.
 
     Cost: the counts of R read only x(nR) = x(n(-R)), and the classes
     {R, -R} of <G> are {jG, (t - j)G}, so everything runs once per class.
@@ -228,6 +234,7 @@ def delta(
     times, and each class reports (x, y) and (x, p - y) from the walk's
     pair, or one point when y = 0.
     """
+    _check_delta_budget(t)
     p = curve.p
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")

@@ -9,6 +9,9 @@ does: `from oracles import ...`.
   point: the per-point form of charsum.x_columns.
 - points_by_scan: the rational points from one points_by_x per u, a chi
   and a square root per x: the per-x form of Curve.enumerate_points.
+- prefix_products: the partial-product vector of every index tuple,
+  one tuple each: the tuple form of charsum.prefix_sums, and the keys
+  of the collision count before they became one int.
 - sum_S: S(P, Q; N), the point character sum that U aggregates.
 - u_by_pairs: U(N) with chi read of the product x(mP) x(nP) for every
   point and every pair (m, n): the per-pair form of charsum.sum_U.
@@ -36,7 +39,6 @@ from ecbits.charsum import (
     _t_sum,
     check_coprime_to_factorial,
     once_per_pair,
-    prefix_products,
     x_multiples,
 )
 from ecbits.curve import (
@@ -89,6 +91,16 @@ def u_by_pairs(curve: Curve, N: int) -> int:
     for xs in x_rows(curve, curve.enumerate_points(), N):
         inner = [s + chi[xs[m] * xs[n] % q] for s, (m, n) in zip(inner, pairs)]
     return sum(s * s for s in inner)
+
+
+def prefix_products(N: int, k: int, lo: int = 1) -> list[tuple[int, ...]]:
+    """The partial-product vector (n_1, n_1 n_2, ..., n_1...n_k) of every
+    index tuple (n_1..n_k) in [lo, N]^k, in itertools.product order."""
+    walk = [()]
+    for _ in range(k):
+        walk = [w + (w[-1] * n if w else n,)
+                for w in walk for n in range(lo, N + 1)]
+    return walk
 
 
 def sum_S(curve: Curve, P: CurvePoint, Q: CurvePoint, N: int) -> int:

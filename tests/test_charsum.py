@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from conftest import add_walk_x_multiples, small_curves
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     chi_pair_sum_direct,
     chi_pair_sum_phi_psi,
+    prefix_products,
     sum_S,
     u_by_pairs,
     v_sum_expanded,
@@ -21,7 +23,6 @@ from ecbits.charsum import (
     _t_sum,
     _walk_x,
     count_product_collisions,
-    prefix_products,
     prefix_sums,
     subgroup_sum,
     sum_T,
@@ -153,15 +154,18 @@ class TestSumU:
         ne = micro_curve.order()
         assert got <= ne * ne
 
-    def test_budget(self, micro_curve):
+    def test_budget(self, micro_curve, monkeypatch):
+        monkeypatch.setattr(charsum_module, "U_BUDGET", 10)
         with pytest.raises(ResourceBudgetError):
-            sum_U(micro_curve, 2, budget=10)
+            sum_U(micro_curve, 2)
 
-    def test_budget_boundary(self, micro_curve):
+    def test_budget_boundary(self, micro_curve, monkeypatch):
         # #E * N^2 = 5 * 2^2 = 20
+        monkeypatch.setattr(charsum_module, "U_BUDGET", 19)
         with pytest.raises(ResourceBudgetError):
-            sum_U(micro_curve, 2, budget=19)
-        assert sum_U(micro_curve, 2, budget=20)[0] == 8
+            sum_U(micro_curve, 2)
+        monkeypatch.setattr(charsum_module, "U_BUDGET", 20)
+        assert sum_U(micro_curve, 2)[0] == 8
 
 
 class TestSumT:
@@ -177,6 +181,14 @@ class TestSumT:
     def test_zero_vector_rejected(self, micro_curve):
         with pytest.raises(PreconditionError):
             sum_T(micro_curve, (0, 7), CurvePoint(0, 1), 2)
+
+    def test_term_budget_boundary(self, micro_curve, monkeypatch):
+        # N^k = 3^2 = 9 index tuples
+        monkeypatch.setattr(charsum_module, "TERM_BUDGET", 8)
+        with pytest.raises(ResourceBudgetError, match=r"N\^k = 9"):
+            sum_T(micro_curve, (1, 1), CurvePoint(0, 1), 3)
+        monkeypatch.setattr(charsum_module, "TERM_BUDGET", 9)
+        assert abs(sum_T(micro_curve, (1, 1), CurvePoint(0, 1), 3)) <= 9
 
     def test_triangle_inequality(self, micro_curve, micro_points):
         for R in micro_points:
@@ -503,15 +515,15 @@ class TestPrefixProducts:
 
 
 class TestPrefixSums:
-    @given(st.integers(min_value=0, max_value=5), st.data())
-    def test_matches_product_definition(self, N, data):
+    @given(st.integers(min_value=0, max_value=6), st.sampled_from((1, 2)), st.data())
+    def test_matches_product_definition(self, N, lo, data):
         k = data.draw(st.integers(0, 3))
         tables = [data.draw(st.lists(st.integers(-50, 50), min_size=N ** (j + 1),
                                      max_size=N ** (j + 1) + 2))
                   for j in range(k)]
-        want = [sum(tables[j][prods[j] - 1] for j in range(k))
-                for prods in prefix_products(N, k)]
-        assert prefix_sums(tables, N) == want
+        want = [sum(tables[j][math.prod(tup[:j + 1]) - 1] for j in range(k))
+                for tup in itertools.product(range(lo, N + 1), repeat=k)]
+        assert prefix_sums(tables, range(lo, N + 1)) == want
 
 
 def pair_loop_collisions(N, k, c):
@@ -527,6 +539,20 @@ def pair_loop_collisions(N, k, c):
     return count
 
 
+def tuple_key_collisions(N, k, c):
+    """The collision count by inclusion-exclusion with each subset S of
+    the support keyed by the tuple of its partial products, counted by a
+    Counter: the form that the one-int keys of prefix_sums replaced."""
+    support = [j for j in range(k) if c[j]]
+    prods = prefix_products(N, k, lo=2)
+    count = 0
+    for size in range(1, len(support) + 1):
+        for S in itertools.combinations(support, size):
+            cnt = Counter(tuple(v[j] for j in S) for v in prods)
+            count += (-1) ** (size + 1) * sum(n * n for n in cnt.values())
+    return count
+
+
 class TestProductCollisions:
     @pytest.mark.parametrize("support", [
         s for k in (1, 2, 3) for s in itertools.product((0, 1), repeat=k) if any(s)])
@@ -538,13 +564,23 @@ class TestProductCollisions:
         k = len(c)
         assert count_product_collisions(N, k, c)[0] == pair_loop_collisions(N, k, c)
 
-    def test_budget_counts_subsets_times_tuples(self):
-        # 2^|support| (N-1)^k = 4 * 59^2 = 13924 for N = 60, k = 2
-        with pytest.raises(ResourceBudgetError):
-            count_product_collisions(60, 2, (1, 1), budget=13923)
-        assert count_product_collisions(60, 2, (1, 1), budget=13924)[0] <= 2 * 60**3
-        # one position in the support halves the cost
-        assert count_product_collisions(60, 2, (0, 1), budget=6962)[0] <= 2 * 60**3
+    @pytest.mark.parametrize("support", [
+        s for k in (1, 2, 3) for s in itertools.product((0, 1), repeat=k) if any(s)])
+    def test_one_int_keys_equal_tuple_keys(self, support):
+        k = len(support)
+        for N in range(1, 13):
+            assert count_product_collisions(N, k, support)[0] == \
+                tuple_key_collisions(N, k, support)
+
+    def test_budget_counts_subsets_times_tuples(self, monkeypatch):
+        # 2^|support| N^k table entries: 4 * 60^2 = 14400 for N = 60, k = 2,
+        # and one position in the support halves it
+        for c, boundary in [((1, 1), 14_400), ((0, 1), 7_200)]:
+            monkeypatch.setattr(charsum_module, "COLLISION_BUDGET", boundary - 1)
+            with pytest.raises(ResourceBudgetError):
+                count_product_collisions(60, 2, c)
+            monkeypatch.setattr(charsum_module, "COLLISION_BUDGET", boundary)
+            assert count_product_collisions(60, 2, c)[0] <= 2 * 60**3
 
     def test_k1_diagonal(self):
         assert count_product_collisions(3, 1, (1,))[0] == 2
@@ -569,9 +605,10 @@ class TestProductCollisions:
         with pytest.raises(PreconditionError):
             count_product_collisions(4, 2, (0, 0))
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(charsum_module, "COLLISION_BUDGET", 100)
         with pytest.raises(ResourceBudgetError):
-            count_product_collisions(12, 2, (1, 1), budget=100)
+            count_product_collisions(12, 2, (1, 1))
 
 
 @pytest.fixture(scope="module")

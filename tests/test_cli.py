@@ -833,7 +833,8 @@ class TestBadInput:
             raise AssertionError("generator search before the subgroup budget")
 
         monkeypatch.setattr(cli, "subgroup_generator", no_work)
-        monkeypatch.setattr(cli, "SUBGROUP_BUDGET", 1000)
+        # delta's own budget, which run_extract checks before the search
+        monkeypatch.setattr(extract_module, "SUBGROUP_BUDGET", 1000)
         rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3",
                        "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

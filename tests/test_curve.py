@@ -259,9 +259,11 @@ class TestGroupStructure:
                 span.add(C.add(C.mul(i, gs.gen1), C.mul(j, gs.gen2)))
         assert span == set(C.enumerate_points())
 
-    def test_budget(self, micro_curve):
-        with pytest.raises(ResourceBudgetError):
-            group_structure(micro_curve, budget=3)
+    def test_budget(self, micro_curve, monkeypatch):
+        # the index table that group_structure reads refuses #E = 5
+        monkeypatch.setitem(curve_module.TABLE_BUDGET, 1, 4)
+        with pytest.raises(ResourceBudgetError, match=r"#E\(F_p\^1\) = 5 exceeds"):
+            group_structure(micro_curve)
 
 
 class TestSubgroup:
@@ -649,9 +651,10 @@ class TestDivisionPoints:
             assert micro_curve.mul(3, P) == Q
 
     def test_budget(self):
+        # #E(F_p^2) is about p^2 = 10^6, over index_table's 10^5 for ext 2
         C = Curve(field(1009), 1, 1)
-        with pytest.raises(ResourceBudgetError):
-            rational_division_points(C, 2, INFINITY, ext=2, budget=10_000)
+        with pytest.raises(ResourceBudgetError, match="exceeds budget 100000"):
+            rational_division_points(C, 2, INFINITY, ext=2)
 
 
 @functools.lru_cache(maxsize=4)
@@ -743,6 +746,23 @@ class TestDivisionPointTable:
         for C in (NON_CYCLIC, MIXED_PATHS):
             T = index_table(C, 2)
             assert (T.d1, T.d2) == (4, 12)
+
+    @pytest.mark.parametrize("ext", [1, 2])
+    def test_budget_refused_before_sampling(self, monkeypatch, ext):
+        def no_sample(*args):
+            raise AssertionError("a point sampled over the budget")
+
+        sample = curve_module._random_point
+        n = order_over(NON_CYCLIC, ext)
+        monkeypatch.setitem(curve_module.TABLE_BUDGET, ext, n - 1)
+        monkeypatch.setattr(curve_module, "_random_point", no_sample)
+        with pytest.raises(ResourceBudgetError,
+                           match=rf"^#E\(F_p\^{ext}\) = {n} exceeds budget {n - 1}$"):
+            index_table(NON_CYCLIC, ext)
+        assert index_table.cache_info().currsize == 0
+        monkeypatch.setitem(curve_module.TABLE_BUDGET, ext, n)
+        monkeypatch.setattr(curve_module, "_random_point", sample)
+        assert len(index_table(NON_CYCLIC, ext).index) == n
 
     def test_short_table_refused(self, monkeypatch):
         full_rows = curve_module._rows

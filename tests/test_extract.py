@@ -824,6 +824,20 @@ class TestDeltaOverTheSubgroup:
         assert halves == [790, 790]
         assert len(rep.per_point) == 1579
 
+    def test_subgroup_budget_refused_before_the_walk(self, monkeypatch):
+        C = Curve(field(1549), 1, 3)
+        G = subgroup_generator(C, 1579)
+
+        def no_walk(*args):
+            raise AssertionError("delta walked over the subgroup budget")
+
+        monkeypatch.setattr(extract_module, "SUBGROUP_BUDGET", 1000)
+        monkeypatch.setattr(extract_module, "multiples", no_walk)
+        monkeypatch.setattr(extract_module, "torsion_doublings", no_walk)
+        with pytest.raises(ResourceBudgetError,
+                           match="^t = 1579 exceeds subgroup budget 1000$"):
+            delta(C, G, 1579, 2, 2, 24)
+
 
 class TestPackBits:
     def test_little_endian_within_byte(self):
