@@ -44,6 +44,7 @@ from .curve import (
     Curve,
     CurvePoint,
     _add_pairs,
+    check_subgroup_budget,
     multiples,
     torsion_doublings,
 )
@@ -51,7 +52,7 @@ from .field import PreconditionError, ResourceBudgetError, primes_upto
 
 U_BUDGET = 50_000_000  # #E * N^2 of one U: points times multiplier pairs
 TERM_BUDGET = 1_000_000  # N^k index tuples of one T
-COLLISION_BUDGET = 10_000_000  # 2^|support| N^k table entries of one collision count
+COLLISION_BUDGET = 10_000_000  # 2^|support| N^(max support + 1) entries of one count
 
 
 class BoundReport(NamedTuple):
@@ -203,10 +204,9 @@ def window_table(curve: Curve, G: CurvePoint, t: int, ell: int) -> array:
     again.  When ord(G) < t, or t is 2 or 3, the blocks meet O, and
     _walk_x reads the half from G instead, with no block built again.
     Memory: the table, plus O(sqrt(t)) ints for the baby multiples and
-    one block.
+    one block; t > curve.SUBGROUP_BUDGET is refused before any of it.
     """
-    if t < 1:
-        raise ValueError(f"need t >= 1, got t = {t}")
+    check_subgroup_budget(t)
     torsion_doublings(curve, G, t)
     typecode = next(c for c in "BHILQ" if 8 * array(c).itemsize >= ell)
     w = array(typecode, [0]) * t
@@ -448,9 +448,11 @@ def count_product_collisions(
     By inclusion-exclusion over the nonempty subsets S of the support,
     the count is sum_S (-1)^(|S|+1) sum_key cnt_S[key]^2, where cnt_S
     counts the index tuples by their partial products at the positions
-    of S, keyed by one int: prefix_sums over [2,N]^k of the tables
-    m B^rank(j) on S and 0 off it, B = N^k + 1 above every product.
-    Cost: 2^|support| N^k table entries, held to COLLISION_BUDGET.
+    of S, keyed by one int: prefix_sums of the tables m B^rank(j) on S
+    and 0 off it, B = N^k + 1 above every product.  The key reads only
+    n_1..n_(s+1), s = max S, so the walk covers [2,N]^(s+1) and each of
+    its keys stands for (N - 1)^(k - 1 - s) tuples of [2,N]^k.  Cost:
+    2^|support| N^(max support + 1) table entries, held to COLLISION_BUDGET.
     """
     if k < 1 or len(c) != k:
         raise ValueError("need a length-k coefficient tuple")
@@ -459,17 +461,18 @@ def count_product_collisions(
     support = [j for j in range(k) if c[j]]
     if not support:
         raise PreconditionError("coefficient vector must be nonzero")
-    if 2 ** len(support) * N**k > COLLISION_BUDGET:
+    if 2 ** len(support) * N ** (support[-1] + 1) > COLLISION_BUDGET:
         raise ResourceBudgetError("collision enumeration exceeds budget")
     B = N**k + 1
     count = 0
     for size in range(1, len(support) + 1):
         for S in itertools.combinations(support, size):
-            weight = [B ** S.index(j) if j in S else 0 for j in range(k)]
+            weight = [B ** S.index(j) if j in S else 0 for j in range(S[-1] + 1)]
             tables = [[m * w for m in range(1, N ** (j + 1) + 1)]
                       for j, w in enumerate(weight)]
             cnt = Counter(prefix_sums(tables, range(2, N + 1)))
-            count += (-1) ** (size + 1) * sum(n * n for n in cnt.values())
+            count += ((-1) ** (size + 1) * (N - 1) ** (2 * (k - len(tables)))
+                      * sum(n * n for n in cnt.values()))
     bound = k * N ** (2 * k - 1)
     if count > bound:
         raise RuntimeError(f"{count} collisions exceed the proved bound "

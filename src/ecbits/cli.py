@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import itertools
 import json
 import math
@@ -34,6 +33,7 @@ from .charsum import (
 from .curve import (
     Curve,
     ExhaustionError,
+    check_subgroup_budget,
     check_unique_subgroup,
     find_curve,
     group_structure,  # noqa: F401
@@ -44,7 +44,6 @@ from .curve import (
 from .divpoly import DivisionPolynomials
 from .extract import (
     _check_code_budget,
-    _check_delta_budget,
     _check_window,
     bitstream,
     delta,
@@ -138,9 +137,8 @@ def _curve_and_t(args, reads_t: bool = True) -> tuple[Curve, int]:
                         structure_budget=0)
         return fc.curve, fc.t
     C = _flag_curve(args)
-    n = C.order()
-    t = subgroup_order_for_policy(n, args.big_n, args.t_policy)
-    check_unique_subgroup(C, n, t)
+    t = subgroup_order_for_policy(C.order(), args.big_n, args.t_policy)
+    check_unique_subgroup(C, t)
     if reads_t and t < 2:
         raise ConfigError(f"subgroup policy produced trivial t = {t}")
     return C, t
@@ -210,13 +208,6 @@ def run_lemma_suite(
 # -- sums experiments ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _subgroup(C: Curve, t: int) -> tuple:
-    """The order-t subgroup of C, built once per process for all the v and
-    lemma5 cells of a sweep."""
-    return tuple(subgroup_of_order(C, t))
-
-
 def run_sum_cell(cell: dict) -> dict:
     """Evaluate one experiment cell described by plain data into its
     report record (both picklable so a worker pool can run cells in
@@ -228,11 +219,11 @@ def run_sum_cell(cell: dict) -> dict:
         lhs, report = sum_U(_curve_from_inputs(cell), cell["N"])
     elif kind == "v":
         C = _curve_from_inputs(cell)
-        H = _subgroup(C, cell["t"])
+        H = subgroup_of_order(C, cell["t"])
         lhs, report = sum_V(C, H, tuple(cell["c"]), cell["N"])
     elif kind == "lemma5":
         C = _curve_from_inputs(cell)
-        H = _subgroup(C, cell["t"])
+        H = subgroup_of_order(C, cell["t"])
         value, report = subgroup_sum(C, H, tuple(cell["d"]), tuple(cell["c"]))
         lhs = abs(value)
     elif kind == "collisions":
@@ -425,7 +416,7 @@ def run_extract(args) -> int:
         if not in_range:
             raise ConfigError(f"--slack-delta {args.slack_delta} takes the deviation "
                               "bound or the ratio to it out of the float range")
-        _check_delta_budget(t)  # before the generator search
+        check_subgroup_budget(t)  # before the generator search
     gen = subgroup_generator(C, t)
     if exact:
         rep = delta(C, gen, t, args.k, args.ell, args.big_n,

@@ -367,8 +367,10 @@ def mul_int(curve: Curve, n: int, P: CurvePoint) -> CurvePoint:
 
 def torsion_doublings(curve: Curve, G: CurvePoint, t: int) -> list:
     """The doublings 2^i G, i < t.bit_length(), of an F_p point G, after
-    the one check that every reader of <G> as an order-t table makes: G
-    off the curve is a ValueError, and tG != O a PreconditionError."""
+    the one check that every reader of <G> as an order-t table makes: t < 1
+    or G off the curve is a ValueError, and tG != O a PreconditionError."""
+    if t < 1:
+        raise ValueError(f"need t >= 1, got t = {t}")
     if not curve.contains(G):
         raise ValueError(f"point {G} is not on {curve}")
     p, a = curve.p, curve.a
@@ -394,11 +396,12 @@ def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
     return [INFINITY, *map(CurvePoint._make, multiples(curve, G))]
 
 
-def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:
+def _torsion_cyclic(curve: Curve, t: int) -> bool:
     """Whether E[t] is cyclic of order t, for t | n = #E, shown without
     enumerating E: E = Z/d1 x Z/d2 with d1 | d2 and, by the Weil pairing,
     d1 | p - 1, so when no prime ell | t has both ell^2 | n and
     ell | p - 1, gcd(t, d1) = 1 and t | d2."""
+    n = curve.order()
     return not any(n % (ell * ell) == 0 and (curve.p - 1) % ell == 0
                    for ell in factorize(t))
 
@@ -406,14 +409,23 @@ def _torsion_cyclic(curve: Curve, n: int, t: int) -> bool:
 SUBGROUP_BUDGET = 1_000_000
 
 
-def subgroup_of_order(curve: Curve, t: int) -> list[CurvePoint]:
+def check_subgroup_budget(t: int) -> None:
+    """t <= SUBGROUP_BUDGET, read at each call: the one check of every
+    reader that walks or tabulates all of an order-t subgroup."""
+    if t > SUBGROUP_BUDGET:
+        raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
+
+
+@functools.lru_cache(maxsize=8)
+def subgroup_of_order(curve: Curve, t: int) -> tuple[CurvePoint, ...]:
     """The unique order-t subgroup, O first, then affine points by (x, y).
 
     When E[t] is provably cyclic of order t (see _torsion_cyclic) it is
     the orbit of a point of order t: t <= SUBGROUP_BUDGET additions.
     Otherwise it is E[t](F_p), read from the index table by
     rational_division_points (#E <= 10^6, index_table's budget), and t
-    is accepted only when that kernel has exactly t elements.
+    is accepted only when that kernel has exactly t elements.  Kept per
+    (curve, t): the uniqueness check and a sweep's cells share one H.
     """
     if t < 1:
         raise ValueError("subgroup order must be positive")
@@ -421,25 +433,23 @@ def subgroup_of_order(curve: Curve, t: int) -> list[CurvePoint]:
     if n % t:
         raise ValueError(f"t = {t} does not divide #E = {n}")
     if t == 1:
-        return [INFINITY]
-    if _torsion_cyclic(curve, n, t):
-        if t > SUBGROUP_BUDGET:
-            raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
-        return sorted(orbit(curve, subgroup_generator(curve, t)), key=_point_key)
+        return (INFINITY,)
+    if _torsion_cyclic(curve, t):
+        check_subgroup_budget(t)
+        return tuple(sorted(orbit(curve, subgroup_generator(curve, t)), key=_point_key))
     H = rational_division_points(curve, t, INFINITY)
     if len(H) != t:
         raise PreconditionError(
             f"no unique subgroup of order {t}: kernel of [t] has {len(H)} points"
         )
-    return H
+    return tuple(H)
 
 
-def check_unique_subgroup(curve: Curve, n: int, t: int) -> None:
-    """Raise what subgroup_of_order raises unless E, of order n, has
-    exactly one subgroup of order t: the one that the bounds average
-    over.  Shown by _torsion_cyclic when it can, else by counting the
-    kernel of [t]."""
-    if not _torsion_cyclic(curve, n, t):
+def check_unique_subgroup(curve: Curve, t: int) -> None:
+    """Raise what subgroup_of_order raises unless E has exactly one
+    subgroup of order t: the one that the bounds average over.  Shown by
+    _torsion_cyclic when it can, else by counting the kernel of [t]."""
+    if not _torsion_cyclic(curve, t):
         subgroup_of_order(curve, t)
 
 
@@ -672,7 +682,7 @@ def find_curve(
                     continue
                 if t_policy == "prime":
                     try:
-                        check_unique_subgroup(C, n, t)
+                        check_unique_subgroup(C, t)
                     except (PreconditionError, ResourceBudgetError):
                         rejected["subgroup_ambiguous"] += 1
                         continue

@@ -19,6 +19,7 @@ from operator import lshift
 from sys import byteorder
 from typing import NamedTuple
 
+from . import curve as _curve
 # _t_sum is unused here; the benchmark's per-layer tracer (bench/spans.py)
 # looks it up as an attribute of this module
 from .charsum import (
@@ -30,10 +31,10 @@ from .charsum import (
 )
 from .curve import (
     INFINITY,
-    SUBGROUP_BUDGET,
     Curve,
     CurvePoint,
     _bit_sum,
+    check_subgroup_budget,
     multiples,
     sample_scalars,
     torsion_doublings,
@@ -62,12 +63,6 @@ def _check_code_budget(k: int, N: int) -> None:
     if N > 1 and (k >= CODE_BUDGET.bit_length() or N**k > CODE_BUDGET):
         raise ResourceBudgetError(
             f"N^k = {N}^{k} codes per point exceed the budget {CODE_BUDGET}")
-
-
-def _check_delta_budget(t: int) -> None:
-    """t <= SUBGROUP_BUDGET: the exact Delta walks every point of <G>."""
-    if t > SUBGROUP_BUDGET:
-        raise ResourceBudgetError(f"t = {t} exceeds subgroup budget {SUBGROUP_BUDGET}")
 
 
 def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
@@ -220,8 +215,9 @@ def delta(
     The points are reported O first, then by x, then by y; the sum
     includes the point at infinity, whose degenerate all-zero orbit is
     also reported separately via total_excluding_infinity.  G is an F_p
-    point of order t: G off the curve is a ValueError, and tG != O or
-    ord(G) < t a PreconditionError; t > SUBGROUP_BUDGET is refused first.
+    point of order t: t < 1 or G off the curve is a ValueError, and
+    tG != O or ord(G) < t a PreconditionError; t > SUBGROUP_BUDGET is
+    refused first.
 
     Cost: the counts of R read only x(nR) = x(n(-R)), and the classes
     {R, -R} of <G> are {jG, (t - j)G}, so everything runs once per class.
@@ -234,7 +230,7 @@ def delta(
     times, and each class reports (x, y) and (x, p - y) from the walk's
     pair, or one point when y = 0.
     """
-    _check_delta_budget(t)
+    check_subgroup_budget(t)
     p = curve.p
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
@@ -287,7 +283,7 @@ def _reads_table(t: int, N: int, samples: int) -> bool:
     """Whether sampled_deviation reads a window table of the order-t
     subgroup (t // 2 multiples, t bytes at ell <= 8) rather than walk
     each sample's first N multiples (samples * (N - 1) point steps)."""
-    return t // 2 <= samples * (N - 1) and t <= SUBGROUP_BUDGET
+    return t // 2 <= samples * (N - 1) and t <= _curve.SUBGROUP_BUDGET
 
 
 def _table_windows(C: Curve, gen: CurvePoint, t: int, ell: int, N: int,

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from ecbits import charsum, cli
-from ecbits.curve import INFINITY, Curve, index_table
+from ecbits import charsum
+from ecbits.curve import INFINITY, Curve, index_table, subgroup_of_order
 from ecbits.field import field, primes_upto
 
 settings.register_profile("reproducible", derandomize=True)
@@ -16,7 +16,7 @@ def cold_caches():
     counts walks, searches or psi evaluations does not see an earlier
     test's work.  Clearing field() drops the shared PrimeField instances,
     and with them their chi tables and psi memos."""
-    for cache in (charsum.x_columns, index_table, cli._subgroup,
+    for cache in (charsum.x_columns, index_table, subgroup_of_order,
                   Curve.order, Curve._points, field):
         cache.cache_clear()
 

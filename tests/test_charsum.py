@@ -573,9 +573,10 @@ class TestProductCollisions:
                 tuple_key_collisions(N, k, support)
 
     def test_budget_counts_subsets_times_tuples(self, monkeypatch):
-        # 2^|support| N^k table entries: 4 * 60^2 = 14400 for N = 60, k = 2,
-        # and one position in the support halves it
-        for c, boundary in [((1, 1), 14_400), ((0, 1), 7_200)]:
+        # 2^|support| N^(max support + 1) table entries: 4 * 60^2 = 14400
+        # for N = 60, k = 2, one position in the support halves it, and a
+        # support that ends at position 1 walks [2,N] only: 2 * 60
+        for c, boundary in [((1, 1), 14_400), ((0, 1), 7_200), ((1, 0), 120)]:
             monkeypatch.setattr(charsum_module, "COLLISION_BUDGET", boundary - 1)
             with pytest.raises(ResourceBudgetError):
                 count_product_collisions(60, 2, c)
@@ -609,6 +610,10 @@ class TestProductCollisions:
         monkeypatch.setattr(charsum_module, "COLLISION_BUDGET", 100)
         with pytest.raises(ResourceBudgetError):
             count_product_collisions(12, 2, (1, 1))
+        # c = (1, 0): 2 * 50 entries, where 2 * 50^2 = 5000 were counted before
+        assert count_product_collisions(50, 2, (1, 0))[0] == 49**3
+        with pytest.raises(ResourceBudgetError):
+            count_product_collisions(51, 2, (1, 0))
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,7 @@ from ecbits.curve import (
     factorize,
     find_curve,
     multiples,
+    subgroup_of_order,
     subgroup_order_for_policy,
 )
 from ecbits.divpoly import DivisionPolynomials
@@ -289,6 +290,24 @@ class TestSumsCommand:
         assert u_calls == []
         assert not list(tmp_path.iterdir())
 
+    def test_index_table_subgroup_read_once(self, tmp_path, monkeypatch):
+        # E = Z/3 x Z/3 over F_13, t = 9: _torsion_cyclic cannot show E[9]
+        # cyclic, so the uniqueness check reads the kernel of [9] from the
+        # index table, and the v and lemma5 cells read the same cached H
+        reads = []
+        read = curve_module.rational_division_points
+
+        def counted(*args):
+            reads.append(args[1])
+            return read(*args)
+
+        monkeypatch.setattr(curve_module, "rational_division_points", counted)
+        rc = cli.main(["sums", "--p", "13", "--a", "0", "--b", "3", "--big-n", "2",
+                       "--experiments", "v,lemma5", "--d-max", "2", "--jobs", "1",
+                       "--out", str(tmp_path / "nc")])
+        assert rc == 0
+        assert reads == [9]
+
     def test_non_unique_subgroup_refused_before_any_cell(self, tmp_path, capsys,
                                                          monkeypatch):
         # E = Z/2 x Z/2 under --t-policy prime: t = 2 has three subgroups,
@@ -358,7 +377,7 @@ class TestSumsCommand:
         assert Curve.order.cache_info().misses == 1  # #E counted once
         # the lhs is bit for bit the per-point x_rows formulation
         C = Curve(field(1009), 1, 1)
-        H = [Q for Q in cli._subgroup(C, 517) if not Q.is_infinity]
+        H = [Q for Q in subgroup_of_order(C, 517) if not Q.is_infinity]
         rows = x_rows(C, H, 7)
         for rec in records:
             d, c = rec["inputs"]["d"], rec["inputs"]["c"]
@@ -833,8 +852,8 @@ class TestBadInput:
             raise AssertionError("generator search before the subgroup budget")
 
         monkeypatch.setattr(cli, "subgroup_generator", no_work)
-        # delta's own budget, which run_extract checks before the search
-        monkeypatch.setattr(extract_module, "SUBGROUP_BUDGET", 1000)
+        # the subgroup budget, which run_extract checks before the search
+        monkeypatch.setattr(curve_module, "SUBGROUP_BUDGET", 1000)
         rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3",
                        "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err

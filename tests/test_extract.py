@@ -42,6 +42,8 @@ from ecbits.curve import (
     multiples,
     orbit,
     subgroup_generator,
+    subgroup_of_order,
+    torsion_doublings,
 )
 from ecbits.extract import (
     ChiSquareReport,
@@ -446,7 +448,7 @@ class TestSampledPaths:
     def test_subgroup_budget_sends_a_large_t_to_the_walks(self, monkeypatch):
         C, gen, t = _sampled_group(0)
         want = sampled_deviation(C, gen, t, 1, 4, 16, 33, 0)
-        monkeypatch.setattr(extract_module, "SUBGROUP_BUDGET", t - 1)
+        monkeypatch.setattr(curve_module, "SUBGROUP_BUDGET", t - 1)
         tables = _Spy(extract_module.window_table)
         monkeypatch.setattr(extract_module, "window_table", tables)
         assert sampled_deviation(C, gen, t, 1, 4, 16, 33, 0) == want
@@ -831,12 +833,42 @@ class TestDeltaOverTheSubgroup:
         def no_walk(*args):
             raise AssertionError("delta walked over the subgroup budget")
 
-        monkeypatch.setattr(extract_module, "SUBGROUP_BUDGET", 1000)
+        monkeypatch.setattr(curve_module, "SUBGROUP_BUDGET", 1000)
         monkeypatch.setattr(extract_module, "multiples", no_walk)
         monkeypatch.setattr(extract_module, "torsion_doublings", no_walk)
         with pytest.raises(ResourceBudgetError,
                            match="^t = 1579 exceeds subgroup budget 1000$"):
             delta(C, G, 1579, 2, 2, 24)
+
+    def test_one_subgroup_budget_for_every_reader(self, monkeypatch):
+        # curve.SUBGROUP_BUDGET is read at each call: lowering it refuses
+        # H, Delta and the window table alike, and sends the sampled
+        # estimate (789 <= 200 * 15 multiples: the table way) to the walks
+        C = Curve(field(1549), 1, 3)
+        G = subgroup_generator(C, 1579)
+        want = sampled_deviation(C, G, 1579, 1, 4, 16, 200, 0)
+        monkeypatch.setattr(curve_module, "SUBGROUP_BUDGET", 1000)
+        for refused in (lambda: subgroup_of_order(C, 1579),
+                        lambda: delta(C, G, 1579, 1, 1, 1),
+                        lambda: window_table(C, G, 1579, 4)):
+            with pytest.raises(ResourceBudgetError,
+                               match="^t = 1579 exceeds subgroup budget 1000$"):
+                refused()
+        tables = _Spy(extract_module.window_table)
+        monkeypatch.setattr(extract_module, "window_table", tables)
+        assert sampled_deviation(C, G, 1579, 1, 4, 16, 200, 0) == want
+        assert tables.calls == 0
+
+    @pytest.mark.parametrize("t", [0, -1])
+    @pytest.mark.parametrize("read", [
+        torsion_doublings,
+        lambda C, G, t: window_table(C, G, t, 1),
+        lambda C, G, t: delta(C, G, t, 1, 1, 1),
+    ], ids=["torsion_doublings", "window_table", "delta"])
+    def test_every_order_t_reader_refuses_t_below_1(self, micro_curve, read, t):
+        G = micro_curve.enumerate_points()[1]
+        with pytest.raises(ValueError, match=f"^need t >= 1, got t = {t}$"):
+            read(micro_curve, G, t)
 
 
 class TestPackBits:
