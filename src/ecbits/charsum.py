@@ -35,7 +35,7 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -362,7 +362,7 @@ def sum_T(curve: Curve, c: tuple[int, ...], R: CurvePoint, N: int) -> complex:
 
 
 def sum_V(
-    curve: Curve, H: list[CurvePoint], c: tuple[int, ...], N: int
+    curve: Curve, H: Sequence[CurvePoint], c: tuple[int, ...], N: int
 ) -> tuple[float, BoundReport]:
     """V_k(c, H; N) = sum_{R in H} |T_k(c, R; N)|^2, H a subgroup whose
     order t has gcd(N!, t) = 1.  Reported against
@@ -395,7 +395,7 @@ def sum_V(
 
 def subgroup_sum(
     curve: Curve,
-    H: list[CurvePoint],
+    H: Sequence[CurvePoint],
     d: tuple[int, ...],
     c: tuple[int, ...],
 ) -> tuple[complex, BoundReport]:

@@ -207,6 +207,50 @@ def run_lemma_suite(
 
 # -- sums experiments ----------------------------------------------------
 
+# The acceptance tests' slack: sums warns on stderr above it (collision
+# counts never get there: count_product_collisions raises above its bound)
+SLACK = 10.0
+
+
+def _curve_and_H(cell: dict) -> tuple:
+    """The curve of a v or lemma5 cell and its order-t subgroup."""
+    C = _curve_from_inputs(cell)
+    return C, subgroup_of_order(C, cell["t"])
+
+
+# The sums experiments, in their default --experiments order: the cells
+# of each (a generator over the options, the curve {p, a, b} and t), the
+# (value, BoundReport) of one cell, whose lambda reads the kernel's name in
+# this module at each call, and why the option ranges can build no cell.
+_SUMS = {
+    "u": (
+        lambda args, curve, t: (
+            {"experiment": "u", **curve, "N": N} for N in range(2, args.big_n + 1)),
+        lambda cell: sum_U(_curve_from_inputs(cell), cell["N"]),
+        "need big-n >= 2, got big-n = {big_n}"),
+    "v": (
+        lambda args, curve, t: (
+            {"experiment": "v", **curve, "t": t, "N": N, "k": k, "c": [1] * k}
+            for k in (1, 2) for N in range(2, min(args.big_n, 6) + 1)),
+        lambda cell: sum_V(*_curve_and_H(cell), tuple(cell["c"]), cell["N"]),
+        "need big-n >= 2, got big-n = {big_n}"),
+    "lemma5": (
+        lambda args, curve, t: (
+            {"experiment": "lemma5", **curve, "t": t, "d": list(d), "c": [1] * len(d)}
+            for s in range(1, min(args.d_max, args.s_max) + 1)
+            for d in itertools.combinations(range(1, args.d_max + 1), s)
+            if math.gcd(t, math.prod(d)) == 1),
+        lambda cell: subgroup_sum(*_curve_and_H(cell), tuple(cell["d"]),
+                                  tuple(cell["c"])),
+        "need d-max >= 1 and s-max >= 1, got d-max = {d_max}, s-max = {s_max}"),
+    "collisions": (
+        lambda args, curve, t: (
+            {"experiment": "collisions", "N": N, "k": len(c), "c": list(c)}
+            for c in ((1,), (1, 1), (1, 0), (0, 1)) for N in range(2, args.n_max + 1)),
+        lambda cell: count_product_collisions(cell["N"], cell["k"], tuple(cell["c"])),
+        "need n-max >= 2, got n-max = {n_max}"),
+}
+
 
 def run_sum_cell(cell: dict) -> dict:
     """Evaluate one experiment cell described by plain data into its
@@ -215,21 +259,13 @@ def run_sum_cell(cell: dict) -> dict:
     deterministic)."""
     start = time.perf_counter()
     kind = cell["experiment"]
-    if kind == "u":
-        lhs, report = sum_U(_curve_from_inputs(cell), cell["N"])
-    elif kind == "v":
-        C = _curve_from_inputs(cell)
-        H = subgroup_of_order(C, cell["t"])
-        lhs, report = sum_V(C, H, tuple(cell["c"]), cell["N"])
-    elif kind == "lemma5":
-        C = _curve_from_inputs(cell)
-        H = subgroup_of_order(C, cell["t"])
-        value, report = subgroup_sum(C, H, tuple(cell["d"]), tuple(cell["c"]))
-        lhs = abs(value)
-    elif kind == "collisions":
-        lhs, report = count_product_collisions(cell["N"], cell["k"], tuple(cell["c"]))
-    else:
+    # a report record's experiment can be any JSON value
+    if not isinstance(kind, str) or kind not in _SUMS:
         raise ConfigError(f"unknown experiment {kind!r}")
+    value, report = _SUMS[kind][1](cell)
+    # U and collision counts are ints, written as JSON ints (a float stops
+    # being exact above 2^53); V and lemma 5's |sum| are the report's lhs
+    lhs = value if isinstance(value, int) else report.lhs
     wall_ms = (time.perf_counter() - start) * 1000
     return {
         "schema": SCHEMA_VERSION,
@@ -238,8 +274,6 @@ def run_sum_cell(cell: dict) -> dict:
         "lhs": lhs,
         "bound_terms": [{"name": n, "value": v} for n, v in report.rhs_terms],
         "ratio": report.ratio,
-        # the U and collision counts are ints, written as JSON ints: a
-        # float stops being exact above 2^53
         "exact": isinstance(lhs, int),
         "wall_ms": wall_ms,
     }
@@ -249,13 +283,15 @@ def build_sum_cells(args) -> list[dict]:
     experiments = [e.strip() for e in args.experiments.split(",") if e.strip()]
     if not experiments:
         raise ConfigError("no experiments requested")
+    firsts = []  # each kind's first cell at t = 1, which every gcd filter passes
     for kind in experiments:  # before the curve search, which can be slow
-        if kind not in _NO_CELLS:
+        if kind not in _SUMS:
             raise ConfigError(f"unknown experiment {kind!r}")
         if experiments.count(kind) > 1:
             raise ConfigError(f"experiment {kind} is listed more than once")
-        why, empty = _NO_CELLS[kind]
-        if empty(args):
+        cells, _, why = _SUMS[kind]
+        firsts.append(next(cells(args, dict.fromkeys("pab"), 1), None))
+        if firsts[-1] is None:
             raise ConfigError(f"experiment {kind} builds no cells: "
                               + why.format(**vars(args)))
         if kind == "lemma5":
@@ -269,43 +305,21 @@ def build_sum_cells(args) -> list[dict]:
                 or "lemma5" in experiments and s <= min(args.d_max, args.s_max)):
             raise ConfigError(f"no cell takes c = {args.c}: v cells take 1 or 2 "
                               "entries, lemma5 cells one per entry of d")
-    cells = []
-    if {"u", "v", "lemma5"} & set(experiments):
-        # u reads no subgroup, so only v and lemma5 refuse t = 1
-        C, t = _curve_and_t(args, reads_t=bool({"v", "lemma5"} & set(experiments)))
+    curve, t = {}, None
+    if any("p" in first for first in firsts):
+        # a kind reads the curve when its cells name p, and H when they
+        # name t: u reads no H, so only v and lemma5 refuse t = 1
+        C, t = _curve_and_t(args, reads_t=any("t" in first for first in firsts))
         curve = {"p": C.p, "a": C.a, "b": C.b}
-    for kind in experiments:
-        if kind == "u":
-            base = {"experiment": "u", **curve}
-            cells += [dict(base, N=N) for N in range(2, args.big_n + 1)]
-        elif kind == "v":
-            base = {"experiment": "v", **curve, "t": t}
-            for k in (1, 2):
-                vec = c_vec if c_vec is not None and len(c_vec) == k else (1,) * k
-                for N in range(2, min(args.big_n, 6) + 1):
-                    cells.append(dict(base, N=N, k=k, c=list(vec)))
-        elif kind == "lemma5":
-            base = {"experiment": "lemma5", **curve, "t": t}
-            for d in _increasing_tuples(args.d_max, args.s_max):
-                if math.gcd(t, math.prod(d)) != 1:
-                    continue
-                vec = c_vec if c_vec is not None and len(c_vec) == len(d) \
-                    else (1,) * len(d)
-                cells.append(dict(base, d=list(d), c=list(vec)))
-        else:  # collisions
-            for k in (1, 2):
-                for pattern in _support_patterns(k):
-                    cells += [
-                        {"experiment": "collisions", "N": N, "k": k,
-                         "c": list(pattern)}
-                        for N in range(2, args.n_max + 1)
-                    ]
+    cells = [cell for kind in experiments for cell in _SUMS[kind][0](args, curve, t)]
     if c_vec is not None:
-        # a v or lemma5 cell holds c_vec exactly when its length fits,
-        # unless the gcd(t, prod d) filter leaves no lemma5 cell that long
-        takers = {cell["experiment"] for cell in cells
-                  if cell["experiment"] in ("v", "lemma5")
-                  and cell["c"] == list(c_vec)}
+        # c_vec replaces the all-ones c of every v and lemma5 cell of its
+        # length; the gcd(t, prod d) filter can leave no lemma5 cell that long
+        takers = set()
+        for cell in cells:
+            if cell["experiment"] in ("v", "lemma5") and len(cell["c"]) == len(c_vec):
+                cell["c"] = list(c_vec)
+                takers.add(cell["experiment"])
         if not takers:
             raise ConfigError(f"no cell takes c = {args.c}: no lemma5 d of "
                               f"{len(c_vec)} entries has gcd(t, d_1...d_s) = 1")
@@ -318,23 +332,12 @@ def build_sum_cells(args) -> list[dict]:
     return cells
 
 
-# why, and when, an experiment's option ranges are empty; lemma5's
-# gcd(t, prod d) filter never empties them, as d = (1,) always passes
-_NO_CELLS = {
-    "u": ("need big-n >= 2, got big-n = {big_n}", lambda args: args.big_n < 2),
-    "v": ("need big-n >= 2, got big-n = {big_n}", lambda args: args.big_n < 2),
-    "lemma5": ("need d-max >= 1 and s-max >= 1, got d-max = {d_max}, s-max = {s_max}",
-               lambda args: args.d_max < 1 or args.s_max < 1),
-    "collisions": ("need n-max >= 2, got n-max = {n_max}", lambda args: args.n_max < 2),
-}
-
-
 LEMMA5_CELL_BUDGET = 100_000
 
 
 def _check_lemma5_cells(d_max: int, s_max: int) -> None:
     """lemma5 builds a cell for each of the sum_{s <= s-max} C(d-max, s)
-    tuples of _increasing_tuples that pass its gcd filter; more than
+    increasing tuples d that pass its gcd filter; more than
     LEMMA5_CELL_BUDGET tuples is refused before the curve search."""
     tuples = 0
     for s in range(1, min(d_max, s_max) + 1):
@@ -343,17 +346,6 @@ def _check_lemma5_cells(d_max: int, s_max: int) -> None:
             raise ResourceBudgetError(
                 f"d-max = {d_max}, s-max = {s_max} give more than "
                 f"{LEMMA5_CELL_BUDGET} lemma5 cells")
-
-
-def _support_patterns(k: int) -> list[tuple[int, ...]]:
-    if k == 1:
-        return [(1,)]
-    return [(1, 1), (1, 0), (0, 1)]
-
-
-def _increasing_tuples(d_max: int, s_max: int):
-    for s in range(1, s_max + 1):
-        yield from itertools.combinations(range(1, d_max + 1), s)
 
 
 def _cell_or_budget_error(cell: dict) -> dict:
@@ -378,15 +370,13 @@ def run_sums(args) -> int:
     recs = [o for o in outcomes if "budget_error" not in o]
     if args.out:
         write_records(recs, args.out, skipped)
-    slacks = {"u": args.slack_u, "v": args.slack_v, "lemma5": args.slack_l5,
-              "collisions": 1.0}
     for r in recs:
         kind, ratio = r["experiment"], r["ratio"]
         print(f"{kind}: inputs={r['inputs']} lhs={r['lhs']:.6g} "
               f"ratio={ratio:.4g} exact={r['exact']}")
-        if ratio > slacks.get(kind, float("inf")):
-            print(f"WARN {kind} ratio {ratio:.4g} exceeds slack "
-                  f"{slacks[kind]}", file=sys.stderr)
+        if ratio > SLACK:
+            print(f"WARN {kind} ratio {ratio:.4g} exceeds slack {SLACK}",
+                  file=sys.stderr)
     for o in skipped:
         print(f"skipped {o['cell']}: {o['budget_error']}", file=sys.stderr)
     return EXIT_BUDGET if skipped else EXIT_OK
@@ -622,9 +612,6 @@ _OPTIONS = {
     "ell": (int, 1),
     "big_n": (int, 4),
     "t_policy": (str, "largest", {"choices": ("largest", "prime")}),
-    "slack_u": (float, 10.0),
-    "slack_v": (float, 10.0),
-    "slack_l5": (float, 10.0),
     "slack_delta": (float, 1.0),
     "out": (str, None),
     "jobs": (int, os.cpu_count() or 1),
@@ -636,7 +623,7 @@ _OPTIONS = {
     "c": (str, None, {"help": "comma-separated coefficient vector of the v and "
                             "lemma5 cells whose length it fits"}),
     "checks": (str, ",".join(VERIFY_CHECKS)),
-    "experiments": (str, "u,v,lemma5,collisions"),
+    "experiments": (str, ",".join(_SUMS)),
     "infile": (str, None, {"flag": "--in"}),
 }
 
@@ -685,15 +672,13 @@ def _check_out_dir(out: str | None) -> None:
             raise ConfigError(f"--out directory {directory!r} does not exist")
 
 
-def _check_slacks(args) -> None:
-    """Every slack factor must be positive and finite: a zero one divides
-    by zero in the ratio, a negative one flips its sign, and an infinite
-    or NaN one warns never and writes a non-JSON constant."""
-    for key in ("slack_u", "slack_v", "slack_l5", "slack_delta"):
-        value = getattr(args, key)
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{_flag(key)} must be positive "
-                              f"and finite, got {value}")
+def _check_slack_delta(args) -> None:
+    """--slack-delta must be positive and finite: a zero one divides by
+    zero in the ratio, a negative one flips its sign, and an infinite or
+    NaN one writes a non-JSON constant."""
+    if not 0 < args.slack_delta < math.inf:
+        raise ConfigError("--slack-delta must be positive "
+                          f"and finite, got {args.slack_delta}")
 
 
 _HANDLERS = {
@@ -712,7 +697,7 @@ def main(argv=None) -> int:
         _check_out_dir(args.out)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        _check_slacks(args)
+        _check_slack_delta(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

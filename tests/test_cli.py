@@ -163,6 +163,11 @@ class TestVerifyCommand:
         assert "68/68 checks passed" in capsys.readouterr().out
 
 
+def _sums_args(*flags):
+    """The options of a sums run, as main sees them after the config file."""
+    return cli._apply_config(cli.build_parser().parse_args(["sums", *flags]))
+
+
 class TestSumsCommand:
     def test_single_u_cell_exact(self, tmp_path, capsys):
         out = tmp_path / "sums"
@@ -187,6 +192,39 @@ class TestSumsCommand:
         assert [r["inputs"]["N"] for r in records] == [2, 3, 4]
         csv_text = (tmp_path / "sweep.csv").read_text()
         assert csv_text.count("\n") == 4  # header + 3 rows
+
+    def test_cells_follow_the_benchmark_reference(self):
+        # the benchmark's sums argv builds the cells of its 114 reference
+        # records, in order; the reference file is only read
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "bench", "refs", "sums.json")) as fh:
+            refs = json.load(fh)["records"]
+        cells = cli.build_sum_cells(_sums_args(
+            "--p", "1009", "--a", "1", "--b", "1", "--big-n", "6", "--d-max", "7",
+            "--experiments", "u,v,lemma5,collisions", "--jobs", "1"))
+        assert len(cells) == len(refs) == 114
+        assert [(c.pop("experiment"), c) for c in cells] == [
+            (r["experiment"], r["inputs"]) for r in refs]
+
+    def test_warn_line_reads_the_one_slack(self, capsys, monkeypatch):
+        argv = ["sums", "--p", "7", "--a", "1", "--b", "1", "--big-n", "3",
+                "--experiments", "u", "--jobs", "1"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(cli, "SLACK", 1e-9)
+        assert cli.main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("WARN u ratio ")
+                   and line.endswith(" exceeds slack 1e-09") for line in err)
+
+    def test_s_max_above_d_max_builds_the_same_cells(self):
+        # no increasing d has more than d-max entries, so an s-max far
+        # above d-max adds no cell and no work
+        flags = ("--p", "1009", "--a", "1", "--b", "1", "--experiments", "lemma5",
+                 "--d-max", "4")
+        assert cli.build_sum_cells(_sums_args(*flags, "--s-max", str(10**12))) == \
+            cli.build_sum_cells(_sums_args(*flags, "--s-max", "4"))
 
     def test_malformed_zero_c_rejected_before_compute(self):
         rc = cli.main(["sums", "--p", "7", "--a", "1", "--b", "1",
@@ -610,7 +648,12 @@ class TestConfigFile:
         ("big-n=3\nbig-n=3", "config key 'big-n' sets --big-n a second time"),
         ("big-n=3\nbig_n=3", "config key 'big_n' sets --big-n a second time"),
         ("in=a.json\ninfile=a.json", "config key 'infile' sets --in a second time"),
-    ], ids=["misspelt", "config", "repeated", "two-spellings", "in-infile"])
+        # sums warns at the fixed cli.SLACK: these options are gone
+        ("slack_u=5", "config key 'slack_u' names no option"),
+        ("slack-v=5", "config key 'slack-v' names no option"),
+        ("slack_l5=5", "config key 'slack_l5' names no option"),
+    ], ids=["misspelt", "config", "repeated", "two-spellings", "in-infile",
+            "slack-u", "slack-v", "slack-l5"])
     def test_bad_key_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                             lines, message):
         def no_work(*args, **kwargs):
@@ -713,14 +756,15 @@ class TestBadInput:
           "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got inf"),
         (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "nan",
           "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got nan"),
-        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-u", "0",
-          "--out", "{tmp}/x"], "--slack-u must be positive and finite, got 0.0"),
-        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-v", "-1",
-          "--out", "{tmp}/x"], "--slack-v must be positive and finite, got -1.0"),
-        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-l5", "nan",
-          "--out", "{tmp}/x"], "--slack-l5 must be positive and finite, got nan"),
-        (["sums", "--p", "7", "--a", "1", "--b", "1", "--slack-u", "inf",
-          "--out", "{tmp}/x"], "--slack-u must be positive and finite, got inf"),
+        # the experiment list and --c, read before the curve is built
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", ",",
+          "--out", "{tmp}/x"], "no experiments requested"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", "u,w",
+          "--out", "{tmp}/x"], "unknown experiment 'w'"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", "v",
+          "--c", "0,0", "--out", "{tmp}/x"], "coefficient vector c must be nonzero"),
+        (["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", "v",
+          "--c", "x,1", "--out", "{tmp}/x"], "bad coefficient vector 'x,1'"),
         (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
           "--slack-delta", "1e-300", "--out", "{tmp}/x"],
          "--slack-delta 1e-300 takes the deviation bound or the ratio to it "
@@ -799,6 +843,15 @@ class TestBadInput:
         assert err.count("\n") == 1 and message in err
         assert not list(tmp_path.glob("*.bits"))
         assert not list(tmp_path.glob("x.*"))
+
+    @pytest.mark.parametrize("flag", ["--slack-u", "--slack-v", "--slack-l5"])
+    def test_removed_slack_flag_is_an_argparse_error(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sums", "--p", "7", "--a", "1", "--b", "1", flag, "5",
+                      "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags", [
         ["--experiments", "u", "--big-n", "1"],
@@ -958,7 +1011,7 @@ _FLAG_VALUES = {
     "--ell": st.integers(-1, 3),
     "--big-n": st.integers(-2, 6),
     "--t-policy": st.sampled_from(["largest", "prime", "median"]),
-    "--slack-u": st.sampled_from(["0", "1.5", "x"]),
+    "--slack-delta": st.sampled_from(["0", "1.5", "x"]),
     "--seed": st.integers(0, 3),
     "--samples": st.integers(-1, 3),
     "--delta-budget": st.integers(-1, 300),
