@@ -20,10 +20,8 @@ from .curve import (
 )
 from .divpoly import DivisionPolynomials
 from .extract import (
-    ChiSquareReport,
     DeviationReport,
     bitstream,
-    chi_square_uniformity,
     delta,
     pack_bits,
 )
@@ -32,7 +30,6 @@ from .poly import Poly, poly_gcd, pth_power_root, rational_square_test, squarefr
 
 __all__ = [
     "BoundReport",
-    "ChiSquareReport",
     "Curve",
     "CurvePoint",
     "DeviationReport",
@@ -45,7 +42,6 @@ __all__ = [
     "PrimeField",
     "ResourceBudgetError",
     "bitstream",
-    "chi_square_uniformity",
     "count_product_collisions",
     "delta",
     "field",

@@ -279,7 +279,7 @@ def once_per_pair(points: Iterable[CurvePoint], value) -> list:
     """[value(R) for R in points], value called once per class {R, -R}
     met: for a value that reads R only through x(nR) = x(n(-R)).  The
     classes are keyed by the affine x, whose None keeps O apart from the
-    points with x = 0 (x_formal maps all of them to 0)."""
+    points with x = 0."""
     memo = {}
     return [memo[R.x] if R.x in memo else memo.setdefault(R.x, value(R))
             for R in points]

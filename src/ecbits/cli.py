@@ -44,6 +44,7 @@ from .curve import (
 from .divpoly import DivisionPolynomials
 from .extract import (
     _check_code_budget,
+    _check_pattern_budget,
     _check_window,
     bitstream,
     delta,
@@ -144,67 +145,6 @@ def _curve_and_t(args, reads_t: bool = True) -> tuple[Curve, int]:
     return C, t
 
 
-# -- verify suite --------------------------------------------------------
-
-VERIFY_CHECKS = ("degrees", "xfg", "torsion", "division_points", "ftilde",
-                 "squarefree", "squares")
-
-
-def run_lemma_suite(
-    curves: list[Curve],
-    n_max: int = 10,
-    checks: tuple[str, ...] = VERIFY_CHECKS,
-    divpoly_factory=DivisionPolynomials,
-) -> list[dict]:
-    """Run the polynomial-identity and lemma checks; one record per
-    (curve, check, index) with a pass flag."""
-    records = []
-
-    def note(curve, check, index, ok):
-        records.append({
-            "check": check, "p": curve.p, "a": curve.a, "b": curve.b,
-            "index": index, "pass": bool(ok),
-        })
-
-    for C in curves:
-        dp = divpoly_factory(C)
-        if "degrees" in checks:
-            for n in range(1, n_max + 1):
-                f, g, _ = dp.f_g_h(n)
-                note(C, "degrees", n, f.degree() == n * n and g.degree() <= n * n - 1)
-        if "xfg" in checks:
-            for n in range(1, min(n_max, 12) + 1):
-                note(C, "xfg", n, dp.verify_xfg(n))
-        if "torsion" in checks:
-            for n in range(2, min(n_max, 8) + 1):
-                note(C, "torsion", n, dp.verify_torsion_roots(n))
-        if "division_points" in checks:
-            for n in range(1, min(n_max, 8) + 1):
-                note(C, "division_points", n, dp.verify_division_point_roots(n))
-        if "ftilde" in checks:
-            targets = set(range(1, n_max + 1))
-            if C.p <= 13:
-                targets |= {C.p, 2 * C.p}
-            for n in sorted(targets):
-                try:
-                    dp.f_tilde(n)  # raises when extraction or degree fails
-                    ok = True
-                except RuntimeError:
-                    ok = False
-                note(C, "ftilde", n, ok)
-        if "squarefree" in checks:
-            note(C, "squarefree", n_max, dp.verify_squarefree_ftilde(n_max))
-        if "squares" in checks:
-            top = min(n_max, 8)
-            for m in range(1, top + 1):
-                for n in range(m + 1, top + 1):
-                    phi, psi_fn = dp.phi_psi(m, n)
-                    ok = (not rational_square_test(phi)
-                          and not rational_square_test(psi_fn))
-                    note(C, "squares", (m, n), ok)
-    return records
-
-
 # -- sums experiments ----------------------------------------------------
 
 # The acceptance tests' slack: sums warns on stderr above it (collision
@@ -218,22 +158,42 @@ def _curve_and_H(cell: dict) -> tuple:
     return C, subgroup_of_order(C, cell["t"])
 
 
+# The cells one sums experiment may build; more is refused before the
+# first cell is drawn
+CELL_BUDGET = 100_000
+
+
+def _lemma5_cell_count(d_max: int, s_max: int) -> int:
+    """The sum_{s <= s-max} C(d-max, s) increasing tuples d that lemma5
+    cells draw from, before their gcd filter, summed only until it passes
+    CELL_BUDGET."""
+    count = 0
+    for s in range(1, min(d_max, s_max) + 1):
+        count += math.comb(d_max, s)
+        if count > CELL_BUDGET:
+            break
+    return count
+
+
 # The sums experiments, in their default --experiments order: the cells
 # of each (a generator over the options, the curve {p, a, b} and t), the
 # (value, BoundReport) of one cell, whose lambda reads the kernel's name in
-# this module at each call, and why the option ranges can build no cell.
+# this module at each call, the number of cells before any gcd filter,
+# and for its refusals the option values that give a cell and those given.
 _SUMS = {
     "u": (
         lambda args, curve, t: (
             {"experiment": "u", **curve, "N": N} for N in range(2, args.big_n + 1)),
         lambda cell: sum_U(_curve_from_inputs(cell), cell["N"]),
-        "need big-n >= 2, got big-n = {big_n}"),
+        lambda args: max(args.big_n - 1, 0),
+        "big-n >= 2", "big-n = {big_n}"),
     "v": (
         lambda args, curve, t: (
             {"experiment": "v", **curve, "t": t, "N": N, "k": k, "c": [1] * k}
             for k in (1, 2) for N in range(2, min(args.big_n, 6) + 1)),
         lambda cell: sum_V(*_curve_and_H(cell), tuple(cell["c"]), cell["N"]),
-        "need big-n >= 2, got big-n = {big_n}"),
+        lambda args: 2 * max(min(args.big_n, 6) - 1, 0),
+        "big-n >= 2", "big-n = {big_n}"),
     "lemma5": (
         lambda args, curve, t: (
             {"experiment": "lemma5", **curve, "t": t, "d": list(d), "c": [1] * len(d)}
@@ -242,13 +202,15 @@ _SUMS = {
             if math.gcd(t, math.prod(d)) == 1),
         lambda cell: subgroup_sum(*_curve_and_H(cell), tuple(cell["d"]),
                                   tuple(cell["c"])),
-        "need d-max >= 1 and s-max >= 1, got d-max = {d_max}, s-max = {s_max}"),
+        lambda args: _lemma5_cell_count(args.d_max, args.s_max),
+        "d-max >= 1 and s-max >= 1", "d-max = {d_max}, s-max = {s_max}"),
     "collisions": (
         lambda args, curve, t: (
             {"experiment": "collisions", "N": N, "k": len(c), "c": list(c)}
             for c in ((1,), (1, 1), (1, 0), (0, 1)) for N in range(2, args.n_max + 1)),
         lambda cell: count_product_collisions(cell["N"], cell["k"], tuple(cell["c"])),
-        "need n-max >= 2, got n-max = {n_max}"),
+        lambda args: 4 * max(args.n_max - 1, 0),
+        "n-max >= 2", "n-max = {n_max}"),
 }
 
 
@@ -289,13 +251,14 @@ def build_sum_cells(args) -> list[dict]:
             raise ConfigError(f"unknown experiment {kind!r}")
         if experiments.count(kind) > 1:
             raise ConfigError(f"experiment {kind} is listed more than once")
-        cells, _, why = _SUMS[kind]
-        firsts.append(next(cells(args, dict.fromkeys("pab"), 1), None))
-        if firsts[-1] is None:
-            raise ConfigError(f"experiment {kind} builds no cells: "
-                              + why.format(**vars(args)))
-        if kind == "lemma5":
-            _check_lemma5_cells(args.d_max, args.s_max)
+        cells, _, size, need, got = _SUMS[kind]
+        got, size = got.format(**vars(args)), size(args)
+        if not size:
+            raise ConfigError(f"experiment {kind} builds no cells: need {need}, got {got}")
+        if size > CELL_BUDGET:
+            raise ResourceBudgetError(
+                f"experiment {kind} builds more than {CELL_BUDGET} cells: got {got}")
+        firsts.append(next(cells(args, dict.fromkeys("pab"), 1)))
     c_vec = _parse_c(args.c) if args.c is not None else None
     if c_vec is not None:  # the rules that need no curve, before the search
         if not any(c_vec):
@@ -330,22 +293,6 @@ def build_sum_cells(args) -> list[dict]:
     if "lemma5" in experiments and not C.is_ordinary():
         raise PreconditionError("the bound requires an ordinary curve")
     return cells
-
-
-LEMMA5_CELL_BUDGET = 100_000
-
-
-def _check_lemma5_cells(d_max: int, s_max: int) -> None:
-    """lemma5 builds a cell for each of the sum_{s <= s-max} C(d-max, s)
-    increasing tuples d that pass its gcd filter; more than
-    LEMMA5_CELL_BUDGET tuples is refused before the curve search."""
-    tuples = 0
-    for s in range(1, min(d_max, s_max) + 1):
-        tuples += math.comb(d_max, s)
-        if tuples > LEMMA5_CELL_BUDGET:
-            raise ResourceBudgetError(
-                f"d-max = {d_max}, s-max = {s_max} give more than "
-                f"{LEMMA5_CELL_BUDGET} lemma5 cells")
 
 
 def _cell_or_budget_error(cell: dict) -> dict:
@@ -394,6 +341,7 @@ def run_extract(args) -> int:
     _check_code_budget(args.k, args.big_n)  # before the curve search
     C, t = _curve_and_t(args)
     _check_window(C.p, args.k, args.ell, args.big_n)
+    _check_pattern_budget(args.k, args.ell)
     exact = t <= args.delta_budget
     if exact:
         # a positive finite C can still take (C log p)^k, or the ratio of
@@ -447,28 +395,62 @@ def run_extract(args) -> int:
 # -- verify command ------------------------------------------------------
 
 
+def _ftilde_pairs(dp: DivisionPolynomials, n_max: int):
+    """(n, whether f~_n is built) for n <= n-max, and for n = p and 2p
+    when p <= 13, where f~_n takes a p-th root."""
+    p = dp.curve.p
+    for n in sorted({*range(1, n_max + 1), *((p, 2 * p) if p <= 13 else ())}):
+        try:
+            dp.f_tilde(n)  # raises when extraction or degree fails
+        except RuntimeError:
+            yield n, False
+        else:
+            yield n, True
+
+
+# The verify checks, in their default --checks order: the (index, pass)
+# pairs of each on the division polynomials dp of one curve up to n-max.
+# Each reads dp's methods, and rational_square_test in this module, at
+# its call.
+_VERIFY = {
+    "degrees": lambda dp, n_max: (
+        (n, f.degree() == n * n and g.degree() <= n * n - 1)
+        for n in range(1, n_max + 1) for f, g, _ in [dp.f_g_h(n)]),
+    "xfg": lambda dp, n_max: (
+        (n, dp.verify_xfg(n)) for n in range(1, min(n_max, 12) + 1)),
+    "torsion": lambda dp, n_max: (
+        (n, dp.verify_torsion_roots(n)) for n in range(2, min(n_max, 8) + 1)),
+    "division_points": lambda dp, n_max: (
+        (n, dp.verify_division_point_roots(n)) for n in range(1, min(n_max, 8) + 1)),
+    "ftilde": _ftilde_pairs,
+    "squarefree": lambda dp, n_max: [(n_max, dp.verify_squarefree_ftilde(n_max))],
+    "squares": lambda dp, n_max: (
+        ((m, n), not any(map(rational_square_test, dp.phi_psi(m, n))))
+        for m in range(1, min(n_max, 8) + 1) for n in range(m + 1, min(n_max, 8) + 1)),
+}
+
+
 def default_verify_curves() -> list[Curve]:
-    curves = []
-    for start in (7, 11, 13):
-        fc = find_curve(range(start, start + 31), 4, "largest")
-        curves.append(fc.curve)
-    return curves
+    return [find_curve(range(start, start + 31), 4, "largest").curve
+            for start in (7, 11, 13)]
 
 
 def run_verify(args) -> int:
-    checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    checks = {c.strip() for c in args.checks.split(",") if c.strip()}
     if not checks:
         raise ConfigError("empty check list")
-    bad = set(checks) - set(VERIFY_CHECKS)
+    bad = checks - set(_VERIFY)
     if bad:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
     if args.n_max < 1:
         raise ConfigError(f"need n-max >= 1, got n-max = {args.n_max}")
-    if args.p is not None:
-        curves = [_flag_curve(args)]
-    else:
-        curves = default_verify_curves()
-    records = run_lemma_suite(curves, args.n_max, checks)
+    curves = [_flag_curve(args)] if args.p is not None else default_verify_curves()
+    # one record per (curve, check, index), the checks in table order
+    records = [
+        {"check": check, "p": C.p, "a": C.a, "b": C.b, "index": index, "pass": bool(ok)}
+        for C in curves for dp in [DivisionPolynomials(C)]
+        for check, pairs in _VERIFY.items() if check in checks
+        for index, ok in pairs(dp, args.n_max)]
     failures = [r for r in records if not r["pass"]]
     if args.out:
         with open(args.out, "w") as fh:
@@ -543,8 +525,10 @@ def run_report(args) -> int:
         try:
             redo = run_sum_cell(cell)["lhs"]
         except (KeyError, TypeError, ValueError) as exc:
+            # a ConfigError (an unknown experiment) is already a message
+            detail = exc if isinstance(exc, ConfigError) else repr(exc)
             raise ConfigError(f"{args.infile} record {i} ({rec['experiment']} "
-                              f"inputs={rec['inputs']}): {exc!r}") from exc
+                              f"inputs={rec['inputs']}): {detail}") from exc
         if exact:
             ok = redo == lhs
         else:
@@ -622,7 +606,7 @@ _OPTIONS = {
     "s_max": (int, 3),
     "c": (str, None, {"help": "comma-separated coefficient vector of the v and "
                             "lemma5 cells whose length it fits"}),
-    "checks": (str, ",".join(VERIFY_CHECKS)),
+    "checks": (str, ",".join(_VERIFY)),
     "experiments": (str, ",".join(_SUMS)),
     "infile": (str, None, {"flag": "--in"}),
 }

@@ -183,10 +183,6 @@ class Curve:
             n >>= 1
         return result
 
-    def x_formal(self, P: CurvePoint):
-        """x(P) with the formal convention x(O) = 0."""
-        return 0 if P.is_infinity else P.x
-
     @functools.lru_cache(maxsize=8)
     def order(self) -> int:
         """#E(F_p) = p + 1 + sum_u chi(u^3 + a*u + b).

@@ -1,8 +1,7 @@
 """Least-significant-bit extraction from x-coordinates of point
 multiples: the exact deviation of the bit-pattern counts over a
 subgroup (and its sampled estimate for subgroups too large to
-enumerate), bitstream generation, and a chi-square uniformity
-companion.
+enumerate), and bitstream generation.
 
 Bits are always least significant ones: for primes just below a power
 of two the most significant bits of random residues are biased, while
@@ -56,6 +55,8 @@ def _check_window(p: int, k: int, ell: int, N: int) -> None:
 
 # N^k codes, and as many x-coordinates, are held per point at a time
 CODE_BUDGET = 10_000_000
+# Delta and the sampled histogram count 2^(k*ell) patterns per point
+PATTERN_BUDGET = 1 << 16
 
 
 def _check_code_budget(k: int, N: int) -> None:
@@ -63,6 +64,13 @@ def _check_code_budget(k: int, N: int) -> None:
     if N > 1 and (k >= CODE_BUDGET.bit_length() or N**k > CODE_BUDGET):
         raise ResourceBudgetError(
             f"N^k = {N}^{k} codes per point exceed the budget {CODE_BUDGET}")
+
+
+def _check_pattern_budget(k: int, ell: int) -> None:
+    """2^(k*ell) <= PATTERN_BUDGET, without building 2^(k*ell)."""
+    if k * ell >= PATTERN_BUDGET.bit_length():
+        raise ResourceBudgetError(f"2^(k*ell) = 2^{k * ell} patterns per point "
+                                  f"exceed the budget {PATTERN_BUDGET}")
 
 
 def _codes(xs: list[int], k: int, ell: int, N: int) -> list[int]:
@@ -217,7 +225,7 @@ def delta(
     also reported separately via total_excluding_infinity.  G is an F_p
     point of order t: t < 1 or G off the curve is a ValueError, and
     tG != O or ord(G) < t a PreconditionError; t > SUBGROUP_BUDGET is
-    refused first.
+    refused first, and 2^(k*ell) > PATTERN_BUDGET before the walk.
 
     Cost: the counts of R read only x(nR) = x(n(-R)), and the classes
     {R, -R} of <G> are {jG, (t - j)G}, so everything runs once per class.
@@ -235,6 +243,7 @@ def delta(
     if p <= k:
         raise PreconditionError(f"need p > k, got p = {p}, k = {k}")
     _check_window(p, k, ell, N)
+    _check_pattern_budget(k, ell)
     check_coprime_to_factorial(t, N)
     torsion_doublings(curve, G, t)
     half = list(islice(multiples(curve, G), t // 2))
@@ -316,9 +325,10 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     """Average worst-pattern deviation over the sampled subgroup points
     kG, k from curve.sample_scalars(t, samples, seed) and gen of order t
     (the exhaustive Delta is out of reach for large t); k = 1 only, and
-    like delta it needs gcd(N!, t) = 1.  A gen off the curve is a
-    ValueError, and one with tG != O a PreconditionError, from the one
-    torsion_doublings check that the chosen way makes.
+    like delta it needs gcd(N!, t) = 1 and 2^(k*ell) <= PATTERN_BUDGET.
+    A gen off the curve is a ValueError, and one with tG != O a
+    PreconditionError, from the one torsion_doublings check that the
+    chosen way makes.
 
     Cost: x(n kG), n = 1..N, is read the way with fewer point steps
     (_reads_table), each step a few multiplications and one inversion
@@ -340,6 +350,7 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     check_coprime_to_factorial(t, N)
     _check_window(C.p, k, ell, N)
     _check_code_budget(k, N)
+    _check_pattern_budget(k, ell)
     windows = _table_windows if _reads_table(t, N, samples) else _walk_windows
     total = top = 0
     for codes in windows(C, gen, t, ell, N, samples, seed):
@@ -362,32 +373,3 @@ def pack_bits(stream: str) -> bytes:
         raise ValueError(f"bad bit {bad[0]!r}")
     # reversed, bit i of the stream is bit i of one int
     return int(stream[::-1] or "0", 2).to_bytes((len(stream) + 7) // 8, "little")
-
-
-class ChiSquareReport(NamedTuple):
-    statistic: float
-    dof: int
-    blocks: int
-    counts: list[int]
-
-
-def chi_square_uniformity(stream: str, block: int) -> ChiSquareReport:
-    """Chi-square statistic of the histogram of consecutive block-bit
-    values against the uniform law, with 2^block - 1 degrees of freedom.
-
-    Block values read the bits most significant first.
-    """
-    if block < 1:
-        raise ValueError("block must be positive")
-    if not stream or len(stream) % block:
-        raise ValueError(
-            f"stream length {len(stream)} is not a positive multiple of {block}"
-        )
-    nvals = 1 << block
-    counts = [0] * nvals
-    for i in range(0, len(stream), block):
-        counts[int(stream[i : i + block], 2)] += 1
-    nblocks = len(stream) // block
-    exp = nblocks / nvals
-    stat = sum((obs - exp) ** 2 for obs in counts) / exp
-    return ChiSquareReport(statistic=stat, dof=nvals - 1, blocks=nblocks, counts=counts)

@@ -45,12 +45,17 @@ def small_curves(draw, b=None):
     return Curve(field(p), a, b)
 
 
+def x_formal(P):
+    """x(P) with the formal convention x(O) = 0."""
+    return 0 if P.is_infinity else P.x
+
+
 def add_walk_x_multiples(C, P, count):
     """[x(P), ..., x(count*P)] (x(O) = 0) by repeated Curve._add: the
     group-law walk that the multiples kernel replaced, kept as its oracle."""
     xs, Q = [], P
     for _ in range(count):
-        xs.append(C.x_formal(Q))
+        xs.append(x_formal(Q))
         Q = C._add(Q, P)
     return xs
 

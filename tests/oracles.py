@@ -26,6 +26,8 @@ does: `from oracles import ...`.
 - deviation_trend: the mean sampled deviation per prime.
 - orthogonality_indicator, incomplete_geometric_sum, geometric_sum_cap:
   the complete and incomplete geometric sums behind that expansion.
+- chi_square_uniformity: the chi-square statistic of a bitstream's
+  block values, a uniformity check the proved bound does not need.
 """
 
 from __future__ import annotations
@@ -371,3 +373,35 @@ def geometric_sum_cap(field: PrimeField, c: int) -> float:
     if c == 0:
         raise PreconditionError("cap is only defined for c != 0")
     return p / (2 * min(c, p - c))
+
+
+# -- bitstream statistics ---------------------------------------------------
+
+
+class ChiSquareReport(NamedTuple):
+    statistic: float
+    dof: int
+    blocks: int
+    counts: list[int]
+
+
+def chi_square_uniformity(stream: str, block: int) -> ChiSquareReport:
+    """Chi-square statistic of the histogram of consecutive block-bit
+    values against the uniform law, with 2^block - 1 degrees of freedom.
+
+    Block values read the bits most significant first.
+    """
+    if block < 1:
+        raise ValueError("block must be positive")
+    if not stream or len(stream) % block:
+        raise ValueError(
+            f"stream length {len(stream)} is not a positive multiple of {block}"
+        )
+    nvals = 1 << block
+    counts = [0] * nvals
+    for i in range(0, len(stream), block):
+        counts[int(stream[i : i + block], 2)] += 1
+    nblocks = len(stream) // block
+    exp = nblocks / nvals
+    stat = sum((obs - exp) ** 2 for obs in counts) / exp
+    return ChiSquareReport(statistic=stat, dof=nvals - 1, blocks=nblocks, counts=counts)

@@ -4,7 +4,7 @@ import math
 from collections import Counter
 
 import pytest
-from conftest import add_walk_x_multiples, small_curves
+from conftest import add_walk_x_multiples, small_curves, x_formal
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -52,8 +52,8 @@ from ecbits.field import PreconditionError, ResourceBudgetError, field
 
 def chi_of_point_product(C, P, Q, n):
     """Independent per-term oracle via scalar multiplication."""
-    xp = C.x_formal(C.mul(n, P))
-    xq = C.x_formal(C.mul(n, Q))
+    xp = x_formal(C.mul(n, P))
+    xq = x_formal(C.mul(n, Q))
     return C.field.chi(xp * xq)
 
 
@@ -203,7 +203,7 @@ class TestSumT:
                 N = 4
                 want = 0j
                 for n in range(1, N + 1):
-                    want += F.psi(c * micro_curve.x_formal(micro_curve.mul(n, R)))
+                    want += F.psi(c * x_formal(micro_curve.mul(n, R)))
                 assert abs(sum_T(micro_curve, (c,), R, N) - want) < 1e-12
 
     def test_k2_matches_double_loop(self, micro_curve):
@@ -214,8 +214,8 @@ class TestSumT:
         want = 0j
         for n1 in range(1, N + 1):
             for n2 in range(1, N + 1):
-                x1 = micro_curve.x_formal(micro_curve.mul(n1, R))
-                x2 = micro_curve.x_formal(micro_curve.mul(n1 * n2, R))
+                x1 = x_formal(micro_curve.mul(n1, R))
+                x2 = x_formal(micro_curve.mul(n1 * n2, R))
                 want += F.psi(c[0] * x1 + c[1] * x2)
         assert abs(sum_T(micro_curve, c, R, N) - want) < 1e-12
 
@@ -473,7 +473,7 @@ class TestSubgroupSum:
             want = 0j
             for Q in H:
                 if not Q.is_infinity:
-                    want += C.field.psi(sum(ci * C.x_formal(C.mul(di, Q))
+                    want += C.field.psi(sum(ci * x_formal(C.mul(di, Q))
                                             for ci, di in zip(c, d)))
             got, _ = subgroup_sum(C, H, d, c)
             assert got == want  # same psi arguments, same order
@@ -662,7 +662,7 @@ def test_x_multiples_matches_scalar_mul(micro_curve, micro_points):
     for P in micro_points:
         xs = x_multiples(micro_curve, P, 8)
         for n in range(1, 9):
-            assert xs[n - 1] == micro_curve.x_formal(micro_curve.mul(n, P))
+            assert xs[n - 1] == x_formal(micro_curve.mul(n, P))
 
 
 @settings(max_examples=30, deadline=None)
@@ -686,7 +686,7 @@ def test_x_rows_matches_scalar_mul(C, data):
     pts = C.enumerate_points()
     points = data.draw(st.lists(st.sampled_from(pts), max_size=8))
     count = data.draw(st.integers(0, C.order() + 3))
-    want = [[C.x_formal(C.mul(m, R)) for m in range(1, count + 1)] for R in points]
+    want = [[x_formal(C.mul(m, R)) for m in range(1, count + 1)] for R in points]
     assert list(x_rows(C, points, count)) == want
 
 
@@ -703,7 +703,7 @@ def test_x_columns_match_scalar_mul(C, data):
             points.insert(data.draw(st.integers(0, len(points))), P)
     columns = x_columns(C, tuple(points))
     for m in data.draw(st.lists(st.integers(0, C.order() + 3), max_size=8)):
-        assert columns[m] == [C.x_formal(C.mul(m, Q)) for Q in points]
+        assert columns[m] == [x_formal(C.mul(m, Q)) for Q in points]
 
 
 def test_x_columns_refuse_a_point_off_the_curve(micro_curve):

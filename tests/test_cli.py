@@ -109,10 +109,36 @@ class TestCoprimePolicy:
 
 class TestVerifyCommand:
     def test_micro_curve_passes(self, capsys):
-        rc = cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
-                       "--n-max", "6"])
-        assert rc == 0
-        assert "checks passed" in capsys.readouterr().out
+        # every check, at p = 11 with ftilde at p and 2p as well
+        for p, n_max, passed in (("7", "6", "47/47"), ("11", "5", "37/37")):
+            rc = cli.main(["verify", "--p", p, "--a", "1", "--b", "1",
+                           "--n-max", n_max])
+            assert rc == 0
+            assert f"verify: {passed} checks passed\n" == capsys.readouterr().out
+
+    def test_default_curves_follow_the_benchmark_reference(self, tmp_path, capsys):
+        # the benchmark's verify argv writes the 227 checks of its reference,
+        # in order; the reference file is only read
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "bench", "refs", "verify.json")) as fh:
+            refs = json.load(fh)["records"]
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--jobs", "1", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        key = ("check", "p", "a", "b", "index")
+        assert len(records) == len(refs) == 227
+        assert [[r[k] for k in key] for r in records] == [[r[k] for k in key]
+                                                          for r in refs]
+        assert all(r["pass"] is True for r in records)
+
+    def test_checks_run_once_each_in_table_order(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1", "--n-max", "6",
+                         "--checks", "squares,xfg,xfg", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [(r["check"], r["index"]) for r in records] == (
+            [("xfg", n) for n in range(1, 7)]
+            + [("squares", [m, n]) for m in range(1, 7) for n in range(m + 1, 7)])
 
     def test_empty_check_list_is_config_error(self):
         rc = cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -158,7 +184,7 @@ class TestVerifyCommand:
                        "--n-max", "8", "--out", str(out)])
         assert rc == 0
         records = json.loads(out.read_text())["records"]
-        assert {r["check"] for r in records} == set(cli.VERIFY_CHECKS)
+        assert [*dict.fromkeys(r["check"] for r in records)] == [*cli._VERIFY]
         assert all(r["pass"] for r in records)
         assert "68/68 checks passed" in capsys.readouterr().out
 
@@ -618,6 +644,15 @@ class TestReportCommand:
     def test_missing_in_is_config_error(self):
         assert cli.main(["report"]) == 2
 
+    def test_unknown_experiment_names_the_record(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([{"experiment": "w", "inputs": {"N": 2},
+                                     "lhs": 0, "exact": True}]))
+        assert cli.main(["report", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path} record 0 (w inputs={{'N': 2}}): "
+            "unknown experiment 'w'\n")
+
 
 class TestConfigFile:
     def test_config_supplies_options(self, tmp_path, capsys):
@@ -876,7 +911,7 @@ class TestBadInput:
          "N^k = 1000^3 codes per point exceed the budget 10000000"),
         (["sums", "--p", "1009", "--a", "1", "--b", "1", "--experiments", "lemma5",
           "--d-max", "30", "--s-max", "30", "--jobs", "1", "--out", "{tmp}/x"],
-         "d-max = 30, s-max = 30 give more than 100000 lemma5 cells"),
+         "experiment lemma5 builds more than 100000 cells: got d-max = 30, s-max = 30"),
         (["extract", "--p", "2147483647", "--a", "1", "--b", "1", "--jobs", "1",
           "--out", "{tmp}/x"],
          "p = 2147483647 exceeds the point-counting budget 10000000"),
@@ -888,7 +923,7 @@ class TestBadInput:
 
         p = int(argv[argv.index("--p") + 1])
         if p <= field_module.CHI_TABLE_BUDGET:
-            # the code and lemma5 budgets come before the curve is built;
+            # the code and cell budgets come before the curve is built;
             # the point-count budget is field's, at the first #E count
             monkeypatch.setattr(cli, "_curve_and_t", no_work)
         rc = cli.main([a.format(tmp=tmp_path) for a in argv])
@@ -935,11 +970,52 @@ class TestBadInput:
         assert not list(tmp_path.iterdir())
 
     def test_lemma5_cell_budget_edges(self):
-        cli._check_lemma5_cells(16, 16)  # 2^16 - 1 tuples
-        cli._check_lemma5_cells(10**5, 1)
+        assert cli._lemma5_cell_count(16, 16) == 2**16 - 1
+        assert cli._lemma5_cell_count(10**5, 1) == cli.CELL_BUDGET
         for d_max, s_max in [(17, 17), (10**5 + 1, 1), (10**100, 10**100)]:
-            with pytest.raises(ResourceBudgetError, match="lemma5 cells"):
-                cli._check_lemma5_cells(d_max, s_max)
+            assert cli._lemma5_cell_count(d_max, s_max) > cli.CELL_BUDGET
+
+    @pytest.mark.parametrize("flags,cells,got", [
+        (["--experiments", "u", "--big-n", "11"], 10, "big-n = 11"),
+        (["--experiments", "v", "--big-n", "9"], 10, "big-n = 9"),
+        (["--experiments", "lemma5", "--d-max", "4", "--s-max", "2"], 10,
+         "d-max = 4, s-max = 2"),
+        (["--experiments", "collisions", "--n-max", "4"], 12, "n-max = 4"),
+    ], ids=["u", "v", "lemma5", "collisions"])
+    def test_cell_budget_exit_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                flags, cells, got):
+        # each kind's cells, before the gcd filter, against the one budget
+        argv = ["sums", "--p", "211", "--a", "1", "--b", "1", *flags, "--jobs", "1"]
+        monkeypatch.setattr(cli, "CELL_BUDGET", cells)
+        assert 0 < len(cli.build_sum_cells(_sums_args(*argv[1:]))) <= cells
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("curve search before the cell budget")
+
+        monkeypatch.setattr(cli, "_curve_and_t", no_work)
+        monkeypatch.setattr(cli, "CELL_BUDGET", cells - 1)
+        rc = cli.main(argv + ["--out", str(tmp_path / "x")])
+        assert rc == 3
+        kind = flags[1]
+        assert capsys.readouterr().err == (
+            f"resource budget exceeded: experiment {kind} builds more than "
+            f"{cells - 1} cells: got {got}\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_pattern_budget_exit_3_before_the_generator_search(self, tmp_path,
+                                                               capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("generator search before the pattern budget")
+
+        monkeypatch.setattr(cli, "subgroup_generator", no_work)
+        rc = cli.main(["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "12",
+                       "--ell", "2", "--big-n", "1", "--jobs", "1",
+                       "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: 2^(k*ell) = 2^24 patterns per point "
+            "exceed the budget 65536\n")
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flags", [
@@ -1191,25 +1267,6 @@ class TestBudgetExit:
 
         assert cli.main(["report", "--in", out + ".json"]) == 0
         assert "FAIL" not in capsys.readouterr().out
-
-
-class TestLemmaSuiteLibrary:
-    def test_fault_injected_factory(self, micro_curve):
-        class Corrupted(DivisionPolynomials):
-            def psi(self, n):
-                value = super().psi(n)
-                if n == 3:
-                    return value + Poly.const(self.curve.field, 1)
-                return value
-
-        records = cli.run_lemma_suite([micro_curve], n_max=3, checks=("xfg",),
-                                      divpoly_factory=Corrupted)
-        assert any(not r["pass"] for r in records)
-
-    def test_all_green_on_default_curves(self):
-        curves = [Curve(field(7), 1, 1), Curve(field(11), 1, 1)]
-        records = cli.run_lemma_suite(curves, n_max=5)
-        assert records and all(r["pass"] for r in records)
 
 
 class TestParallelDeterminism:

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from conftest import small_curves
+from conftest import small_curves, x_formal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     BitWindow,
+    ChiSquareReport,
+    chi_square_uniformity,
     count_A,
     delta_over_points,
     fourier_count_A,
@@ -46,16 +48,15 @@ from ecbits.curve import (
     torsion_doublings,
 )
 from ecbits.extract import (
-    ChiSquareReport,
     DeviationReport,
     _check_code_budget,
+    _check_pattern_budget,
     _codes,
     _pattern_counts,
     _reads_table,
     _table_windows,
     _walk_windows,
     bitstream,
-    chi_square_uniformity,
     delta,
     pack_bits,
     sampled_deviation,
@@ -166,7 +167,7 @@ class TestCountA:
                 spec = BitWindow(1, 1, 4, (sigma,))
                 want = 0
                 for n in range(1, 5):
-                    x = micro_curve.x_formal(micro_curve.mul(n, R))
+                    x = x_formal(micro_curve.mul(n, R))
                     want += lsb_string(x, 1, 7) == sigma
                 assert count_A(micro_curve, R, spec) == want
 
@@ -551,6 +552,27 @@ class TestBitstream:
             with pytest.raises(ResourceBudgetError, match="codes per point"):
                 _check_code_budget(k, N)
 
+    def test_pattern_budget_edges(self):
+        for k, ell in [(1, 16), (2, 8), (4, 4), (16, 1)]:
+            _check_pattern_budget(k, ell)
+        for k, ell in [(1, 17), (12, 2), (3, 6), (10**9, 10**9)]:
+            with pytest.raises(ResourceBudgetError, match="patterns per point"):
+                _check_pattern_budget(k, ell)
+
+    def test_pattern_budget_before_any_walk(self, micro_curve, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("walk before the pattern budget")
+
+        for name in ("torsion_doublings", "multiples", "window_table"):
+            monkeypatch.setattr(extract_module, name, no_walk)
+        monkeypatch.setattr(extract_module, "PATTERN_BUDGET", 8)
+        with pytest.raises(ResourceBudgetError, match="2\\^4 patterns"):
+            delta(micro_curve, MICRO_G, 5, 2, 2, 4)
+        C, gen, t = _sampled_group(0)
+        for samples in (1, 33):  # the walks, then the table
+            with pytest.raises(ResourceBudgetError, match="2\\^4 patterns"):
+                sampled_deviation(C, gen, t, 1, 4, 16, samples, 0)
+
     def test_code_budget_spares_delta(self, micro_curve, micro_points, monkeypatch):
         monkeypatch.setattr(extract_module, "CODE_BUDGET", 3)
         R = CurvePoint(0, 1)
@@ -643,7 +665,7 @@ class TestPatternCounts:
         # up to 2 ord(G) + 1, so n*i wraps mod ord(G) and meets x(O) = 0,
         # with at most 2,000 codes per point
         N = data.draw(st.integers(1, min(2 * len(orb) + 1, int(2000 ** (1 / k)))))
-        counts_at = _pattern_counts([C.x_formal(Q) for Q in orb], k, ell, N)
+        counts_at = _pattern_counts([x_formal(Q) for Q in orb], k, ell, N)
         for i, row in enumerate(x_rows(C, orb, N**k)):
             counts = counts_at(i)
             assert len(counts) == 1 << (k * ell)
