@@ -109,12 +109,10 @@ class TestCoprimePolicy:
 
 class TestVerifyCommand:
     def test_micro_curve_passes(self, capsys):
-        # every check, at p = 11 with ftilde at p and 2p as well
-        for p, n_max, passed in (("7", "6", "47/47"), ("11", "5", "37/37")):
-            rc = cli.main(["verify", "--p", p, "--a", "1", "--b", "1",
-                           "--n-max", n_max])
-            assert rc == 0
-            assert f"verify: {passed} checks passed\n" == capsys.readouterr().out
+        rc = cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
+                       "--n-max", "6"])
+        assert rc == 0
+        assert "verify: 47/47 checks passed\n" == capsys.readouterr().out
 
     def test_default_curves_follow_the_benchmark_reference(self, tmp_path, capsys):
         # the benchmark's verify argv writes the 227 checks of its reference,
@@ -1267,6 +1265,19 @@ class TestBudgetExit:
 
         assert cli.main(["report", "--in", out + ".json"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+class TestLemmaSuiteLibrary:
+    def test_all_green_on_default_curves(self, tmp_path, capsys):
+        # every check on y^2 = x^3 + x + 1 over F_7 and over F_11
+        for p in ("7", "11"):
+            out = tmp_path / f"verify{p}.json"
+            rc = cli.main(["verify", "--p", p, "--a", "1", "--b", "1",
+                           "--n-max", "5", "--out", str(out)])
+            assert rc == 0
+            assert "verify: 37/37 checks passed\n" == capsys.readouterr().out
+            records = json.loads(out.read_text())["records"]
+            assert records and all(r["pass"] is True for r in records)
 
 
 class TestParallelDeterminism:
