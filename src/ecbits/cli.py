@@ -48,7 +48,6 @@ from .extract import (
     _check_window,
     bitstream,
     delta,
-    deviation_bound,
     pack_bits,
     sampled_deviation,
 )
@@ -304,12 +303,14 @@ def _cell_or_budget_error(cell: dict) -> dict:
 
 def run_sums(args) -> int:
     cells = build_sum_cells(args)
-    if args.jobs > 1:
+    # a fork-started pool forks every worker at its first submit
+    workers = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
         # imported here, where the only pool starts: a serial run of any
         # command never loads concurrent.futures or multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_cell_or_budget_error, cells))
     else:
         outcomes = [_cell_or_budget_error(cell) for cell in cells]
@@ -344,21 +345,10 @@ def run_extract(args) -> int:
     _check_pattern_budget(args.k, args.ell)
     exact = t <= args.delta_budget
     if exact:
-        # a positive finite C can still take (C log p)^k, or the ratio of
-        # Delta <= t N^k to the bound, out of the float range
-        try:
-            bound = deviation_bound(args.k, args.big_n, C.p, t, args.slack_delta)
-            in_range = bound < math.inf and t * args.big_n**args.k / bound < math.inf
-        except (OverflowError, ZeroDivisionError):
-            in_range = False
-        if not in_range:
-            raise ConfigError(f"--slack-delta {args.slack_delta} takes the deviation "
-                              "bound or the ratio to it out of the float range")
         check_subgroup_budget(t)  # before the generator search
     gen = subgroup_generator(C, t)
     if exact:
-        rep = delta(C, gen, t, args.k, args.ell, args.big_n,
-                    bound_constant=args.slack_delta)
+        rep = delta(C, gen, t, args.k, args.ell, args.big_n)
         key, deviation = "deviation", {
             "total": str(rep.total),
             "total_float": float(rep.total),
@@ -430,6 +420,10 @@ _VERIFY = {
 }
 
 
+# verify's largest n-max: three checks build f_n, of degree n^2, for each n <= it
+VERIFY_N_MAX = 40
+
+
 def default_verify_curves() -> list[Curve]:
     return [find_curve(range(start, start + 31), 4, "largest").curve
             for start in (7, 11, 13)]
@@ -444,6 +438,8 @@ def run_verify(args) -> int:
         raise ConfigError(f"unknown checks: {sorted(bad)}")
     if args.n_max < 1:
         raise ConfigError(f"need n-max >= 1, got n-max = {args.n_max}")
+    if args.n_max > VERIFY_N_MAX:
+        raise ResourceBudgetError(f"n-max = {args.n_max} exceeds budget {VERIFY_N_MAX}")
     curves = [_flag_curve(args)] if args.p is not None else default_verify_curves()
     # one record per (curve, check, index), the checks in table order
     records = [
@@ -596,7 +592,6 @@ _OPTIONS = {
     "ell": (int, 1),
     "big_n": (int, 4),
     "t_policy": (str, "largest", {"choices": ("largest", "prime")}),
-    "slack_delta": (float, 1.0),
     "out": (str, None),
     "jobs": (int, os.cpu_count() or 1),
     "seed": (int, 0),
@@ -656,15 +651,6 @@ def _check_out_dir(out: str | None) -> None:
             raise ConfigError(f"--out directory {directory!r} does not exist")
 
 
-def _check_slack_delta(args) -> None:
-    """--slack-delta must be positive and finite: a zero one divides by
-    zero in the ratio, a negative one flips its sign, and an infinite or
-    NaN one writes a non-JSON constant."""
-    if not 0 < args.slack_delta < math.inf:
-        raise ConfigError("--slack-delta must be positive "
-                          f"and finite, got {args.slack_delta}")
-
-
 _HANDLERS = {
     "verify": run_verify,
     "sums": run_sums,
@@ -681,7 +667,6 @@ def main(argv=None) -> int:
         _check_out_dir(args.out)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        _check_slack_delta(args)
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -55,6 +55,8 @@ def _check_window(p: int, k: int, ell: int, N: int) -> None:
 
 # N^k codes, and as many x-coordinates, are held per point at a time
 CODE_BUDGET = 10_000_000
+# The sampled estimate reads samples * N windows, one sample at a time
+SAMPLE_BUDGET = 10_000_000
 # Delta and the sampled histogram count 2^(k*ell) patterns per point
 PATTERN_BUDGET = 1 << 16
 
@@ -179,8 +181,8 @@ class DeviationReport(NamedTuple):
 
     Counts are integers and the reference value N^k / 2^(k*ell) is a
     dyadic rational, so every deviation is an exact Fraction.  The
-    bound value is the proved shape evaluated at a configured constant
-    (the paper only asserts such a constant exists).
+    bound value is the proved shape evaluated at BOUND_CONSTANT (the
+    paper only asserts such a constant exists).
     """
 
     k: int
@@ -200,10 +202,16 @@ class DeviationReport(NamedTuple):
         return float(self.total) / self.bound_value
 
 
-def deviation_bound(k: int, N: int, p: int, t: int, C: float) -> float:
+# The C of Delta's bound, which the paper leaves unspecified.  At C = 1,
+# within the code, pattern, p and subgroup budgets, the bound and
+# t N^k / bound (Delta's largest ratio to it) are finite and positive.
+BOUND_CONSTANT = 1.0
+
+
+def deviation_bound(k: int, N: int, p: int, t: int) -> float:
     """(N^2k p^(1/4) t^(1/2) + N^(k-1/2) t) * (C log p)^k."""
     return (N ** (2 * k) * p**0.25 * t**0.5 + N**k / math.sqrt(N) * t) * (
-        C * math.log(p)
+        BOUND_CONSTANT * math.log(p)
     ) ** k
 
 
@@ -214,7 +222,6 @@ def delta(
     k: int,
     ell: int,
     N: int,
-    bound_constant: float = 1.0,
 ) -> DeviationReport:
     """Delta_{k,ell}(<G>, N): the sum over R in the order-t subgroup <G>
     of the worst deviation of the pattern count from N^k / 2^(k*ell),
@@ -272,8 +279,8 @@ def delta(
         per_point=per_point,
         total=Fraction(worst_o + total_wo_o, size),
         total_excluding_infinity=Fraction(total_wo_o, size),
-        bound_constant=bound_constant,
-        bound_value=deviation_bound(k, N, p, t, bound_constant),
+        bound_constant=BOUND_CONSTANT,
+        bound_value=deviation_bound(k, N, p, t),
     )
 
 
@@ -325,8 +332,9 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     """Average worst-pattern deviation over the sampled subgroup points
     kG, k from curve.sample_scalars(t, samples, seed) and gen of order t
     (the exhaustive Delta is out of reach for large t); k = 1 only, and
-    like delta it needs gcd(N!, t) = 1 and 2^(k*ell) <= PATTERN_BUDGET.
-    A gen off the curve is a ValueError, and one with tG != O a
+    like delta it needs gcd(N!, t) = 1 and 2^(k*ell) <= PATTERN_BUDGET,
+    and samples * N <= SAMPLE_BUDGET, checked before any point step.  A
+    gen off the curve is a ValueError, and one with tG != O a
     PreconditionError, from the one torsion_doublings check that the
     chosen way makes.
 
@@ -351,6 +359,9 @@ def sampled_deviation(C: Curve, gen: CurvePoint, t: int, k: int, ell: int,
     _check_window(C.p, k, ell, N)
     _check_code_budget(k, N)
     _check_pattern_budget(k, ell)
+    if samples * N > SAMPLE_BUDGET:
+        raise ResourceBudgetError(f"samples * N = {samples} * {N} window reads "
+                                  f"exceed the budget {SAMPLE_BUDGET}")
     windows = _table_windows if _reads_table(t, N, samples) else _walk_windows
     total = top = 0
     for codes in windows(C, gen, t, ell, N, samples, seed):

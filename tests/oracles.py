@@ -53,6 +53,7 @@ from ecbits.curve import (
 )
 from ecbits.divpoly import DivisionPolynomials
 from ecbits.extract import (
+    BOUND_CONSTANT,
     DeviationReport,
     _check_window,
     _pattern_counts,
@@ -260,7 +261,6 @@ def delta_over_points(
     k: int,
     ell: int,
     N: int,
-    bound_constant: float = 1.0,
 ) -> DeviationReport:
     """Delta_{k,ell}(H, N): the sum over R in H of the worst deviation of
     the pattern count from N^k / 2^(k*ell), taken over all patterns.
@@ -313,8 +313,8 @@ def delta_over_points(
         per_point=per_point,
         total=Fraction(total, size),
         total_excluding_infinity=Fraction(total_wo_o, size),
-        bound_constant=bound_constant,
-        bound_value=deviation_bound(k, N, p, t, bound_constant),
+        bound_constant=BOUND_CONSTANT,
+        bound_value=deviation_bound(k, N, p, t),
     )
 
 

@@ -685,8 +685,10 @@ class TestConfigFile:
         ("slack_u=5", "config key 'slack_u' names no option"),
         ("slack-v=5", "config key 'slack-v' names no option"),
         ("slack_l5=5", "config key 'slack_l5' names no option"),
+        # Delta's bound is evaluated at the fixed extract.BOUND_CONSTANT
+        ("slack_delta=2", "config key 'slack_delta' names no option"),
     ], ids=["misspelt", "config", "repeated", "two-spellings", "in-infile",
-            "slack-u", "slack-v", "slack-l5"])
+            "slack-u", "slack-v", "slack-l5", "slack-delta"])
     def test_bad_key_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                             lines, message):
         def no_work(*args, **kwargs):
@@ -781,14 +783,13 @@ class TestBadInput:
         (["verify", "--out", "{tmp}/missing/v.json"], "/missing' does not exist"),
         (["find-curve", "--p-min", "100", "--p-max", "120", "--out",
           "{tmp}/missing/f.json"], "/missing' does not exist"),
-        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "0",
-          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got 0.0"),
-        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "-1",
-          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got -1.0"),
-        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "inf",
-          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got inf"),
-        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--slack-delta", "nan",
-          "--out", "{tmp}/x"], "--slack-delta must be positive and finite, got nan"),
+        # a missing --out or --in, and a check list that names no check
+        (["extract", "--p", "1549", "--a", "1", "--b", "3"],
+         "--out is required for extract"),
+        (["report"], "--in is required for report"),
+        (["verify", "--checks", ",", "--out", "{tmp}/x.json"], "empty check list"),
+        (["verify", "--checks", "degrees,nope", "--out", "{tmp}/x.json"],
+         "unknown checks: ['nope']"),
         # the experiment list and --c, read before the curve is built
         (["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", ",",
           "--out", "{tmp}/x"], "no experiments requested"),
@@ -798,14 +799,11 @@ class TestBadInput:
           "--c", "0,0", "--out", "{tmp}/x"], "coefficient vector c must be nonzero"),
         (["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", "v",
           "--c", "x,1", "--out", "{tmp}/x"], "bad coefficient vector 'x,1'"),
-        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
-          "--slack-delta", "1e-300", "--out", "{tmp}/x"],
-         "--slack-delta 1e-300 takes the deviation bound or the ratio to it "
-         "out of the float range"),
-        (["extract", "--p", "1549", "--a", "1", "--b", "3", "--k", "2",
-          "--slack-delta", "1e200", "--out", "{tmp}/x"],
-         "--slack-delta 1e+200 takes the deviation bound or the ratio to it "
-         "out of the float range"),
+        # no curve, and an empty prime range to search
+        (["sums", "--experiments", "u", "--out", "{tmp}/x"],
+         "need --p or both --p-min and --p-max"),
+        (["extract", "--p-min", "200", "--p-max", "100", "--out", "{tmp}/x"],
+         "empty prime range"),
         # N^k = 9,998,244 codes: the stream alone took 30 s and 1.3 GB
         (["extract", "--p-min", "5000", "--p-max", "5200", "--t-policy", "prime",
           "--k", "2", "--ell", "4", "--big-n", "3162", "--delta-budget", "1",
@@ -877,7 +875,8 @@ class TestBadInput:
         assert not list(tmp_path.glob("*.bits"))
         assert not list(tmp_path.glob("x.*"))
 
-    @pytest.mark.parametrize("flag", ["--slack-u", "--slack-v", "--slack-l5"])
+    @pytest.mark.parametrize("flag", ["--slack-u", "--slack-v", "--slack-l5",
+                                      "--slack-delta"])
     def test_removed_slack_flag_is_an_argparse_error(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sums", "--p", "7", "--a", "1", "--b", "1", flag, "5",
@@ -1015,20 +1014,43 @@ class TestBadInput:
             "exceed the budget 65536\n")
         assert not list(tmp_path.iterdir())
 
+    def test_sample_budget_exit_3_before_any_walk(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # 33 samples at N = 1 read 33 windows: at the budget, and run
+        argv = ["extract", "--p-min", "100", "--p-max", "200", "--delta-budget", "1",
+                "--big-n", "1", "--jobs", "1"]
+        monkeypatch.setattr(extract_module, "SAMPLE_BUDGET", 33)
+        assert cli.main(argv + ["--samples", "33", "--out", str(tmp_path / "ok")]) == 0
 
-@pytest.mark.parametrize("flags", [
-    ["--p-min", "40000", "--p-max", "40100", "--slack-delta", "0"],
-    ["--p", "1549", "--a", "1", "--b", "3", "--k", "2", "--slack-delta", "1e-300"],
-], ids=["nonpositive", "bound-underflow"])
-def test_bad_slack_exits_before_any_work(tmp_path, monkeypatch, flags):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the slack check")
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampled walk before the sample budget")
 
-    monkeypatch.setattr(cli, "subgroup_generator", no_work)
-    if "--p-min" in flags:
-        monkeypatch.setattr(cli, "find_curve", no_work)
-    assert cli.main(["extract", *flags, "--out", str(tmp_path / "x")]) == 2
-    assert not list(tmp_path.iterdir())
+        for way in ("_table_windows", "_walk_windows"):
+            monkeypatch.setattr(extract_module, way, no_work)
+        capsys.readouterr()
+        rc = cli.main(argv + ["--samples", "34", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: samples * N = 34 * 1 window reads exceed "
+            "the budget 33\n")
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["ok.bits", "ok.json"]
+
+    @pytest.mark.parametrize("curve", [[], ["--p", "7", "--a", "1", "--b", "1"]],
+                             ids=["default-curves", "p"])
+    def test_verify_n_max_budget_exit_3_before_any_curve(self, tmp_path, capsys,
+                                                         monkeypatch, curve):
+        def no_work(*args, **kwargs):
+            raise AssertionError("curve built before the n-max budget")
+
+        for name in ("find_curve", "Curve", "DivisionPolynomials"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(cli, "VERIFY_N_MAX", 3)
+        rc = cli.main(["verify", *curve, "--n-max", "4",
+                       "--out", str(tmp_path / "v.json")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "resource budget exceeded: n-max = 4 exceeds budget 3\n")
+        assert not list(tmp_path.iterdir())
 
 
 def _strict_json(path):
@@ -1085,7 +1107,6 @@ _FLAG_VALUES = {
     "--ell": st.integers(-1, 3),
     "--big-n": st.integers(-2, 6),
     "--t-policy": st.sampled_from(["largest", "prime", "median"]),
-    "--slack-delta": st.sampled_from(["0", "1.5", "x"]),
     "--seed": st.integers(0, 3),
     "--samples": st.integers(-1, 3),
     "--delta-budget": st.integers(-1, 300),
@@ -1292,6 +1313,45 @@ class TestParallelDeterminism:
             {k: v for k, v in r.items() if k != "wall_ms"} for r in recs
         ]
         assert strip(a) == strip(b)
+
+    @pytest.mark.parametrize("jobs,cpus,big_n,workers", [
+        (100_000, 4, 3, 2),  # 2 cells
+        (3, 8, 8, 3),
+        (8, 2, 8, 2),  # 7 cells, 2 CPUs
+        (100_000, 1, 8, None),
+        (4, None, 8, None),  # the CPU count is unknown
+        (5, 4, 2, None),  # 1 cell
+    ])
+    def test_pool_no_larger_than_its_cells_or_cpus(self, tmp_path, monkeypatch,
+                                                   jobs, cpus, big_n, workers):
+        # a fork-started pool would fork all its workers at the first submit
+        import concurrent.futures
+
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        argv = ["sums", "--p", "7", "--a", "1", "--b", "1", "--experiments", "u",
+                "--big-n", str(big_n)]
+        assert cli.main(argv + ["--jobs", "1", "--out", str(tmp_path / "s1")]) == 0
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert cli.main(argv + ["--jobs", str(jobs),
+                                "--out", str(tmp_path / "s2")]) == 0
+        assert made == ([] if workers is None else [workers])
+        a, b = (json.loads((tmp_path / f"{s}.json").read_text()) for s in ("s1", "s2"))
+        assert [dict(r, wall_ms=0) for r in a] == [dict(r, wall_ms=0) for r in b]
 
 
 class TestTrend:
