@@ -398,25 +398,25 @@ def _ftilde_pairs(dp: DivisionPolynomials, n_max: int):
             yield n, True
 
 
-# The verify checks, in their default --checks order: the (index, pass)
-# pairs of each on the division polynomials dp of one curve up to n-max.
-# Each reads dp's methods, and rational_square_test in this module, at
-# its call.
+# The verify checks, in their default --checks order: the least n-max at
+# which each builds a record, and its (index, pass) pairs on the division
+# polynomials dp of one curve up to n-max.  Each reads dp's methods, and
+# rational_square_test in this module, at its call.
 _VERIFY = {
-    "degrees": lambda dp, n_max: (
+    "degrees": (1, lambda dp, n_max: (
         (n, f.degree() == n * n and g.degree() <= n * n - 1)
-        for n in range(1, n_max + 1) for f, g, _ in [dp.f_g_h(n)]),
-    "xfg": lambda dp, n_max: (
-        (n, dp.verify_xfg(n)) for n in range(1, min(n_max, 12) + 1)),
-    "torsion": lambda dp, n_max: (
-        (n, dp.verify_torsion_roots(n)) for n in range(2, min(n_max, 8) + 1)),
-    "division_points": lambda dp, n_max: (
-        (n, dp.verify_division_point_roots(n)) for n in range(1, min(n_max, 8) + 1)),
-    "ftilde": _ftilde_pairs,
-    "squarefree": lambda dp, n_max: [(n_max, dp.verify_squarefree_ftilde(n_max))],
-    "squares": lambda dp, n_max: (
+        for n in range(1, n_max + 1) for f, g, _ in [dp.f_g_h(n)])),
+    "xfg": (1, lambda dp, n_max: (
+        (n, dp.verify_xfg(n)) for n in range(1, min(n_max, 12) + 1))),
+    "torsion": (2, lambda dp, n_max: (
+        (n, dp.verify_torsion_roots(n)) for n in range(2, min(n_max, 8) + 1))),
+    "division_points": (1, lambda dp, n_max: (
+        (n, dp.verify_division_point_roots(n)) for n in range(1, min(n_max, 8) + 1))),
+    "ftilde": (1, _ftilde_pairs),
+    "squarefree": (1, lambda dp, n_max: [(n_max, dp.verify_squarefree_ftilde(n_max))]),
+    "squares": (2, lambda dp, n_max: (
         ((m, n), not any(map(rational_square_test, dp.phi_psi(m, n))))
-        for m in range(1, min(n_max, 8) + 1) for n in range(m + 1, min(n_max, 8) + 1)),
+        for m in range(1, min(n_max, 8) + 1) for n in range(m + 1, min(n_max, 8) + 1))),
 }
 
 
@@ -440,12 +440,17 @@ def run_verify(args) -> int:
         raise ConfigError(f"need n-max >= 1, got n-max = {args.n_max}")
     if args.n_max > VERIFY_N_MAX:
         raise ResourceBudgetError(f"n-max = {args.n_max} exceeds budget {VERIFY_N_MAX}")
+    need = min(_VERIFY[c][0] for c in checks)
+    if args.n_max < need:  # a run that would check nothing
+        names = ",".join(c for c in _VERIFY if c in checks)
+        raise ConfigError(f"check {names} builds no records: "
+                          f"need n-max >= {need}, got n-max = {args.n_max}")
     curves = [_flag_curve(args)] if args.p is not None else default_verify_curves()
     # one record per (curve, check, index), the checks in table order
     records = [
         {"check": check, "p": C.p, "a": C.a, "b": C.b, "index": index, "pass": bool(ok)}
         for C in curves for dp in [DivisionPolynomials(C)]
-        for check, pairs in _VERIFY.items() if check in checks
+        for check, (_, pairs) in _VERIFY.items() if check in checks
         for index, ok in pairs(dp, args.n_max)]
     failures = [r for r in records if not r["pass"]]
     if args.out:

@@ -156,17 +156,34 @@ class Curve:
 
     def _add_ext(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         """The group law over F_p^2, for P and Q not O with at least one
-        Fp2 x-coordinate (the other point may have int coordinates)."""
-        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        if x1 == x2:
-            if (y1 + y2).is_zero():
+        Fp2 x-coordinate (the other point may have int coordinates).
+
+        Runs on the int pairs (re, im) of the coordinates, w = re + im*sqrt(d),
+        with one inversion of the slope denominator's norm in F_p; Fp2
+        objects are built for the result only.
+        """
+        F = self.field
+        p, d = F.p, F.nonresidue()
+        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y  # an int v stands for (v mod p, 0)
+        x1r, x1i = (x1.re, x1.im) if isinstance(x1, Fp2) else (x1 % p, 0)
+        y1r, y1i = (y1.re, y1.im) if isinstance(y1, Fp2) else (y1 % p, 0)
+        x2r, x2i = (x2.re, x2.im) if isinstance(x2, Fp2) else (x2 % p, 0)
+        y2r, y2i = (y2.re, y2.im) if isinstance(y2, Fp2) else (y2 % p, 0)
+        if x1r == x2r and x1i == x2i:
+            nr, ni = (y1r + y2r) % p, (y1i + y2i) % p
+            if nr == 0 and ni == 0:
                 return INFINITY
-            # x1 = x2 and y1 = y2 here, so this is the tangent slope
-            s = (3 * x1 * x2 + self.a) / (y1 + y2)
+            # x1 = x2 and y1 = y2 here, so the slope is (3*x1^2 + a) / (y1 + y2)
+            ur, ui = 3 * (x1r * x1r + d * x1i * x1i) + self.a, 6 * x1r * x1i
         else:
-            s = (y2 - y1) / (x2 - x1)
-        x3 = s * s - x1 - x2
-        return CurvePoint(x3, s * (x1 - x3) - y1)
+            ur, ui, nr, ni = y2r - y1r, y2i - y1i, x2r - x1r, x2i - x1i
+        # s = u / n = u * conj(n) / norm(n), conj(n) = nr - ni*sqrt(d)
+        inv = F.inv(nr * nr - d * ni * ni)
+        sr, si = (ur * nr - d * ui * ni) * inv % p, (ui * nr - ur * ni) * inv % p
+        x3r, x3i = (sr * sr + d * si * si - x1r - x2r) % p, (2 * sr * si - x1i - x2i) % p
+        dr, di = x1r - x3r, x1i - x3i
+        return CurvePoint(Fp2(F, x3r, x3i),
+                          Fp2(F, sr * dr + d * si * di - y1r, sr * di + si * dr - y1i))
 
     def mul(self, n: int, P: CurvePoint) -> CurvePoint:
         """Scalar multiple nP by double-and-add; mul(0, P) = O."""
@@ -379,7 +396,8 @@ def torsion_doublings(curve: Curve, G: CurvePoint, t: int) -> list:
 
 def orbit(curve: Curve, G: CurvePoint) -> list[CurvePoint]:
     """[O, G, 2G, ..., (o-1)G] for o = ord(G): the walk of multiples for
-    an F_p point, repeated addition for an F_p^2 one."""
+    an F_p point, repeated addition for an F_p^2 one, each addition on
+    int pairs with one norm inversion (Curve._add_ext)."""
     if not curve.contains(G):
         raise ValueError(f"point {G} is not on {curve}")
     if isinstance(G.x, Fp2) or isinstance(G.y, Fp2):
@@ -483,10 +501,14 @@ def index_table(curve: Curve, ext: int = 1) -> IndexTable:
     G2 is grown by merging sampled orders until it can be the exponent.
     A sampled R whose multiples first meet <G2> at d1*R = j*G2 then gives
     G1 = R - (j/d1)*G2.  The table costs one walk of <G2> and d1 - 1
-    shifted rows: #E(F_p^ext) additions.  It is certified by holding
-    exactly #E(F_p^ext) distinct points, and raises RuntimeError when
-    TABLE_SAMPLES samples run out first.  #E(F_p^ext) above
-    TABLE_BUDGET[ext] is refused before any point is sampled.
+    shifted rows: #E(F_p^ext) additions.  Over F_p^2 each addition runs
+    on the int pairs (re, im) of the coordinates, with one inversion of
+    a norm in F_p, and builds Fp2 objects for its result only; the
+    sampled square roots and Curve.mul's on-curve checks stay on Fp2.
+    The table is certified by holding exactly #E(F_p^ext) distinct
+    points, and raises RuntimeError when TABLE_SAMPLES samples run out
+    first.  #E(F_p^ext) above TABLE_BUDGET[ext] is refused before any
+    point is sampled.
     """
     n = order_over(curve, ext)
     if n > TABLE_BUDGET[ext]:
@@ -586,7 +608,8 @@ def rational_division_points(
     Read from index_table(curve, ext): with Q = i0*G1 + j0*G2, they are
     the points i*G1 + j*G2 with n*i = i0 (mod d1) and n*j = j0 (mod d2),
     so no point is multiplied.  The table is built once per curve and
-    ext, at #E(F_p^ext) additions, within index_table's budget.
+    ext, at #E(F_p^ext) additions (on int pairs over F_p^2, one norm
+    inversion each), within index_table's budget.
     """
     if n < 1:
         raise ValueError("n must be positive")

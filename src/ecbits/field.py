@@ -277,12 +277,6 @@ class Fp2:
         ni = self.field.inv(n)
         return Fp2(self.field, self.re * ni, -self.im * ni)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inv()
-
     def sqrt(self) -> "Fp2 | None":
         """Canonical square root in F_p^2, or None when no root exists.
 

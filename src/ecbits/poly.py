@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
+from operator import mul
 from sys import byteorder
 
 from .field import Fp2, PrimeField
@@ -143,13 +144,16 @@ class Poly:
         return self._wrap([i * v for i, v in enumerate(self.coeffs)][1:])
 
     def __call__(self, u):
-        """Evaluate by Horner at an int (F_p) or Fp2 point."""
-        if isinstance(u, Fp2):
-            acc = Fp2(self.field, 0)
-            for c in reversed(self.coeffs):
-                acc = acc * u + c
-            return acc
+        """Evaluate by Horner at an int (F_p) or Fp2 point; at an Fp2
+        point the accumulator is an int pair (re, im), and only the
+        value is built as an Fp2."""
         p = self.field.p
+        if isinstance(u, Fp2):
+            d, ur, ui = self.field.nonresidue(), u.re, u.im
+            re = im = 0
+            for c in reversed(self.coeffs):
+                re, im = (re * ur + d * im * ui + c) % p, (re * ui + im * ur) % p
+            return Fp2(self.field, re, im)
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * u + c) % p
@@ -300,7 +304,7 @@ def rational_square_test(f: Poly) -> bool:
     top = f.coeffs[::-1]  # f's coefficients from the leading one down
     root = [1]  # g's coefficients from the leading one down
     for k in range(1, f.degree() // 2 + 1):
-        cross = sum(root[i] * root[k - i] for i in range(1, k))
+        cross = sum(map(mul, root[1:k], root[k - 1:0:-1]))
         root.append((top[k] - cross) * half % p)
     g = Poly(f.field, root[::-1])
     return g * g == f

@@ -33,10 +33,10 @@ def micro_points(micro_curve):
 
 
 @st.composite
-def small_curves(draw, b=None):
-    """Nonsingular curves y^2 = x^3 + a*x + b over F_p, 3 < p < 60, with
-    the given b, or any."""
-    p = draw(st.sampled_from([q for q in primes_upto(59) if q > 3]))
+def small_curves(draw, b=None, p_max=59):
+    """Nonsingular curves y^2 = x^3 + a*x + b over F_p, 3 < p <= p_max,
+    with the given b, or any."""
+    p = draw(st.sampled_from([q for q in primes_upto(p_max) if q > 3]))
     if b is None:
         a = draw(st.integers(0, p - 1))
         b = draw(st.integers(0, p - 1).filter(lambda b: (4 * a**3 + 27 * b * b) % p))

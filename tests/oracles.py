@@ -28,6 +28,9 @@ does: `from oracles import ...`.
   the complete and incomplete geometric sums behind that expansion.
 - chi_square_uniformity: the chi-square statistic of a bitstream's
   block values, a uniformity check the proved bound does not need.
+- add_fp2, horner_fp2: the F_p^2 group law and Horner evaluation on Fp2
+  objects: the object forms of Curve._add_ext and Poly.__call__, which
+  run on int pairs.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from ecbits.extract import (
     deviation_bound,
     sampled_deviation,
 )
-from ecbits.field import PreconditionError, PrimeField
+from ecbits.field import Fp2, PreconditionError, PrimeField
+from ecbits.poly import Poly
 
 # -- character sums ---------------------------------------------------------
 
@@ -405,3 +409,34 @@ def chi_square_uniformity(stream: str, block: int) -> ChiSquareReport:
     exp = nblocks / nvals
     stat = sum((obs - exp) ** 2 for obs in counts) / exp
     return ChiSquareReport(statistic=stat, dof=nvals - 1, blocks=nblocks, counts=counts)
+
+
+# -- F_p^2 arithmetic on Fp2 objects ------------------------------------------
+
+
+def add_fp2(curve: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
+    """P + Q over F_p^2 by the chord-and-tangent formulas on Fp2 objects,
+    each int coordinate lifted to an Fp2."""
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    F = curve.field
+    x1, y1, x2, y2 = (v if isinstance(v, Fp2) else Fp2(F, v) for v in (*P, *Q))
+    if x1 == x2:
+        if (y1 + y2).is_zero():
+            return INFINITY
+        # x1 = x2 and y1 = y2 here, so this is the tangent slope
+        s = (3 * x1 * x2 + curve.a) * (y1 + y2).inv()
+    else:
+        s = (y2 - y1) * (x2 - x1).inv()
+    x3 = s * s - x1 - x2
+    return CurvePoint(x3, s * (x1 - x3) - y1)
+
+
+def horner_fp2(f: Poly, u: Fp2) -> Fp2:
+    """f(u) at an F_p^2 point by Horner on Fp2 objects."""
+    acc = Fp2(f.field, 0)
+    for c in reversed(f.coeffs):
+        acc = acc * u + c
+    return acc

@@ -1052,6 +1052,33 @@ class TestBadInput:
             "resource budget exceeded: n-max = 4 exceeds budget 3\n")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("checks", ["torsion", "squares", "squares,torsion"])
+    @pytest.mark.parametrize("curve", [[], ["--p", "7", "--a", "1", "--b", "1"]],
+                             ids=["default-curves", "p"])
+    def test_verify_with_no_records_exits_2_before_any_curve(self, tmp_path, capsys,
+                                                             monkeypatch, checks, curve):
+        def no_work(*args, **kwargs):
+            raise AssertionError("curve built for a verify that checks nothing")
+
+        for name in ("find_curve", "Curve", "DivisionPolynomials"):
+            monkeypatch.setattr(cli, name, no_work)
+        rc = cli.main(["verify", *curve, "--checks", checks, "--n-max", "1",
+                       "--out", str(tmp_path / "v.json")])
+        assert rc == 2
+        names = "torsion,squares" if "," in checks else checks  # in table order
+        assert capsys.readouterr().err == (
+            f"config error: check {names} builds no records: "
+            "need n-max >= 2, got n-max = 1\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_verify_at_n_max_1_keeps_the_checks_that_build_records(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
+                         "--checks", "degrees,torsion", "--n-max", "1",
+                         "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [(r["check"], r["index"]) for r in records] == [("degrees", 1)]
+
 
 def _strict_json(path):
     """The JSON document at path; NaN and Infinity are not JSON."""

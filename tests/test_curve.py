@@ -8,7 +8,7 @@ import pytest
 from conftest import add_walk_orbit, small_curves, x_formal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import points_by_scan
+from oracles import add_fp2, points_by_scan
 
 import ecbits.curve as curve_module
 import ecbits.extract as extract_module
@@ -846,6 +846,53 @@ class TestPointValues:
         assert [P.x for P in pts[1:]] == sorted(P.x for P in pts[1:])
         ext = list(points_over(C, 2))
         assert sorted(ext[::-1], key=_point_key) == sorted(ext, key=coordinates)
+
+
+def draw_point(draw, C):
+    """O, an F_p point with int coordinates, its Fp2 image, or a point of
+    E(F_p^2): the first point at or after a drawn x, with a drawn sign of y."""
+    kind = draw(st.sampled_from(["O", "int", "image", "ext"]))
+    p, sign = C.p, draw(st.sampled_from([1, -1]))
+    if kind == "O":
+        return INFINITY
+    if kind != "ext":
+        u = draw(st.integers(0, p - 1))
+        row = next(r for k in range(p) if (r := C.points_by_x((u + k) % p)))
+        P = row[0] if sign == 1 else row[-1]
+        return P if kind == "int" else f_p2_image(C, P)
+    start = draw(st.integers(0, p * p - 1))
+    for k in range(p * p):
+        x = Fp2(C.field, *divmod((start + k) % (p * p), p))
+        y = C.rhs(x).sqrt()
+        if y is not None:
+            return CurvePoint(x, sign * y)
+    raise AssertionError("E(F_p^2) has an affine point")
+
+
+class TestAddOverFp2:
+    @settings(max_examples=200, deadline=None)
+    @given(small_curves(p_max=101), st.data())
+    def test_add_matches_fp2_object_oracle(self, C, data):
+        """Curve._add against the chord-and-tangent formulas on Fp2
+        objects: chords, doubling (Q = P or its image), P + (-P), O, and
+        int coordinates mixed with Fp2 ones."""
+        P = draw_point(data.draw, C)
+        relation = data.draw(st.sampled_from(["any", "same", "image", "neg"]))
+        if relation == "any":
+            Q = draw_point(data.draw, C)
+        elif relation == "same":
+            Q = P
+        elif relation == "image":
+            Q = f_p2_image(C, P) if isinstance(P.x, int) else P
+        else:
+            Q = C.neg(P)
+        R = C._add(P, Q)
+        assert R == add_fp2(C, P, Q)
+        assert C.contains(R)
+        if relation == "neg":
+            assert R.is_infinity
+        if not R.is_infinity and (isinstance(P.x, Fp2) or isinstance(Q.x, Fp2)):
+            assert isinstance(R.x, Fp2) and isinstance(R.y, Fp2)
 
 
 class TestSqrtInBaseOrExt:

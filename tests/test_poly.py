@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import horner_fp2
 
-from ecbits.field import field
+from ecbits.field import Fp2, field, primes_upto
 from ecbits.poly import (
     Poly,
     poly_gcd,
@@ -70,6 +71,28 @@ class TestBasics:
             if g.is_zero():
                 return
         assert (f * g).degree() == f.degree() + g.degree()
+
+
+@st.composite
+def polys_and_fp2_points(draw):
+    """A polynomial of degree < 12 over F_p, 5 <= p <= 101 (the zero one
+    included), and a point of F_p^2."""
+    p = draw(st.sampled_from([q for q in primes_upto(101) if q >= 5]))
+    coeffs = draw(st.lists(st.integers(0, p - 1), max_size=12))
+    return Poly(field(p), coeffs), Fp2(field(p), draw(st.integers(0, p - 1)),
+                                       draw(st.integers(0, p - 1)))
+
+
+class TestEvalOverFp2:
+    @settings(max_examples=200, deadline=None)
+    @given(polys_and_fp2_points())
+    def test_horner_matches_fp2_object_oracle(self, drawn):
+        f, u = drawn
+        value = f(u)
+        assert isinstance(value, Fp2)
+        assert value == horner_fp2(f, u)
+        if u.im == 0:
+            assert value == f(u.re)
 
 
 def schoolbook(a, b, p):
