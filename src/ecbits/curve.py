@@ -141,7 +141,8 @@ class Curve:
             return Q
         if Q.is_infinity:
             return P
-        if isinstance(P.x, Fp2) or isinstance(Q.x, Fp2):
+        if (isinstance(P.x, Fp2) or isinstance(P.y, Fp2)
+                or isinstance(Q.x, Fp2) or isinstance(Q.y, Fp2)):
             return self._add_ext(P, Q)
         p = self.p
         x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
@@ -156,7 +157,7 @@ class Curve:
 
     def _add_ext(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
         """The group law over F_p^2, for P and Q not O with at least one
-        Fp2 x-coordinate (the other point may have int coordinates).
+        Fp2 coordinate (any other coordinate may be an int).
 
         Runs on the int pairs (re, im) of the coordinates, w = re + im*sqrt(d),
         with one inversion of the slope denominator's norm in F_p; Fp2

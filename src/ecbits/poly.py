@@ -5,8 +5,10 @@ zero polynomial has an empty coefficient list.  Every operation is exact.
 Products go through Kronecker substitution: each operand is packed into
 one integer, CPython multiplies the two, and the coefficients are read
 back from the product's bytes.  Division and the Euclidean remainder
-sequence cancel one row per quotient coefficient with a single list
-comprehension, and reduce mod p once per division.
+sequence run on packed rows too (_divide): each quotient coefficient
+costs a constant number of interpreter steps (a few big-int operations,
+whatever the degree), and the slots are reduced mod p only when a
+tracked bound says the next division could overflow one.
 """
 
 from __future__ import annotations
@@ -75,7 +77,16 @@ class Poly:
     def _wrap(self, coeffs) -> "Poly":
         return Poly(self.field, coeffs)
 
+    def _modulus(self, other: "Poly") -> int:
+        """The p of both operands; polynomials over different fields do
+        not combine."""
+        p = self.field.p
+        if other.field.p != p:
+            raise ValueError("mixed fields")
+        return p
+
     def __add__(self, other):
+        self._modulus(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -85,6 +96,7 @@ class Poly:
         return self._wrap(out)
 
     def __sub__(self, other):
+        self._modulus(other)
         out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
         for i, v in enumerate(other.coeffs):
             out[i] -= v
@@ -96,10 +108,10 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, int):
             return self._wrap([other * v for v in self.coeffs])
+        p = self._modulus(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return self._wrap([])
-        p = self.field.p
         # a product coefficient is a sum of at most min(len) terms below p^2
         bits = (min(len(a), len(b)) * (p - 1) ** 2).bit_length()
         width = 1
@@ -122,12 +134,23 @@ class Poly:
         return result
 
     def __divmod__(self, other):
+        """Quotient and remainder by _divide on packed rows: a constant
+        number of interpreter steps per quotient coefficient.  Both
+        operands start reduced, and the slot width holds a whole
+        division, so no slot is reduced before the result is read.  A
+        constant divisor only scales."""
+        p = self._modulus(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        p = self.field.p
-        inv_lead = self.field.inv(other.lead())
-        quo, rem = _divide_monic(self.coeffs, [v * inv_lead % p for v in other.coeffs], p)
-        return self._wrap([v * inv_lead for v in quo]), self._wrap(rem)
+        a, b = self.coeffs, other.coeffs
+        inv = self.field.inv(b[-1])
+        if len(b) == 1:
+            return self._wrap([v * inv for v in a]), self._wrap([])
+        width = _row_width(p, max(len(a), len(b)))
+        quo = []
+        rem = _divide(_row(a, width, p), _row(b, width, p), inv, p, width, quo)[0]
+        quo.reverse()
+        return self._wrap(quo), self._wrap(_row_coeffs(rem, width))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -186,47 +209,106 @@ def _unpack(data: bytes, width: int):
             for i in range(0, len(data), width)]
 
 
-def _divide_monic(num: list, den: list, p: int) -> tuple[list, list]:
-    """Quotient and remainder coefficient lists of num by the monic den.
+# A row is a polynomial packed leading coefficient first: a triple
+# (value, n, bound) whose int value holds the coefficient of X^(n-1-i)
+# in its width-byte slot i, as an integer of at most bound congruent to
+# it mod p.  The leading slot is nonzero mod p; the zero row has n = 0.
+_LITTLE = byteorder == "little"
 
-    Each quotient coefficient cancels one row of den's length with one
-    comprehension.  Rows are not reduced: an entry lies in at most
-    deg den rows, so it stays below deg(den)*p^2 + p; the quotient
-    coefficient is reduced as it is read and the remainder once, at the
-    end.
+
+def _row_width(p: int, length: int) -> int:
+    """Slot bytes (a power of two, at least 8) for rows of up to length
+    coefficients mod p: a slot holds p + length*(p - 1)*p, so a division
+    of reduced rows never has to reduce."""
+    bits = (p + length * (p - 1) * p).bit_length()
+    width = 8
+    while 8 * width < bits:
+        width *= 2
+    return width
+
+
+def _row(coeffs: list, width: int, p: int) -> tuple:
+    """The row of a trimmed list of residues."""
+    # _pack puts the first entry in the lowest slot little-endian, and in
+    # the highest big-endian
+    return _pack(coeffs[::-1] if _LITTLE else coeffs, width), len(coeffs), p - 1
+
+
+def _row_coeffs(row: tuple, width: int) -> list:
+    """The row's coefficients lowest degree first, not reduced mod p."""
+    value, n, _ = row
+    slots = _unpack(value.to_bytes(width * n, byteorder), width)
+    return slots[::-1] if _LITTLE else list(slots)
+
+
+def _reduce(row: tuple, width: int, p: int) -> tuple:
+    """The row with every slot reduced mod p."""
+    return _row([v % p for v in _row_coeffs(row, width)], width, p)
+
+
+def _divide(num: tuple, den: tuple, inv: int, p: int, width: int,
+            quo=None) -> tuple:
+    """The rows (num mod den, den) for den != 0 with leading coefficient
+    1/inv mod p, den reduced if need be.
+
+    Each quotient step reads the leading slot of num with one mask,
+    takes c = slot*inv mod p, drops that slot (c*lead(den) cancels
+    it mod p) with one shift, and adds (p - c) times den's lower slots
+    with one product and one sum.  Slots only grow, so no borrow crosses
+    a slot.  A slot takes at most min(steps, deg den) such sums; when
+    they could overflow it, num is reduced first and, if that is not
+    enough, den too, after which the width holds the whole division.
+    The remainder's leading slots are dropped while they are 0 mod p.
+    The quotient coefficients, leading one first, are appended to quo.
     """
-    dd = len(den) - 1
-    if not dd:  # den = 1
-        return [v % p for v in num], []
-    rem = list(num)
-    low = den[:-1]
-    quo = []
-    for top in range(len(rem) - 1, dd - 1, -1):
-        c = rem[top] % p
-        quo.append(c)
-        if c:
-            k = top - dd
-            rem[k:top] = [r - c * v for r, v in zip(rem[k:top], low)]
-    quo.reverse()
-    return quo, [v % p for v in rem[:dd]]
+    value, n, bound = num
+    d_value, d_n, d_bound = den
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    steps = n - d_n + 1
+    if steps > 0:
+        adds = min(steps, d_n - 1) * (p - 1)
+        if bound + adds * d_bound > mask:
+            value, n, bound = _reduce(num, width, p)
+            if bound + adds * d_bound > mask:
+                den = _reduce(den, width, p)
+                d_value, d_n, d_bound = den
+        lower = d_value >> bits
+        for _ in range(steps):
+            c = (value & mask) * inv % p
+            value >>= bits
+            if c:
+                value += (p - c) * lower
+            if quo is not None:
+                quo.append(c)
+        bound += adds * d_bound
+        n = d_n - 1
+    while n and not (value & mask) % p:
+        value >>= bits
+        n -= 1
+    return (value, n, bound), den
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm, run on
-    coefficient lists: each step makes the divisor monic and takes the
-    remainder by _divide_monic."""
+    """Monic greatest common divisor via the Euclidean algorithm on
+    packed rows.  Both rows stay packed for the whole remainder sequence:
+    each remainder costs _divide's constant number of interpreter steps
+    per quotient coefficient, no divisor is made monic (its lead's
+    inverse goes into each quotient coefficient), and slots are reduced
+    mod p only when a division could overflow one.  The last divisor is
+    unpacked and made monic once."""
+    p = f._modulus(g)
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    p = f.field.p
-    a, b = f.coeffs, g.coeffs
-    while b:
-        inv = pow(b[-1], -1, p)
-        b = [v * inv % p for v in b]
-        rem = _divide_monic(a, b, p)[1]
-        while rem and rem[-1] == 0:
-            rem.pop()
+    width = _row_width(p, max(len(f.coeffs), len(g.coeffs)))
+    a, b = _row(f.coeffs, width, p), _row(g.coeffs, width, p)
+    lead = (1 << 8 * width) - 1  # the mask of a row's leading slot
+    while b[1]:
+        rem, b = _divide(a, b, pow(b[0] & lead, -1, p), p, width)
         a, b = b, rem
-    return Poly(f.field, a).monic()
+    coeffs = _row_coeffs(a, width)
+    inv = pow(coeffs[-1], -1, p)
+    return Poly(f.field, [v * inv for v in coeffs])
 
 
 def pth_root(f: Poly) -> Poly:

@@ -792,10 +792,10 @@ class TestDivisionPointTable:
 
 
 def f_p2_image(C, P):
-    """P with its coordinates as Fp2 elements (O stays O)."""
+    """P with its int coordinates lifted to Fp2 elements (O stays O)."""
     if P.is_infinity:
         return INFINITY
-    return CurvePoint(Fp2(C.field, P.x), Fp2(C.field, P.y))
+    return CurvePoint(*(v if isinstance(v, Fp2) else Fp2(C.field, v) for v in P))
 
 
 class TestPointValues:
@@ -849,12 +849,16 @@ class TestPointValues:
 
 
 def draw_point(draw, C):
-    """O, an F_p point with int coordinates, its Fp2 image, or a point of
-    E(F_p^2): the first point at or after a drawn x, with a drawn sign of y."""
-    kind = draw(st.sampled_from(["O", "int", "image", "ext"]))
+    """O, an F_p point with int coordinates, its Fp2 image, a point of
+    E(F_p^2) with an int x and an Fp2 y, or a point of E(F_p^2): the first
+    point at or after a drawn x, with a drawn sign of y."""
+    kind = draw(st.sampled_from(["O", "int", "image", "int x", "ext"]))
     p, sign = C.p, draw(st.sampled_from([1, -1]))
     if kind == "O":
         return INFINITY
+    if kind == "int x":  # every x in F_p has a y in F_p^2
+        u = draw(st.integers(0, p - 1))
+        return CurvePoint(u, sign * Fp2(C.field, C.rhs(u)).sqrt())
     if kind != "ext":
         u = draw(st.integers(0, p - 1))
         row = next(r for k in range(p) if (r := C.points_by_x((u + k) % p)))
@@ -883,7 +887,7 @@ class TestAddOverFp2:
         elif relation == "same":
             Q = P
         elif relation == "image":
-            Q = f_p2_image(C, P) if isinstance(P.x, int) else P
+            Q = f_p2_image(C, P)
         else:
             Q = C.neg(P)
         R = C._add(P, Q)
@@ -891,8 +895,22 @@ class TestAddOverFp2:
         assert C.contains(R)
         if relation == "neg":
             assert R.is_infinity
-        if not R.is_infinity and (isinstance(P.x, Fp2) or isinstance(Q.x, Fp2)):
+        if P.is_infinity or Q.is_infinity:
+            assert R is (Q if P.is_infinity else P)
+        elif not R.is_infinity and any(isinstance(v, Fp2) for v in (*P, *Q)):
             assert isinstance(R.x, Fp2) and isinstance(R.y, Fp2)
+
+    def test_int_x_with_fp2_y_doubles(self):
+        """A point with an int x and an Fp2 y takes the F_p^2 group law,
+        as the same point with x lifted to an Fp2 does."""
+        C = Curve(field(7), 1, 1)
+        F = C.field
+        P = CurvePoint(1, Fp2(F, 0, 1))  # y^2 = 3 = x^3 + x + 1 at x = 1
+        assert C.contains(P)
+        R = C.mul(2, P)
+        assert R == C.mul(2, CurvePoint(Fp2(F, 1), Fp2(F, 0, 1)))
+        assert R == add_fp2(C, P, P)
+        assert isinstance(R.x, Fp2) and isinstance(R.y, Fp2)
 
 
 class TestSqrtInBaseOrExt:

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from conftest import small_curves
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import horner_fp2
 
+from ecbits.divpoly import DivisionPolynomials
 from ecbits.field import Fp2, field, primes_upto
 from ecbits.poly import (
     Poly,
@@ -63,6 +65,18 @@ class TestBasics:
     def test_eval_horner(self):
         f = P(7, 1, 0, 1)  # 1 + X^2
         assert [f(u) for u in range(7)] == [(1 + u * u) % 7 for u in range(7)]
+
+    @pytest.mark.parametrize("op", [
+        lambda f, g: f + g,
+        lambda f, g: f - g,
+        lambda f, g: f * g,
+        divmod,
+        poly_gcd,
+    ], ids=["add", "sub", "mul", "divmod", "gcd"])
+    def test_mixed_fields_refused(self, op):
+        # computed mod the left operand's p, gcd(X + 1, X^2 + 10) would be 1
+        with pytest.raises(ValueError, match="mixed fields"):
+            op(P(7, 1, 1), P(11, 10, 0, 1))
 
     @given(small_polys(), small_polys())
     def test_degree_of_product(self, f, g):
@@ -169,6 +183,38 @@ def poly_pairs(draw, max_len=700):
 MAX_PAIR = (Poly(field(PRIMES[-1]), [PRIMES[-1] - 1] * 700),) * 2
 
 
+def chain_pair(p, length):
+    """r_(k+1) = 2X*r_k + 3*r_(k-1) from r_0 = 1, r_1 = X + 1, up to
+    degree length - 1: the remainder of r_(k+1) by r_k is 3*r_(k-1), so
+    Euclid on the last two takes length - 1 steps of one degree each."""
+    F = field(p)
+    a, b = Poly.const(F, 1), Poly(F, [1, 1])
+    for _ in range(length - 2):
+        a, b = b, Poly(F, [0, 2]) * b + a * 3
+    return b, a
+
+
+# The kernel's edges, at the largest p: the longest quotient (700
+# coefficients p - 1 by a degree-1 divisor), and the most sums into one
+# slot (random residues, 700 by 351: a middle slot takes 350 products
+# near p^2/4, past 2^64, so a width not sized from the length overflows).
+# At p = 5: a remainder sequence of 99 steps, whose slot bounds outgrow
+# the slots and force reductions; a remainder whose leading slot holds
+# 1 + 4*1 = 5, a nonzero multiple of p; a constant divisor; and a
+# divisor longer than the dividend.
+_BIG = PRIMES[-1]
+_RNG = random.Random(0)
+EDGE_PAIRS = [
+    (Poly(field(_BIG), [_BIG - 1] * 700), Poly(field(_BIG), [_BIG - 1, _BIG - 1])),
+    (Poly(field(_BIG), [_RNG.randrange(_BIG) for _ in range(699)] + [1]),
+     Poly(field(_BIG), [_RNG.randrange(_BIG) for _ in range(350)] + [1])),
+    chain_pair(5, 100),
+    (P(5, 2, 1, 1), P(5, 1, 1, 1)),
+    (P(5, 3, 1, 4), P(5, 2)),
+    (P(5, 1, 2), P(5, 1, 2, 3, 4)),
+]
+
+
 class TestKernelsAgainstOracles:
     @settings(max_examples=60, deadline=None)
     @given(poly_pairs())
@@ -180,6 +226,12 @@ class TestKernelsAgainstOracles:
     @settings(max_examples=40, deadline=None)
     @given(poly_pairs())
     @example(MAX_PAIR)
+    @example(EDGE_PAIRS[0])
+    @example(EDGE_PAIRS[1])
+    @example(EDGE_PAIRS[2])
+    @example(EDGE_PAIRS[3])
+    @example(EDGE_PAIRS[4])
+    @example(EDGE_PAIRS[5])
     def test_divmod_is_long_division(self, pair):
         f, g = pair
         if g.is_zero():
@@ -195,6 +247,12 @@ class TestKernelsAgainstOracles:
 
     @settings(max_examples=40, deadline=None)
     @given(poly_pairs(max_len=250), st.integers(0, 2**32))
+    @example(EDGE_PAIRS[0], 1)
+    @example(EDGE_PAIRS[1], 1)
+    @example(EDGE_PAIRS[2], 1)
+    @example(EDGE_PAIRS[3], 1)
+    @example(EDGE_PAIRS[4], 1)
+    @example(EDGE_PAIRS[5], 1)
     def test_gcd_is_euclid(self, pair, seed):
         f, g = pair
         p = f.field.p
@@ -210,6 +268,17 @@ class TestKernelsAgainstOracles:
         assert h == euclid_gcd(f, g)
         assert h.lead() == 1
         assert long_divmod(h.coeffs, common.coeffs, p)[1] == []  # common | f, g
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_curves(p_max=43), st.integers(1, 12))
+    def test_division_polynomial_gcds_are_euclid(self, C, n):
+        """The two gcds the Weil-bound step rests on: f_n with g_n, and
+        ft_n with its derivative."""
+        dp = DivisionPolynomials(C)
+        f, g, _ = dp.f_g_h(n)
+        ft = dp.f_tilde(n)
+        assert poly_gcd(f, g) == euclid_gcd(f, g)
+        assert poly_gcd(ft, ft.derivative()) == euclid_gcd(ft, ft.derivative())
 
 
 class TestGcd:
