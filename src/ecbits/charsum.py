@@ -15,15 +15,16 @@ reads x(mR) for every point R of a set, one column per multiplier m,
 each filled on its first read from the x tables of the orbits that
 _orbit_rows walks once per cyclic subgroup met, and kept per point set
 for U and lemma 5.  U and V read a point R only through
-x(nR) = x(n(-R)): once_per_pair evaluates V's per-point terms once per
-class {R, -R} of any point set, and U takes one x column entry per
-class (the exact Delta of extract takes its classes as j and t - j of
-<G>); as chi is completely multiplicative, U reads chi once per class
-and multiplier and sums W(m, n) as dot products of chi columns.  T is
-the multiplicative-product additive-character sum, its psi arguments
-built level by level over [1,N]^k by prefix_sums; V aggregates |T|^2
-over a subgroup.  The subgroup exponential sum and the
-product-collision count back the two proof devices.  Every
+x(nR) = x(n(-R)): U takes one x column entry per class {R, -R} (the
+exact Delta of extract takes its classes as j and t - j of <G>), and
+as chi is completely multiplicative, U reads chi once per class and
+multiplier and sums W(m, n) as dot products of chi columns.  T is the
+multiplicative-product additive-character sum, its psi arguments built
+level by level over [1,N]^k by prefix_sums; V aggregates |T|^2, one T
+per class, over the order-t subgroup that it, like the subgroup
+exponential sum, reads from curve.subgroup_of_order.  The subgroup
+exponential sum and the product-collision count back the two proof
+devices.  Every
 integer-valued quantity is computed exactly; complex accumulation uses
 a fixed summation order so results are reproducible bit for bit.
 """
@@ -35,7 +36,7 @@ import itertools
 import math
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -46,6 +47,7 @@ from .curve import (
     _add_pairs,
     check_subgroup_budget,
     multiples,
+    subgroup_of_order,
     torsion_doublings,
 )
 from .field import PreconditionError, ResourceBudgetError, primes_upto
@@ -275,16 +277,6 @@ def x_columns(curve: Curve, points: tuple[CurvePoint, ...]) -> XColumns:
     return XColumns(_orbit_rows(curve, points))
 
 
-def once_per_pair(points: Iterable[CurvePoint], value) -> list:
-    """[value(R) for R in points], value called once per class {R, -R}
-    met: for a value that reads R only through x(nR) = x(n(-R)).  The
-    classes are keyed by the affine x, whose None keeps O apart from the
-    points with x = 0."""
-    memo = {}
-    return [memo[R.x] if R.x in memo else memo.setdefault(R.x, value(R))
-            for R in points]
-
-
 def sum_U(curve: Curve, N: int) -> tuple[int, BoundReport]:
     """U(N) = sum over all point pairs of |S(P, Q; N)|^2, exactly, through
     the proof's rearrangement: expanding the square and swapping the sums
@@ -362,25 +354,28 @@ def sum_T(curve: Curve, c: tuple[int, ...], R: CurvePoint, N: int) -> complex:
 
 
 def sum_V(
-    curve: Curve, H: Sequence[CurvePoint], c: tuple[int, ...], N: int
+    curve: Curve, t: int, c: tuple[int, ...], N: int
 ) -> tuple[float, BoundReport]:
-    """V_k(c, H; N) = sum_{R in H} |T_k(c, R; N)|^2, H a subgroup whose
-    order t has gcd(N!, t) = 1.  Reported against
-    k N^(4k) sqrt(p) + k N^(2k-1) t.
+    """V_k(c, H; N) = sum_{R in H} |T_k(c, R; N)|^2 over the order-t
+    subgroup H = subgroup_of_order(curve, t), with gcd(N!, t) = 1.
+    Reported against k N^(4k) sqrt(p) + k N^(2k-1) t.
 
-    Cost: T reads R only through x(nR) = x(n(-R)), so sum_T runs once
-    per distinct x(R) of H, (t + 1) / 2 times for an odd t: a walk of
-    N^k multiples and N^k psi memo reads each.  The memoised squares are
-    added in H's order, so the total is the per-point loop's bit for
+    Cost: T reads R only through x(nR) = x(n(-R)), and in H's order -R
+    comes right after R, so sum_T runs once per run of equal x(R), once
+    per class {R, -R}: (t + 1) / 2 times for an odd t, each a walk of
+    N^k multiples and N^k psi memo reads.  Each square is added once per
+    point, in H's order, so the total is the per-point loop's bit for
     bit.
     """
-    t = len(H)
-    if t < 1:
-        raise PreconditionError("H must be nonempty")
+    H = subgroup_of_order(curve, t)
     check_coprime_to_factorial(t, N)
     k = len(c)
     total = 0.0
-    for square in once_per_pair(H, lambda R: abs(sum_T(curve, c, R, N)) ** 2):
+    x = ...  # H[0] is O, whose x is None
+    for R in H:
+        if R.x != x:
+            x = R.x
+            square = abs(sum_T(curve, c, R, N)) ** 2
         total += square
     p = curve.p
     report = BoundReport(
@@ -394,19 +389,18 @@ def sum_V(
 
 
 def subgroup_sum(
-    curve: Curve,
-    H: Sequence[CurvePoint],
-    d: tuple[int, ...],
-    c: tuple[int, ...],
+    curve: Curve, t: int, d: tuple[int, ...], c: tuple[int, ...]
 ) -> tuple[complex, BoundReport]:
-    """sum over Q in H, Q != O, of psi(sum_i c_i x(d_i Q)), for strictly
-    increasing multipliers d with gcd(#H, d_1...d_s) = 1 and c_s != 0 on
-    an ordinary curve.  Reported against s D^2 sqrt(p), D = d_s.
+    """sum over Q in H, Q != O, of psi(sum_i c_i x(d_i Q)), H the order-t
+    subgroup subgroup_of_order(curve, t), for strictly increasing
+    multipliers d with gcd(t, d_1...d_s) = 1 and c_s != 0 on an
+    ordinary curve.  Reported against s D^2 sqrt(p), D = d_s.
 
     Cost: columns d_1..d_s of x_columns over the affine points of H,
     each filled once per process (the 63 cells of d <= 7 fill 7), then
     s column reads and one psi memo read per point, in H's order, so the
     sum is the per-point loop's bit for bit."""
+    H = subgroup_of_order(curve, t)
     s = len(d)
     if s == 0 or len(c) != s:
         raise PreconditionError("need matching nonempty d and c tuples")
@@ -415,7 +409,6 @@ def subgroup_sum(
     p = curve.p
     if c[-1] % p == 0:
         raise PreconditionError("the last coefficient c_s must be nonzero")
-    t = len(H)
     prod_d = math.prod(d)
     if math.gcd(t, prod_d) != 1:
         raise PreconditionError(f"gcd(t, d_1...d_s) = {math.gcd(t, prod_d)} != 1")

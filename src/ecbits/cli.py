@@ -20,9 +20,9 @@ import os
 import sys
 import time
 
-# x_multiples and group_structure are unused here; the benchmark's
-# per-layer tracer (bench/spans.py) looks them up, like the other
-# library names below, as attributes of this module.
+# x_multiples, group_structure and subgroup_of_order are unused here;
+# the benchmark's per-layer tracer (bench/spans.py) looks them up, like
+# the other library names below, as attributes of this module.
 from .charsum import (
     count_product_collisions,
     subgroup_sum,
@@ -38,7 +38,7 @@ from .curve import (
     find_curve,
     group_structure,  # noqa: F401
     subgroup_generator,
-    subgroup_of_order,
+    subgroup_of_order,  # noqa: F401
     subgroup_order_for_policy,
 )
 from .divpoly import DivisionPolynomials
@@ -151,10 +151,12 @@ def _curve_and_t(args, reads_t: bool = True) -> tuple[Curve, int]:
 SLACK = 10.0
 
 
-def _curve_and_H(cell: dict) -> tuple:
-    """The curve of a v or lemma5 cell and its order-t subgroup."""
-    C = _curve_from_inputs(cell)
-    return C, subgroup_of_order(C, cell["t"])
+def _v_coefficients(cell: dict) -> tuple[int, ...]:
+    """The c of a v cell, whose k must be its length: V reads k as len(c)."""
+    c = tuple(cell["c"])
+    if cell["k"] != len(c):
+        raise ConfigError(f"need k = len(c), got k = {cell['k']}, c = {list(c)}")
+    return c
 
 
 # The cells one sums experiment may build; more is refused before the
@@ -190,7 +192,8 @@ _SUMS = {
         lambda args, curve, t: (
             {"experiment": "v", **curve, "t": t, "N": N, "k": k, "c": [1] * k}
             for k in (1, 2) for N in range(2, min(args.big_n, 6) + 1)),
-        lambda cell: sum_V(*_curve_and_H(cell), tuple(cell["c"]), cell["N"]),
+        lambda cell: sum_V(_curve_from_inputs(cell), cell["t"], _v_coefficients(cell),
+                           cell["N"]),
         lambda args: 2 * max(min(args.big_n, 6) - 1, 0),
         "big-n >= 2", "big-n = {big_n}"),
     "lemma5": (
@@ -199,7 +202,7 @@ _SUMS = {
             for s in range(1, min(args.d_max, args.s_max) + 1)
             for d in itertools.combinations(range(1, args.d_max + 1), s)
             if math.gcd(t, math.prod(d)) == 1),
-        lambda cell: subgroup_sum(*_curve_and_H(cell), tuple(cell["d"]),
+        lambda cell: subgroup_sum(_curve_from_inputs(cell), cell["t"], tuple(cell["d"]),
                                   tuple(cell["c"])),
         lambda args: _lemma5_cell_count(args.d_max, args.s_max),
         "d-max >= 1 and s-max >= 1", "d-max = {d_max}, s-max = {s_max}"),

@@ -441,6 +441,8 @@ def subgroup_of_order(curve: Curve, t: int) -> tuple[CurvePoint, ...]:
     rational_division_points (#E <= 10^6, index_table's budget), and t
     is accepted only when that kernel has exactly t elements.  Kept per
     (curve, t): the uniqueness check and a sweep's cells share one H.
+    charsum.sum_V relies on this order: R and -R share x, so they are
+    adjacent, and V takes one T per run of equal x.
     """
     if t < 1:
         raise ValueError("subgroup order must be positive")
@@ -696,7 +698,7 @@ def find_curve(
                     rejected["supersingular"] += 1
                     continue
                 n = C.order()
-                t =subgroup_order_for_policy(n, big_n, t_policy)
+                t = subgroup_order_for_policy(n, big_n, t_policy)
                 if t * t < p:
                     rejected["subgroup_small"] += 1
                     continue

@@ -43,7 +43,6 @@ from ecbits.charsum import (
     _orbit_rows,
     _t_sum,
     check_coprime_to_factorial,
-    once_per_pair,
     x_multiples,
 )
 from ecbits.curve import (
@@ -301,8 +300,11 @@ def delta_over_points(
         tx, j = rows[R]
         return _worst_deviation(counts[id(tx)](j), N**k)
 
-    points = sorted(met, key=_point_key)
-    for R, worst in zip(points, once_per_pair(points, worst_at)):
+    memo = {}  # worst_at by the affine x, whose None keeps O apart from x = 0
+    for R in sorted(met, key=_point_key):
+        if R.x not in memo:
+            memo[R.x] = worst_at(R)
+        worst = memo[R.x]
         per_point.append((repr(R), Fraction(worst, size)))
         total += worst
         if not R.is_infinity:

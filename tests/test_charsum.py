@@ -38,12 +38,9 @@ from ecbits.curve import (
     INFINITY,
     Curve,
     CurvePoint,
-    _point_key,
     coprime_part,
     factorize,
     mul_int,
-    orbit,
-    subgroup_generator,
     subgroup_of_order,
 )
 from ecbits.divpoly import DivisionPolynomials
@@ -248,42 +245,43 @@ class TestPerTermOracle:
     @settings(max_examples=25, deadline=None)
     @given(small_curves(), st.data())
     def test_sum_v_equals_per_term_loop(self, C, data):
-        H = C.enumerate_points()
-        N = data.draw(st.integers(1, min([*factorize(len(H)), 5]) - 1))
+        t = C.order()
+        H = subgroup_of_order(C, t)
+        N = data.draw(st.integers(1, min([*factorize(t), 5]) - 1))
         k = data.draw(st.integers(1, 2))
         c = tuple(data.draw(st.integers(0, C.p - 1)) for _ in range(k - 1))
         c += (data.draw(st.integers(1, C.p - 1)),)
         want = 0.0
         for R in H:
             want += abs(t_sum_per_term(C, c, R, N)) ** 2
-        assert sum_V(C, H, c, N)[0] == want
+        assert sum_V(C, t, c, N)[0] == want
 
 
 class TestSumV:
     def test_trivial_subgroup_exact(self, micro_curve):
         for k, N in [(1, 4), (2, 3)]:
-            got, _ = sum_V(micro_curve, [INFINITY], (1,) * k, N)
+            got, _ = sum_V(micro_curve, 1, (1,) * k, N)
             assert got == N ** (2 * k)
 
     def test_micro_brute_force(self, micro_curve, micro_points):
-        got, _ = sum_V(micro_curve, micro_points, (1,), 4)
+        got, _ = sum_V(micro_curve, 5, (1,), 4)
         want = sum(abs(sum_T(micro_curve, (1,), R, 4)) ** 2 for R in micro_points)
         assert abs(got - want) < 1e-9
 
     def test_expansion_identity(self, micro_curve, micro_points):
         for c in [(1,), (2,)]:
-            direct, _ = sum_V(micro_curve, micro_points, c, 4)
+            direct, _ = sum_V(micro_curve, 5, c, 4)
             expanded = v_sum_expanded(micro_curve, micro_points, c, 4)
             assert abs(direct - expanded) <= 1e-6 * max(1.0, abs(direct))
 
     def test_expansion_identity_k2(self, micro_curve, micro_points):
-        direct, _ = sum_V(micro_curve, micro_points, (1, 2), 3)
+        direct, _ = sum_V(micro_curve, 5, (1, 2), 3)
         expanded = v_sum_expanded(micro_curve, micro_points, (1, 2), 3)
         assert abs(direct - expanded) <= 1e-6 * max(1.0, abs(direct))
 
-    def test_gcd_precondition(self, micro_curve, micro_points):
+    def test_gcd_precondition(self, micro_curve):
         with pytest.raises(PreconditionError):
-            sum_V(micro_curve, micro_points, (1,), 5)  # 5 | t = 5
+            sum_V(micro_curve, 5, (1,), 5)  # 5 | t = 5
 
     @settings(max_examples=50, deadline=None)
     @given(small_curves(), st.data())
@@ -296,12 +294,12 @@ class TestSumV:
         k = data.draw(st.integers(1, 2))
         c = tuple(data.draw(st.lists(st.integers(0, C.p - 1), min_size=k,
                                      max_size=k).filter(any)))
-        direct, _ = sum_V(C, H, c, N)
+        direct, _ = sum_V(C, t, c, N)
         expanded = v_sum_expanded(C, H, c, N)
         assert abs(direct - expanded) <= 1e-6 * max(1.0, abs(direct))
 
-    def test_termwise_cap(self, micro_curve, micro_points):
-        got, _ = sum_V(micro_curve, micro_points, (1,), 4)
+    def test_termwise_cap(self, micro_curve):
+        got, _ = sum_V(micro_curve, 5, (1,), 4)
         t, k, N = 5, 1, 4
         assert 0 <= got <= t * N ** (2 * k) * (1 + 1e-9)
 
@@ -330,19 +328,17 @@ class TestPlusMinusPairs:
 
     def test_golden_values_recorded_before_pairing(self):
         C = GOLDEN_CURVE
-        E = C.enumerate_points()
-        H57, H19 = subgroup_of_order(C, 57), subgroup_of_order(C, 19)
         assert [sum_U(C, N)[0] for N in range(1, 7)] == [
             50625, 98433, 154548, 203796, 258633, 312489]
-        assert sum_V(C, E, (1,), 1)[0] == 228.0
-        assert sum_V(C, E, (5, 3), 1)[0] == 228.0
-        assert sum_V(C, H57, (1,), 2)[0] == 123.50568043467739
-        assert sum_V(C, H57, (2, 7), 2)[0] == 283.34278065865277
-        assert sum_V(C, H19, (1,), 4)[0] == 94.6462353762222
-        assert sum_V(C, H19, (1, 1), 4)[0] == 637.7136414807841
-        lhs = {(len(H), d, c): subgroup_sum(C, H, d, c)[1].lhs
-               for H, d, c in [(E, (1,), (1,)), (E, (1, 5), (1, 1)),
-                               (H57, (1, 2), (3, 1)), (H19, (1, 7, 8), (1, 1, 1))]}
+        assert sum_V(C, 228, (1,), 1)[0] == 228.0
+        assert sum_V(C, 228, (5, 3), 1)[0] == 228.0
+        assert sum_V(C, 57, (1,), 2)[0] == 123.50568043467739
+        assert sum_V(C, 57, (2, 7), 2)[0] == 283.34278065865277
+        assert sum_V(C, 19, (1,), 4)[0] == 94.6462353762222
+        assert sum_V(C, 19, (1, 1), 4)[0] == 637.7136414807841
+        lhs = {(t, d, c): subgroup_sum(C, t, d, c)[1].lhs
+               for t, d, c in [(228, (1,), (1,)), (228, (1, 5), (1, 1)),
+                               (57, (1, 2), (3, 1)), (19, (1, 7, 8), (1, 1, 1))]}
         assert lhs == {(228, (1,), (1,)): 4.679244050090327,
                        (228, (1, 5), (1, 1)): 29.56480151052065,
                        (57, (1, 2), (3, 1)): 6.227392116493103,
@@ -353,27 +349,8 @@ class TestPlusMinusPairs:
         assert micro_points[:3] == [INFINITY, CurvePoint(0, 1), CurvePoint(0, 6)]
         assert sum_T(micro_curve, (1,), CurvePoint(0, 1), 4) != 4
         for c in [(1,), (4, 2)]:
-            assert sum_V(micro_curve, micro_points, c, 4)[0] == v_per_point(
+            assert sum_V(micro_curve, 5, c, 4)[0] == v_per_point(
                 micro_curve, micro_points, c, 4)
-
-    def test_points_without_their_negatives(self):
-        C = GOLDEN_CURVE
-        H57 = subgroup_of_order(C, 57)
-        # (0, 1), O and 27 points of order 19 or 57, none with its negative
-        H = [P for P in H57 if P.is_infinity or P.y < 106][:29]
-        assert not {CurvePoint(P.x, -P.y % C.p) for P in H if P.y} & set(H)
-        for c in [(1,), (3, 2)]:
-            assert sum_V(C, H, c, 2)[0] == v_per_point(C, H, c, 2)
-
-    def test_sum_v_adds_in_h_order(self):
-        # the order-57 subgroup in walk order: its float total differs
-        # from the same squares added in sorted order
-        C = GOLDEN_CURVE
-        H = orbit(C, subgroup_generator(C, 57))
-        for c in [(1,), (2, 7)]:
-            want = v_per_point(C, H, c, 2)
-            assert want != v_per_point(C, sorted(H, key=_point_key), c, 2)
-            assert sum_V(C, H, c, 2)[0] == want
 
     @pytest.mark.parametrize("C", TWO_TORSION_CURVES, ids=["p5", "p7"])
     def test_group_of_o_and_two_torsion(self, C):
@@ -382,7 +359,7 @@ class TestPlusMinusPairs:
         for N in range(1, 6):
             assert sum_U(C, N)[0] == u_by_pairs(C, N) == u_by_definition(C, N)
         for c in [(1,), (2, 3)]:
-            assert sum_V(C, E, c, 1)[0] == v_per_point(C, E, c, 1)
+            assert sum_V(C, len(E), c, 1)[0] == v_per_point(C, E, c, 1)
 
     @pytest.mark.parametrize("p,a,b", [(211, 0, 1), (103, 1, 0), (89, 2, 5)])
     def test_two_torsion_counted_once(self, p, a, b):
@@ -393,13 +370,27 @@ class TestPlusMinusPairs:
             assert sum_U(C, N)[0] == u_by_pairs(C, N)
 
     @settings(max_examples=25, deadline=None)
-    @given(small_curves(), st.data())
-    def test_sum_v_on_any_point_list(self, C, data):
-        H = data.draw(st.lists(st.sampled_from(C.enumerate_points()),
-                               min_size=1, max_size=12))
-        N = data.draw(st.integers(1, min([*factorize(len(H)), 5]) - 1))
-        c = (data.draw(st.integers(1, C.p - 1)),)
-        assert sum_V(C, H, c, N)[0] == v_per_point(C, H, c, N)
+    @given(small_curves(), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=2))
+    # the H of t = 4, 12, 76 and 228 hold E[2] = Z/2 x Z/2 (N = 1 only)
+    @example(GOLDEN_CURVE, [5, 3])
+    # #E = 126: the cyclic H of every even t holds one point of order 2
+    @example(Curve(field(137), 1, 1), [1])
+    # E[9] = E = Z/3 x Z/3
+    @example(Curve(field(13), 0, 3), [2, 7])
+    def test_sum_v_on_every_subgroup(self, C, c):
+        # H's order puts R next to -R: V's one T per run of equal x is the
+        # per-point loop on every unique subgroup, t = 1 included
+        c = tuple(c)
+        assume(any(v % C.p for v in c))
+        for t in range(1, C.order() + 1):
+            if C.order() % t:
+                continue
+            try:
+                H = subgroup_of_order(C, t)
+            except PreconditionError:  # no unique subgroup of order t
+                continue
+            for N in range(1, min([*factorize(t), 4])):
+                assert sum_V(C, t, c, N)[0] == v_per_point(C, H, c, N)
 
     def test_benchmark_v_cell_evaluates_t_once_per_pair(self, monkeypatch):
         # t = 517 = 11 * 47: O and 258 pairs {R, -R}
@@ -419,8 +410,8 @@ class TestPlusMinusPairs:
 
 
 class TestSubgroupSum:
-    def test_hand_example(self, micro_curve, micro_points):
-        got, report = subgroup_sum(micro_curve, micro_points, (1,), (1,))
+    def test_hand_example(self, micro_curve):
+        got, report = subgroup_sum(micro_curve, 5, (1,), (1,))
         want = 2 + 2 * cmath.exp(4j * math.pi / 7)
         assert abs(got - want) < 1e-12
         assert report.lhs <= 4  # t - 1 termwise
@@ -429,27 +420,26 @@ class TestSubgroupSum:
         # sum over Q != O of psi(c x(Q)) equals
         # sum_u (1 + chi(u^3+au+b)) psi(cu) when H is the whole group
         F = micro_curve.field
-        H = micro_curve.enumerate_points()
         for c in (1, 2, 3):
-            got, _ = subgroup_sum(micro_curve, H, (1,), (c,))
+            got, _ = subgroup_sum(micro_curve, micro_curve.order(), (1,), (c,))
             want = 0j
             for u in range(7):
                 want += (1 + F.chi(micro_curve.rhs(u))) * F.psi(c * u)
             assert abs(got - want) < 1e-12
 
-    def test_multiplier_ordering_enforced(self, micro_curve, micro_points):
+    def test_multiplier_ordering_enforced(self, micro_curve):
         with pytest.raises(PreconditionError):
-            subgroup_sum(micro_curve, micro_points, (2, 2), (1, 1))
+            subgroup_sum(micro_curve, 5, (2, 2), (1, 1))
         with pytest.raises(PreconditionError):
-            subgroup_sum(micro_curve, micro_points, (3, 1), (1, 1))
+            subgroup_sum(micro_curve, 5, (3, 1), (1, 1))
 
-    def test_gcd_precondition(self, micro_curve, micro_points):
+    def test_gcd_precondition(self, micro_curve):
         with pytest.raises(PreconditionError):
-            subgroup_sum(micro_curve, micro_points, (5,), (1,))
+            subgroup_sum(micro_curve, 5, (5,), (1,))
 
-    def test_last_coefficient_nonzero(self, micro_curve, micro_points):
+    def test_last_coefficient_nonzero(self, micro_curve):
         with pytest.raises(PreconditionError):
-            subgroup_sum(micro_curve, micro_points, (1, 2), (1, 0))
+            subgroup_sum(micro_curve, 5, (1, 2), (1, 0))
 
     @settings(max_examples=30, deadline=None)
     @given(small_curves(), st.sets(st.integers(1, 6), min_size=1, max_size=3),
@@ -468,22 +458,21 @@ class TestSubgroupSum:
                 continue
             if math.gcd(t, math.prod(d)) != 1 or not C.is_ordinary():
                 with pytest.raises(PreconditionError):
-                    subgroup_sum(C, H, d, c)
+                    subgroup_sum(C, t, d, c)
                 continue
             want = 0j
             for Q in H:
                 if not Q.is_infinity:
                     want += C.field.psi(sum(ci * x_formal(C.mul(di, Q))
                                             for ci, di in zip(c, d)))
-            got, _ = subgroup_sum(C, H, d, c)
+            got, _ = subgroup_sum(C, t, d, c)
             assert got == want  # same psi arguments, same order
 
     def test_triangle_bound_various(self):
         C = Curve(field(11), 1, 1)
-        H = subgroup_of_order(C, 7)
         for d, c in [((1,), (1,)), ((1, 2), (1, 1)), ((2, 3), (5, 2))]:
-            got, _ = subgroup_sum(C, H, d, c)
-            assert abs(got) <= len(H) - 1 + 1e-9
+            got, _ = subgroup_sum(C, 7, d, c)
+            assert abs(got) <= 7 - 1 + 1e-9
 
 
 def brute_collisions(N, k, c):
@@ -719,9 +708,8 @@ def test_later_cells_on_a_point_set_reuse_its_rows(monkeypatch):
     # next ones read the kept columns (filling the new multipliers d = 3
     # and N = 4) and return the cold values bit for bit
     C = Curve(field(1009), 1, 1)
-    H = subgroup_of_order(C, 517)
-    cells = [lambda: subgroup_sum(C, H, (1, 2), (1, 1)), lambda: sum_U(C, 3),
-             lambda: subgroup_sum(C, H, (2, 3), (1, 5)), lambda: sum_U(C, 4)]
+    cells = [lambda: subgroup_sum(C, 517, (1, 2), (1, 1)), lambda: sum_U(C, 3),
+             lambda: subgroup_sum(C, 517, (2, 3), (1, 5)), lambda: sum_U(C, 4)]
     cold = []
     for cell in cells:
         x_columns.cache_clear()

@@ -560,7 +560,7 @@ class TestExtractCommand:
         assert sorted(walks) == [[36, False], [789, False]]
 
     def test_gcd_hypothesis_violation_named(self, tmp_path, capsys, monkeypatch,
-                                            micro_curve, micro_points):
+                                            micro_curve):
         argv = ["extract", "--p", "7", "--a", "1", "--b", "1", "--big-n", "5",
                 "--out", str(tmp_path / "x")]
         assert cli.main(argv) == 2  # both policies strip 5 from #E = 5: t = 1
@@ -569,7 +569,7 @@ class TestExtractCommand:
         capsys.readouterr()
         assert cli.main(argv) == 2  # 5 | t = 5 violates gcd(N!, t) = 1
         with pytest.raises(PreconditionError) as from_v:
-            sum_V(micro_curve, micro_points, (1,), 5)
+            sum_V(micro_curve, 5, (1,), 5)
         assert capsys.readouterr().err == f"precondition violated: {from_v.value}\n"
 
     def test_sampled_deviation_path(self, tmp_path):
@@ -841,6 +841,10 @@ class TestBadInput:
         (["sums", "--p", "7", "--a", "1", "--b", "1", "--t-policy", "prime",
           "--big-n", "6", "--experiments", "v,lemma5", "--jobs", "1",
           "--out", "{tmp}/x"], "subgroup policy produced trivial t = 1"),
+        # a v record whose k is not the length of its c
+        (["report", "--in", "{tmp}/v_k2.json"], "record 0 (v inputs={'p': 7, 'a': 1, "
+                                                "'b': 1, 't': 5, 'N': 2, 'k': 2, 'c': [1]}): "
+                                                "need k = len(c), got k = 2, c = [1]"),
     ])
     def test_one_line_exit_2(self, tmp_path, capsys, argv, message):
         assert cli.main(["verify", "--p", "7", "--a", "1", "--b", "1",
@@ -860,6 +864,7 @@ class TestBadInput:
                 ("v_t0", "v", dict(curve, t=0, N=2, k=1, c=[1])),
                 ("u_n0", "u", dict(curve, N=0)),
                 ("v_n-1", "v", dict(curve, t=5, N=-1, k=1, c=[1])),
+                ("v_k2", "v", dict(curve, t=5, N=2, k=2, c=[1])),
                 ("collisions_k0", "collisions", {"N": 2, "k": 0, "c": []}),
                 ("collisions_n0", "collisions", {"N": 0, "k": 1, "c": [1]})):
             (tmp_path / f"{name}.json").write_text(json.dumps([{

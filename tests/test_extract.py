@@ -259,11 +259,11 @@ class TestDelta:
         assert a.total == b.total
         assert a.per_point == b.per_point
 
-    def test_gcd_precondition_named(self, micro_curve, micro_points):
+    def test_gcd_precondition_named(self, micro_curve):
         with pytest.raises(PreconditionError, match="gcd") as from_delta:
             delta(micro_curve, MICRO_G, 5, 1, 1, 5)
         with pytest.raises(PreconditionError) as from_v:
-            sum_V(micro_curve, micro_points, (1,), 5)
+            sum_V(micro_curve, 5, (1,), 5)
         with pytest.raises(PreconditionError) as from_sampled:
             sampled_deviation(micro_curve, CurvePoint(0, 1), 5, 1, 1, 5, 1, 0)
         assert str(from_delta.value) == str(from_v.value) == str(from_sampled.value)

@@ -269,6 +269,18 @@ class TestKernelsAgainstOracles:
         assert h.lead() == 1
         assert long_divmod(h.coeffs, common.coeffs, p)[1] == []  # common | f, g
 
+    @pytest.mark.parametrize("p,seed,n", [(13, 34, 200), (43, 15, 250)])
+    def test_gcd_is_euclid_on_seeded_pairs(self, p, seed, n):
+        # random residues with a leading 1, f of n and g of n // 2: _divide
+        # bounds a slot's growth by min(steps, deg den) * (p - 1) sums, and
+        # at these pairs min(steps, deg den) + (p - 1) skips a needed
+        # reduction and returns a gcd of the wrong degree
+        F = field(p)
+        rng = random.Random(seed)
+        f = Poly(F, [rng.randrange(p) for _ in range(n)] + [1])
+        g = Poly(F, [rng.randrange(p) for _ in range(n // 2)] + [1])
+        assert poly_gcd(f, g) == euclid_gcd(f, g)
+
     @settings(max_examples=30, deadline=None)
     @given(small_curves(p_max=43), st.integers(1, 12))
     def test_division_polynomial_gcds_are_euclid(self, C, n):
